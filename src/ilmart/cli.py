@@ -27,6 +27,7 @@ from .trainer import (
     load_model,
     save_model,
     train_ilmart,
+    write_atomically,
 )
 
 logger = logging.getLogger(__name__)
@@ -91,7 +92,6 @@ def _resolve_train_config(args) -> tuple[TrainConfig, dict]:
         "learning_rate": args.learning_rate,
         "early_stopping_rounds": args.early_stopping,
         "max_interactions": args.interactions,
-        "rng_seed": args.seed,
         "max_bins": args.max_bins,
         "min_data_in_leaf": args.min_data_in_leaf,
     }
@@ -138,7 +138,7 @@ def cmd_train(args) -> int:
         model_path = os.path.join(out_dir, "model.json")
         save_model(model, model_path)
         log_path = os.path.join(out_dir, "training_log.csv")
-        with open(log_path, "w", encoding="utf-8") as fh:
+        with write_atomically(log_path) as fh:
             fh.write(_config_comment(cfg) + "\n")
             fh.write("round,stage,valid_ndcg\n")
             for stage, rnd, ndcg in model.training_log:
@@ -217,19 +217,12 @@ def cmd_sweep_interactions(args) -> int:
     if args.step < 1:
         raise UsageError(f"step must be >= 1, got {args.step}")
     total = model.num_interactions
-    ks = sorted(set(range(0, total + 1, args.step)) | {total})
-    base = np.zeros(ds.num_rows)
-    for tree in model.main_trees:
-        base += tree.predict_batch(ds.features)
-    pair_rank = {pair: r for r, pair in enumerate(model.interaction_pairs)}
     with _open_out(args.out) as fh:
         fh.write(f"# model: {args.model} K={total}\n")
         fh.write("num_interactions," + ",".join(f"ndcg@{k}" for k in cutoffs) + "\n")
-        for k_enabled in ks:
-            scores = base.copy()
-            for tree in model.interaction_trees:
-                if pair_rank[tuple(tree.constraint_features)] < k_enabled:
-                    scores += tree.predict_batch(ds.features)
+        for k_enabled, scores in enumerate(model.scores_by_pair_rank(ds.features)):
+            if k_enabled % args.step and k_enabled != total:
+                continue
             report = mean_ndcg(scores, ds, cutoffs)
             row = ",".join(repr(report.mean[k]) for k in cutoffs)
             fh.write(f"{k_enabled},{row}\n")
@@ -258,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--learning-rate", type=float, default=None)
     p_train.add_argument("--early-stopping", type=int, default=None,
                          help="rounds without improvement before a stage stops")
-    p_train.add_argument("--seed", type=int, default=None)
     p_train.add_argument("--max-bins", type=int, default=None)
     p_train.add_argument("--min-data-in-leaf", type=int, default=None)
     add_common_data(p_train)

@@ -5,9 +5,10 @@ A data file holds one query-document pair per line::
     <label> qid:<qid> <fid>:<value> <fid>:<value> ... # optional comment
 
 Labels are integer relevance grades, feature ids are 1-based, and absent
-feature ids default to 0. Rows are grouped by query id in order of first
-appearance. Histogram boundaries for tree learning are computed once on the
-training split and reused everywhere else.
+feature ids default to 0. Feature values must be finite: NaN and +-inf are
+rejected. Rows are grouped by query id in order of first appearance.
+Histogram boundaries for tree learning are computed once on the training
+split and reused everywhere else.
 """
 from __future__ import annotations
 
@@ -41,7 +42,11 @@ class Dataset:
     query_groups: list[np.ndarray]
 
     @classmethod
-    def from_rows(cls, labels, qids, features) -> "Dataset":
+    def from_rows(cls, labels, qids, features, where=None) -> "Dataset":
+        """Build a dataset, rejecting non-finite feature values.
+
+        ``where(r)`` names row ``r`` in the error message (default "row r").
+        """
         features = np.ascontiguousarray(features, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.int32)
         qids = [str(q) for q in qids]
@@ -54,6 +59,12 @@ class Dataset:
             raise DatasetError("dataset has no rows")
         if labels.min() < 0 or labels.max() > MAX_LABEL:
             raise DatasetError(f"labels must be integers in [0, {MAX_LABEL}]")
+        finite = np.isfinite(features)
+        if not finite.all():
+            r, k = np.argwhere(~finite)[0].tolist()
+            at = where(r) if where else f"row {r}"
+            raise DatasetError(f"{at}: non-finite value {float(features[r, k])!r} "
+                               f"for feature {k + 1}")
         groups: dict[str, list[int]] = {}
         for i, q in enumerate(qids):
             groups.setdefault(q, []).append(i)
@@ -120,6 +131,7 @@ def load_svmlight(path, num_features: int | None = None) -> Dataset:
     """
     labels: list[int] = []
     qids: list[str] = []
+    linenos: list[int] = []
     parsed_rows: list[tuple[np.ndarray, np.ndarray]] = []
     max_fid = 0
 
@@ -162,6 +174,7 @@ def load_svmlight(path, num_features: int | None = None) -> Dataset:
             max_fid = max(max_fid, max(fids, default=0))
             labels.append(label)
             qids.append(qid)
+            linenos.append(lineno)
             parsed_rows.append((np.asarray(fids, dtype=np.intp), np.asarray(vals)))
 
     if not parsed_rows:
@@ -176,7 +189,7 @@ def load_svmlight(path, num_features: int | None = None) -> Dataset:
     for r, (fids, vals) in enumerate(parsed_rows):
         if fids.size:
             features[r, fids - 1] = vals
-    return Dataset.from_rows(labels, qids, features)
+    return Dataset.from_rows(labels, qids, features, where=lambda r: f"{path}:{linenos[r]}")
 
 
 @dataclass
@@ -203,16 +216,6 @@ class BinMapper:
 
     def num_bins(self, fid: int) -> int:
         return len(self.boundaries[fid - 1]) + 1
-
-    def bin_values(self, fid: int, values) -> np.ndarray:
-        return np.searchsorted(self.boundaries[fid - 1], values, side="left")
-
-    def transform(self, features: np.ndarray) -> np.ndarray:
-        """Bin an arbitrary feature matrix with the training boundaries."""
-        out = np.zeros(features.shape, dtype=self.binned.dtype)
-        for k in range(features.shape[1]):
-            out[:, k] = np.searchsorted(self.boundaries[k], features[:, k], side="left")
-        return out
 
 
 def build_bins(ds: Dataset, max_bins: int = DEFAULT_MAX_BINS) -> BinMapper:

@@ -8,7 +8,9 @@ plots. Exports are raw tree sums, deliberately not mean-centered.
 """
 from __future__ import annotations
 
+import bisect
 import csv
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -17,19 +19,13 @@ import numpy as np
 
 from .dataset import Dataset
 from .trainer import IlmartModel
+from .trees import TreeLeaf
 
 
 def _interval_index(breakpoints: np.ndarray, x) -> np.ndarray:
     # Interval b covers (breakpoints[b-1], breakpoints[b]], matching the
     # trees' "value <= threshold goes left" routing.
     return np.searchsorted(breakpoints, x, side="left")
-
-
-def _probes(breakpoints: np.ndarray) -> np.ndarray:
-    """One representative input per interval (right endpoint; past-the-end last)."""
-    if breakpoints.size == 0:
-        return np.zeros(1)
-    return np.append(breakpoints, np.nextafter(breakpoints[-1], np.inf))
 
 
 @dataclass
@@ -41,7 +37,7 @@ class ShapeFunction:
     values: np.ndarray
 
     def lookup(self, x: float) -> float:
-        return float(self.values[_interval_index(self.breakpoints, x)])
+        return float(self.lookup_batch(x))
 
     def lookup_batch(self, x: np.ndarray) -> np.ndarray:
         return self.values[_interval_index(self.breakpoints, x)]
@@ -57,9 +53,7 @@ class InteractionSurface:
     values: np.ndarray
 
     def lookup(self, xi: float, xj: float) -> float:
-        a = _interval_index(self.breakpoints_i, xi)
-        b = _interval_index(self.breakpoints_j, xj)
-        return float(self.values[a, b])
+        return float(self.lookup_batch(xi, xj))
 
     def lookup_batch(self, xi: np.ndarray, xj: np.ndarray) -> np.ndarray:
         a = _interval_index(self.breakpoints_i, xi)
@@ -83,36 +77,47 @@ class EffectImportance:
         return sorted(self.effects, key=lambda e: e.rank)
 
 
+def _effect_table(trees, features) -> tuple[list[np.ndarray], np.ndarray]:
+    """Sum the trees of one effect into a table over its features' intervals.
+
+    The breakpoints of each feature are the union of the trees' thresholds
+    on it. Every leaf adds its value to the box of cells whose inputs reach
+    it: a split on ``threshold == breakpoints[m]`` sends cells ``<= m`` left
+    and the rest right. Trees are walked in order, so each cell receives
+    exactly the sum, in tree order, that scoring any input in it would.
+    """
+    breakpoints = [np.unique(np.concatenate([t.thresholds_for(f) for t in trees]
+                                            + [np.empty(0)])) for f in features]
+    values = np.zeros(tuple(b.size + 1 for b in breakpoints))
+    axis = {f: k for k, f in enumerate(features)}
+    cuts = [b.tolist() for b in breakpoints]
+
+    def walk(node, box):
+        if isinstance(node, TreeLeaf):
+            values[tuple(slice(lo, hi) for lo, hi in box)] += node.value
+            return
+        k = axis[node.feature]
+        lo, hi = box[k]
+        cut = bisect.bisect_left(cuts[k], node.threshold) + 1
+        walk(node.left, box[:k] + ((lo, min(hi, cut)),) + box[k + 1:])
+        walk(node.right, box[:k] + ((max(lo, cut), hi),) + box[k + 1:])
+
+    for tree in trees:
+        walk(tree.root, tuple((0, n) for n in values.shape))
+    return breakpoints, values
+
+
 def distill_shapes(model: IlmartModel) -> tuple[list[ShapeFunction], list[InteractionSurface]]:
     """Collapse the ensemble into one shape per main feature and one surface per pair."""
-    d = model.num_features
     shapes = []
     for f in model.main_features:
         trees = [t for t in model.main_trees if t.used_features[0] == f]
-        breakpoints = np.unique(np.concatenate([t.thresholds_for(f) for t in trees]))
-        probes = _probes(breakpoints)
-        values = np.zeros(probes.size)
-        x = np.zeros(d)
-        for idx, probe in enumerate(probes):
-            x[f - 1] = probe
-            values[idx] = sum(t.predict(x) for t in trees)
+        (breakpoints,), values = _effect_table(trees, (f,))
         shapes.append(ShapeFunction(f, breakpoints, values))
-
     surfaces = []
     for pair in model.interaction_pairs:
         trees = [t for t in model.interaction_trees if tuple(t.constraint_features) == tuple(pair)]
-        i, j = pair
-        br_i = np.unique(np.concatenate([t.thresholds_for(i) for t in trees] + [np.empty(0)]))
-        br_j = np.unique(np.concatenate([t.thresholds_for(j) for t in trees] + [np.empty(0)]))
-        probes_i = _probes(br_i)
-        probes_j = _probes(br_j)
-        values = np.zeros((probes_i.size, probes_j.size))
-        x = np.zeros(d)
-        for a, pi in enumerate(probes_i):
-            for b, pj in enumerate(probes_j):
-                x[i - 1] = pi
-                x[j - 1] = pj
-                values[a, b] = sum(t.predict(x) for t in trees)
+        (br_i, br_j), values = _effect_table(trees, pair)
         surfaces.append(InteractionSurface(tuple(pair), br_i, br_j, values))
     return shapes, surfaces
 
@@ -173,67 +178,39 @@ def export_shapes(shapes, surfaces, out_dir, fmt: str = "csv",
     if top is not None:
         keep = {_effect_key(e.kind, e.features) for e in importance.by_rank()[:top]}
 
+    # (kind, features, JSON head, breakpoints by column suffix, values), mains first
+    effects = [("main", (s.feature,), {"feature": s.feature}, {"": s.breakpoints}, s.values)
+               for s in shapes]
+    effects += [("pair", s.pair, {"pair": list(s.pair)},
+                 {"_i": s.breakpoints_i, "_j": s.breakpoints_j}, s.values) for s in surfaces]
     written = []
     index = []
-
-    def include(key):
-        return keep is None or key in keep
-
-    for s in shapes:
-        key = _effect_key("main", (s.feature,))
-        if not include(key):
+    for kind, features, head, axes, values in effects:
+        key = _effect_key(kind, features)
+        if keep is not None and key not in keep:
             continue
         path = os.path.join(out_dir, f"{key}.{fmt}")
-        uppers = np.append(s.breakpoints, np.inf)
         if fmt == "csv":
+            uppers = [np.append(b, np.inf) for b in axes.values()]
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
-                writer.writerow(["upper_bound", "value"])
-                for u, v in zip(uppers, s.values):
-                    writer.writerow([repr(float(u)), repr(float(v))])
+                writer.writerow([f"upper_bound{sfx}" for sfx in axes] + ["value"])
+                for cell in itertools.product(*(range(u.size) for u in uppers)):
+                    writer.writerow([repr(float(u[c])) for u, c in zip(uppers, cell)]
+                                    + [repr(float(values[cell]))])
         else:
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump({"feature": s.feature,
-                           "breakpoints": s.breakpoints.tolist(),
-                           "values": s.values.tolist()}, fh)
+                json.dump({**head, **{f"breakpoints{sfx}": b.tolist() for sfx, b in axes.items()},
+                           "values": values.tolist()}, fh)
         written.append(path)
-        entry = {"effect": key, "kind": "main", "features": [s.feature],
+        entry = {"effect": key, "kind": kind, "features": list(features),
                  "file": os.path.basename(path)}
         if key in ranked:
             entry["importance"] = ranked[key].importance
             entry["rank"] = ranked[key].rank
         index.append(entry)
 
-    for s in surfaces:
-        key = _effect_key("pair", s.pair)
-        if not include(key):
-            continue
-        path = os.path.join(out_dir, f"{key}.{fmt}")
-        uppers_i = np.append(s.breakpoints_i, np.inf)
-        uppers_j = np.append(s.breakpoints_j, np.inf)
-        if fmt == "csv":
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["upper_bound_i", "upper_bound_j", "value"])
-                for a, ui in enumerate(uppers_i):
-                    for b, uj in enumerate(uppers_j):
-                        writer.writerow([repr(float(ui)), repr(float(uj)),
-                                         repr(float(s.values[a, b]))])
-        else:
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump({"pair": list(s.pair),
-                           "breakpoints_i": s.breakpoints_i.tolist(),
-                           "breakpoints_j": s.breakpoints_j.tolist(),
-                           "values": s.values.tolist()}, fh)
-        written.append(path)
-        entry = {"effect": key, "kind": "pair", "features": list(s.pair),
-                 "file": os.path.basename(path)}
-        if key in ranked:
-            entry["importance"] = ranked[key].importance
-            entry["rank"] = ranked[key].rank
-        index.append(entry)
-
-    index_path = os.path.join(out_dir, f"index.{fmt if fmt == 'json' else 'csv'}")
+    index_path = os.path.join(out_dir, f"index.{fmt}")
     if fmt == "json":
         with open(index_path, "w", encoding="utf-8") as fh:
             json.dump({"effects": index}, fh, indent=1)
@@ -259,17 +236,13 @@ def import_shapes(out_dir) -> tuple[list[ShapeFunction], list[InteractionSurface
     for entry in index:
         with open(os.path.join(out_dir, entry["file"]), encoding="utf-8") as fh:
             data = json.load(fh)
+        arrays = {k: np.asarray(v, dtype=np.float64) for k, v in data.items()
+                  if k.startswith(("breakpoints", "values"))}
         if entry["kind"] == "main":
-            shapes.append(ShapeFunction(
-                int(data["feature"]),
-                np.asarray(data["breakpoints"], dtype=np.float64),
-                np.asarray(data["values"], dtype=np.float64),
-            ))
+            shapes.append(ShapeFunction(int(data["feature"]), arrays["breakpoints"],
+                                        arrays["values"]))
         else:
-            surfaces.append(InteractionSurface(
-                tuple(int(f) for f in data["pair"]),
-                np.asarray(data["breakpoints_i"], dtype=np.float64),
-                np.asarray(data["breakpoints_j"], dtype=np.float64),
-                np.asarray(data["values"], dtype=np.float64),
-            ))
+            surfaces.append(InteractionSurface(tuple(int(f) for f in data["pair"]),
+                                               arrays["breakpoints_i"], arrays["breakpoints_j"],
+                                               arrays["values"]))
     return shapes, surfaces

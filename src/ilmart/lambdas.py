@@ -25,12 +25,10 @@ from .metrics import ideal_dcg, rank_desc_stable
 
 @dataclass
 class LambdaGrad:
-    """Per-row gradient/hessian for one round, plus the parameters used."""
+    """Per-row gradient/hessian for one round."""
 
     gradient: np.ndarray
     hessian: np.ndarray
-    sigma: float
-    truncation: int
 
 
 def ndcg_swap_deltas(labels, scores, truncation: int) -> np.ndarray:
@@ -98,4 +96,4 @@ def compute_lambdas(scores, ds: Dataset, sigma: float = 1.0, truncation: int = 1
                 hess_q = hess_q * factor
         gradient[rows] += grad_q
         hessian[rows] += hess_q
-    return LambdaGrad(gradient, hessian, float(sigma), int(truncation))
+    return LambdaGrad(gradient, hessian)

@@ -15,9 +15,12 @@ cutoff and rolls the stage back to its best round.
 """
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import logging
 import math
+import os
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -29,7 +32,7 @@ from .trees import ConstraintRegime, DecisionTree, fit_tree
 
 logger = logging.getLogger(__name__)
 
-MODEL_SCHEMA_VERSION = 1
+MODEL_SCHEMA_VERSION = 2
 
 # A round counts as an improvement only if it beats the best by more than
 # this, so float noise cannot keep a stage alive.
@@ -60,7 +63,6 @@ class TrainConfig:
     min_child_hessian: float = 1e-3
     max_leaf_output: float = 10.0
     max_bins: int = DEFAULT_MAX_BINS
-    rng_seed: int = 42
     stage3_overrides: dict | None = None
 
     def validate(self) -> None:
@@ -124,25 +126,39 @@ class IlmartModel:
     def trees(self) -> list[DecisionTree]:
         return list(self.main_trees) + list(self.interaction_trees)
 
-    def predict(self, features) -> float:
-        """Score one feature vector: the sum of every tree's output."""
-        features = np.asarray(features, dtype=np.float64)
-        if features.shape[0] < self.num_features:
-            raise ModelError(
-                f"feature vector has {features.shape[0]} entries, model needs {self.num_features}"
-            )
-        return float(sum(tree.predict(features) for tree in self.trees))
-
-    def predict_batch(self, features: np.ndarray) -> np.ndarray:
+    def _check_width(self, features) -> np.ndarray:
         features = np.asarray(features, dtype=np.float64)
         if features.shape[1] < self.num_features:
             raise ModelError(
                 f"dataset has {features.shape[1]} features, model needs {self.num_features}"
             )
+        return features
+
+    def predict_batch(self, features: np.ndarray) -> np.ndarray:
+        features = self._check_width(features)
         out = np.zeros(features.shape[0], dtype=np.float64)
         for tree in self.trees:
             out += tree.predict_batch(features)
         return out
+
+    def scores_by_pair_rank(self, features: np.ndarray):
+        """Yield the main-effect scores, then the running scores after each pair.
+
+        The k-th array (from 0) scores the model cut to its first k pairs in
+        ``interaction_pairs`` order. Each tree is evaluated once. Because
+        :meth:`validate` requires the interaction trees grouped by pair in
+        that order, the last array equals :meth:`predict_batch` bit for bit.
+        """
+        features = self._check_width(features)
+        scores = np.zeros(features.shape[0], dtype=np.float64)
+        for tree in self.main_trees:
+            scores += tree.predict_batch(features)
+        yield scores.copy()
+        for _, trees in itertools.groupby(self.interaction_trees,
+                                          key=lambda t: tuple(t.constraint_features)):
+            for tree in trees:
+                scores += tree.predict_batch(features)
+            yield scores.copy()
 
     def predict_dataset(self, ds: Dataset) -> np.ndarray:
         return self.predict_batch(ds.features)
@@ -193,6 +209,12 @@ class IlmartModel:
             used_pairs.add(tag)
         if used_pairs != pair_set:
             raise ModelError("constraint violation: pair list does not match the trees present")
+        runs = [pair for pair, _ in itertools.groupby(
+            tuple(t.constraint_features) for t in self.interaction_trees)]
+        if runs != [tuple(p) for p in self.interaction_pairs]:
+            raise ModelError(
+                "constraint violation: interaction trees not grouped by pair in K_set order"
+            )
 
         for tree in self.trees:
             for leaf in tree.leaves():
@@ -440,34 +462,63 @@ def _model_to_dict(model: IlmartModel) -> dict:
     }
 
 
+@contextlib.contextmanager
+def write_atomically(path):
+    """Write a text file next to ``path`` and move it there once complete,
+    so a crash leaves either the old file or the new one, never a torn one."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def save_model(model: IlmartModel, path) -> None:
     """Serialize to schema-versioned JSON (floats as shortest round-trip text)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_atomically(path) as fh:
         json.dump(_model_to_dict(model), fh)
         fh.write("\n")
 
 
 def load_model(path) -> IlmartModel:
-    """Load a model file and re-check every structural invariant."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    version = data.get("version")
+    """Load a model file and re-check every structural invariant.
+
+    Anything that is not a well-formed model file of this schema version
+    raises :class:`ModelError`.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ModelError(f"{path}: not a JSON model file ({exc})") from None
+    version = data.get("version") if isinstance(data, dict) else None
     if version != MODEL_SCHEMA_VERSION:
         raise ModelError(
             f"unsupported model schema version {version!r}, expected {MODEL_SCHEMA_VERSION}"
         )
-    config = TrainConfig(**data["config"])
-    model = IlmartModel(
-        num_features=int(data["metadata"]["num_features"]),
-        main_trees=[DecisionTree.from_dict(t) for t in data["main_trees"]],
-        interaction_trees=[DecisionTree.from_dict(t) for t in data["interaction_trees"]],
-        main_features=[int(f) for f in data["J"]],
-        interaction_pairs=[tuple(int(f) for f in p) for p in data["K_set"]],
-        bin_boundaries=[np.asarray(b, dtype=np.float64) for b in data["bin_info"]["boundaries"]],
-        config=config,
-        dataset_digest=str(data["metadata"].get("dataset_digest", "")),
-        training_log=[(int(s), int(r), float(v)) for s, r, v in data["training_log"]],
-        best_valid_ndcg=data["metadata"].get("best_valid_ndcg"),
-    )
-    model.validate()
+    try:
+        model = IlmartModel(
+            num_features=int(data["metadata"]["num_features"]),
+            main_trees=[DecisionTree.from_dict(t) for t in data["main_trees"]],
+            interaction_trees=[DecisionTree.from_dict(t) for t in data["interaction_trees"]],
+            main_features=[int(f) for f in data["J"]],
+            interaction_pairs=[tuple(int(f) for f in p) for p in data["K_set"]],
+            bin_boundaries=[np.asarray(b, dtype=np.float64)
+                            for b in data["bin_info"]["boundaries"]],
+            config=TrainConfig(**data["config"]),
+            dataset_digest=str(data["metadata"].get("dataset_digest", "")),
+            training_log=[(int(s), int(r), float(v)) for s, r, v in data["training_log"]],
+            best_valid_ndcg=data["metadata"].get("best_valid_ndcg"),
+        )
+        model.validate()
+    except KeyError as exc:
+        raise ModelError(f"{path}: malformed model file, missing key {exc}") from None
+    except ModelError:
+        raise
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ModelError(f"{path}: malformed model file ({exc})") from None
     return model

@@ -14,12 +14,13 @@ features at a node are restricted by a :class:`ConstraintRegime`:
 * ``discovery`` - at most 3 leaves and 2 splits, the second split must use a
                   feature different from the root's. Used to nominate pairs.
 
-Raw thresholds are stored alongside bin ids (the boundary value between the
-two bins), so inference never needs the bin mapper.
+Splits store raw thresholds (the boundary value between the two bins), so
+inference never needs the bin mapper. Inputs are finite (the loader rejects
+anything else); a NaN in a raw array compares false and goes right at every
+split, which is the last interval of every distilled table.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,9 +36,7 @@ class TreeLeaf:
 @dataclass
 class TreeNode:
     feature: int            # 1-based feature id
-    bin_threshold: int
     threshold: float        # raw value; x <= threshold routes left
-    default_left: bool
     left: "TreeNode | TreeLeaf"
     right: "TreeNode | TreeLeaf"
 
@@ -152,17 +151,6 @@ class DecisionTree:
     def thresholds_for(self, fid: int) -> list[float]:
         return [n.threshold for n in self.nodes() if n.feature == fid]
 
-    def predict(self, features) -> float:
-        features = np.asarray(features, dtype=np.float64)
-        node = self.root
-        while isinstance(node, TreeNode):
-            x = features[node.feature - 1]
-            if math.isnan(x):
-                node = node.left if node.default_left else node.right
-            else:
-                node = node.left if x <= node.threshold else node.right
-        return node.value
-
     def predict_batch(self, features: np.ndarray) -> np.ndarray:
         features = np.asarray(features, dtype=np.float64)
         out = np.empty(features.shape[0], dtype=np.float64)
@@ -173,8 +161,6 @@ class DecisionTree:
                 return
             x = features[idx, node.feature - 1]
             go_left = x <= node.threshold
-            if node.default_left:
-                go_left |= np.isnan(x)
             walk(node.left, idx[go_left])
             walk(node.right, idx[~go_left])
 
@@ -187,9 +173,7 @@ class DecisionTree:
                 return {"value": node.value}
             return {
                 "feature": node.feature,
-                "bin": node.bin_threshold,
                 "threshold": node.threshold,
-                "default_left": node.default_left,
                 "left": encode(node.left),
                 "right": encode(node.right),
             }
@@ -207,9 +191,7 @@ class DecisionTree:
                 return TreeLeaf(float(node["value"]))
             return TreeNode(
                 int(node["feature"]),
-                int(node["bin"]),
                 float(node["threshold"]),
-                bool(node["default_left"]),
                 decode(node["left"]),
                 decode(node["right"]),
             )
@@ -234,11 +216,10 @@ class _GrowLeaf:
 
 
 class _GrowNode:
-    __slots__ = ("feature", "bin_threshold", "threshold", "left", "right")
+    __slots__ = ("feature", "threshold", "left", "right")
 
-    def __init__(self, feature, bin_threshold, threshold, left, right):
+    def __init__(self, feature, threshold, left, right):
         self.feature = feature
-        self.bin_threshold = bin_threshold
         self.threshold = threshold
         self.left = left
         self.right = right
@@ -359,7 +340,7 @@ def fit_tree(
         left = _GrowLeaf(leaf.rows[go_left], next_order)
         right = _GrowLeaf(leaf.rows[~go_left], next_order + 1)
         next_order += 2
-        node = _GrowNode(fid, t, float(bins.boundaries[fid - 1][t]), left, right)
+        node = _GrowNode(fid, float(bins.boundaries[fid - 1][t]), left, right)
         parent = parents.pop(id(leaf), None)
         if parent is None:
             structure = node
@@ -380,8 +361,7 @@ def fit_tree(
         if isinstance(node, _GrowLeaf):
             return TreeLeaf(_leaf_value(node.rows, gradients, hessians, lambda_l2,
                                         learning_rate, regime.max_leaf_output))
-        return TreeNode(node.feature, node.bin_threshold, node.threshold, True,
-                        freeze(node.left), freeze(node.right))
+        return TreeNode(node.feature, node.threshold, freeze(node.left), freeze(node.right))
 
     if regime.kind == "single":
         tag = tuple(used)

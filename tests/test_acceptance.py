@@ -225,21 +225,9 @@ def test_criterion_6_steep_early_gain(planted_runs):
     run = planted_runs[0]
     model, test = run["full"], run["test"]
     assert model.num_interactions >= 1
-    base = np.zeros(test.num_rows)
-    for tree in model.main_trees:
-        base += tree.predict_batch(test.features)
-    nd0 = mean_ndcg(base, test, (10,)).mean[10]
-
-    def nd_at_rank(k):
-        scores = base.copy()
-        enabled = set(model.interaction_pairs[:k])
-        for tree in model.interaction_trees:
-            if tuple(tree.constraint_features) in enabled:
-                scores += tree.predict_batch(test.features)
-        return mean_ndcg(scores, test, (10,)).mean[10]
-
-    nd1 = nd_at_rank(1)
-    ndk = nd_at_rank(model.num_interactions)
+    curve = [mean_ndcg(scores, test, (10,)).mean[10]
+             for scores in model.scores_by_pair_rank(test.features)]
+    nd0, nd1, ndk = curve[0], curve[1], curve[-1]
     total_gain = ndk - nd0
     assert total_gain > 0, "no interaction gain to decompose"
     frac = (nd1 - nd0) / total_gain

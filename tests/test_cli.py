@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -217,6 +218,36 @@ def test_eval_dimension_mismatch_exits_2(trained_dir, files, tmp_path, capsys):
                  "--data", str(narrow), "--num-features", "2"])
     assert code == 2
     assert "feature" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["unknown_config_key", "missing_key", "truncated_json"])
+def test_malformed_model_file_exits_2(trained_dir, files, tmp_path, capsys, damage):
+    text = (trained_dir / "model.json").read_text()
+    data = json.loads(text)
+    if damage == "unknown_config_key":
+        data["config"]["no_such_option"] = 1
+        text = json.dumps(data)
+    elif damage == "missing_key":
+        del data["K_set"]
+        text = json.dumps(data)
+    else:
+        text = text[: len(text) // 2]
+    bad = tmp_path / "model.json"
+    bad.write_text(text)
+    code = main(["eval", "--model", str(bad), "--data", files["test"]])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and len(err.splitlines()) == 1
+
+
+def test_eval_non_finite_data_exits_2(trained_dir, files, tmp_path, capsys):
+    lines = open(files["test"]).read().splitlines()
+    lines[2] = re.sub(r" 2:\S+", " 2:nan", lines[2], count=1)
+    data = tmp_path / "nan.txt"
+    data.write_text("\n".join(lines) + "\n")
+    code = main(["eval", "--model", str(trained_dir / "model.json"), "--data", str(data)])
+    assert code == 2
+    assert f"{data}:3: non-finite value nan for feature 2" in capsys.readouterr().err
 
 
 def test_bad_config_value_exits_2(files, capsys):

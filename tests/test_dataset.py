@@ -41,6 +41,19 @@ def test_malformed_line_reports_line_number(tmp_path):
         load_svmlight(write(tmp_path, "1 qid:1 1:1\nnot a line\n"))
 
 
+@pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "1e400"])
+def test_non_finite_value_reports_line_number(tmp_path, value):
+    # The line number counts the comment and the blank line before the row.
+    path = write(tmp_path, f"# header\n1 qid:1 1:1\n\n0 qid:1 1:2 3:{value}\n")
+    with pytest.raises(DatasetError, match=f"{path}:4: non-finite value .* feature 3"):
+        load_svmlight(path)
+
+
+def test_from_rows_rejects_non_finite():
+    with pytest.raises(DatasetError, match="row 1: non-finite value -inf for feature 2"):
+        Dataset.from_rows([0, 0], ["q", "q"], [[0.0, 1.0], [2.0, -np.inf]])
+
+
 def test_non_integer_label(tmp_path):
     with pytest.raises(DatasetError, match="non-integer label"):
         load_svmlight(write(tmp_path, "1.5 qid:1 1:1\n"))
@@ -132,8 +145,8 @@ def test_binning_one_bin_per_distinct_value():
     bins = build_bins(ds, max_bins=255)
     distinct = np.unique(values)
     assert bins.num_bins(1) == distinct.size
-    mapped = bins.bin_values(1, distinct)
-    assert mapped.tolist() == list(range(distinct.size))
+    assert distinct.tolist() == values.tolist()  # one row per distinct value, in order
+    assert bins.binned[:, 0].tolist() == list(range(distinct.size))
 
 
 def test_binning_monotone_and_consistent():
@@ -163,10 +176,15 @@ def test_binning_respects_max_bins():
         assert np.all(np.diff(b) > 0), "boundaries strictly increasing"
 
 
-def test_transform_matches_training_binning():
+def test_boundaries_reproduce_training_binning():
+    # Bin b covers (boundaries[b-1], boundaries[b]] for every training value.
     ds = random_queries(30, 6, seed=5)
     bins = build_bins(ds, max_bins=12)
-    np.testing.assert_array_equal(bins.transform(ds.features), bins.binned)
+    for k in range(ds.num_features):
+        edges = np.concatenate([[-np.inf], bins.boundaries[k], [np.inf]])
+        b = bins.binned[:, k].astype(np.intp)
+        x = ds.features[:, k]
+        assert np.all(edges[b] < x) and np.all(x <= edges[b + 1])
 
 
 def test_max_bins_lower_bound():

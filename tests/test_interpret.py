@@ -2,6 +2,7 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ilmart import (
     IlmartModel,
@@ -13,25 +14,26 @@ from ilmart import (
     import_shapes,
     select_interactions,
     train_interaction_effects,
+    train_ilmart,
     train_main_effects,
     TrainConfig,
 )
 from ilmart.trees import DecisionTree, TreeLeaf, TreeNode
 
-from synthdata import planted_interaction
+from synthdata import letor_like, planted_interaction
 
 
 def two_leaf(feature, threshold, left, right):
     return DecisionTree(
-        TreeNode(feature, 0, threshold, True, TreeLeaf(left), TreeLeaf(right)),
+        TreeNode(feature, threshold, TreeLeaf(left), TreeLeaf(right)),
         "single", (feature,), (feature,),
     )
 
 
 def pair_tree(i, j, threshold_i, threshold_j, values):
     """Root on i, right child split on j; values = (left, right-left, right-right)."""
-    right = TreeNode(j, 0, threshold_j, True, TreeLeaf(values[1]), TreeLeaf(values[2]))
-    root = TreeNode(i, 0, threshold_i, True, TreeLeaf(values[0]), right)
+    right = TreeNode(j, threshold_j, TreeLeaf(values[1]), TreeLeaf(values[2]))
+    root = TreeNode(i, threshold_i, TreeLeaf(values[0]), right)
     return DecisionTree(root, "pair", tuple(sorted((i, j))), (i, j))
 
 
@@ -68,7 +70,7 @@ def test_two_trees_merge_breakpoints():
     assert shape.breakpoints.tolist() == [0.5, 0.7]
     # probe each interval and compare against direct tree sums
     for probe in (0.4, 0.6, 0.8):
-        want = sum(t.predict(np.array([probe])) for t in trees)
+        want = sum(t.predict_batch(np.array([[probe]]))[0] for t in trees)
         assert shape.lookup(probe) == want
 
 
@@ -89,8 +91,73 @@ def test_surface_grid_matches_tree_sums():
     assert surface.pair == (1, 2)
     for xi in (0.1, 0.5, 0.9):
         for xj in (0.1, 0.3, 0.9):
-            want = tree.predict(np.array([xi, xj]))
+            want = tree.predict_batch(np.array([[xi, xj]]))[0]
             assert surface.lookup(xi, xj) == want
+
+
+def test_nan_goes_right_in_tree_and_table():
+    tree = two_leaf(1, 0.5, -0.1, 0.2)
+    model = IlmartModel(num_features=1, main_trees=[tree], main_features=[1])
+    (shape,), _ = distill_shapes(model)
+    assert tree.predict_batch(np.array([[np.nan]])).tolist() == [0.2]
+    assert shape.lookup(np.nan) == 0.2
+
+
+def test_leaf_walk_skips_unreachable_branches():
+    # The inner split at 0.7 sits under "x <= 0.5", so its right leaf is
+    # unreachable; the pair tree splits on j first and on i below it.
+    inner = TreeNode(1, 0.7, TreeLeaf(1.0), TreeLeaf(100.0))
+    main = DecisionTree(TreeNode(1, 0.5, inner, TreeLeaf(-1.0)), "single", (1,), (1,))
+    pair = DecisionTree(
+        TreeNode(2, 0.3, TreeNode(1, 0.6, TreeLeaf(0.5), TreeLeaf(0.25)), TreeLeaf(-0.5)),
+        "pair", (1, 2), (2, 1))
+    model = IlmartModel(num_features=2, main_trees=[main], main_features=[1],
+                        interaction_trees=[pair], interaction_pairs=[(1, 2)])
+    (shape,), (surface,) = distill_shapes(model)
+    assert shape.breakpoints.tolist() == [0.5, 0.7]
+    assert shape.values.tolist() == [1.0, -1.0, -1.0]
+    assert surface.breakpoints_i.tolist() == [0.6]
+    assert surface.breakpoints_j.tolist() == [0.3]
+    assert surface.values.tolist() == [[0.5, -0.5], [0.25, -0.5]]
+
+
+@pytest.fixture(scope="module", params=["planted", "letor"])
+def edge_model(request, trained):
+    """A trained model, its tables, and per-feature inputs at the table edges."""
+    if request.param == "planted":
+        model = trained
+    else:
+        cfg = TrainConfig(num_leaves=8, early_stopping_rounds=10, max_rounds_per_stage=40,
+                          stage2_max_rounds=30, max_interactions=3, min_data_in_leaf=5,
+                          max_bins=16, lambdarank_norm=True)
+        model = train_ilmart(letor_like(80, 20, seed=40), letor_like(30, 20, seed=41), cfg)
+    shapes, surfaces = distill_shapes(model)
+    edges = []
+    for f in range(1, model.num_features + 1):
+        bps = [s.breakpoints for s in shapes if s.feature == f]
+        bps += [s.breakpoints_i for s in surfaces if s.pair[0] == f]
+        bps += [s.breakpoints_j for s in surfaces if s.pair[1] == f]
+        bp = np.unique(np.concatenate(bps + [np.empty(0)]))
+        far = [-np.inf, np.inf, -1e300, 1e300, -1e6, 1e6, 0.0, np.nan]
+        edges.append([*bp, *np.nextafter(bp, np.inf), *np.nextafter(bp, -np.inf), *far])
+    return model, shapes, surfaces, edges
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_additive_identity_at_the_edges(edge_model, data):
+    # Inputs exactly at, and one ulp either side of, every breakpoint, at
+    # +-inf and NaN, and far outside the training range: a table cell off by
+    # one interval would show up as a whole leaf value.
+    model, shapes, surfaces, edges = edge_model
+    row = st.tuples(*(st.sampled_from(e) for e in edges))
+    X = np.array(data.draw(st.lists(row, min_size=1, max_size=16)), dtype=np.float64)
+    table = np.zeros(len(X))
+    for s in shapes:
+        table += s.lookup_batch(X[:, s.feature - 1])
+    for s in surfaces:
+        table += s.lookup_batch(X[:, s.pair[0] - 1], X[:, s.pair[1] - 1])
+    np.testing.assert_allclose(table, model.predict_batch(X), rtol=0, atol=1e-9)
 
 
 def test_additive_decomposition_on_trained_model(trained):
@@ -109,15 +176,15 @@ def test_distillation_idempotence(trained):
         # value inside (lo, hi], zero outside; lo/hi None for open ends
         if lo is None:
             return DecisionTree(
-                TreeNode(feature, 0, hi, True, TreeLeaf(value), TreeLeaf(0.0)),
+                TreeNode(feature, hi, TreeLeaf(value), TreeLeaf(0.0)),
                 "single", (feature,), (feature,))
         if hi is None:
             return DecisionTree(
-                TreeNode(feature, 0, lo, True, TreeLeaf(0.0), TreeLeaf(value)),
+                TreeNode(feature, lo, TreeLeaf(0.0), TreeLeaf(value)),
                 "single", (feature,), (feature,))
-        inner = TreeNode(feature, 0, hi, True, TreeLeaf(value), TreeLeaf(0.0))
+        inner = TreeNode(feature, hi, TreeLeaf(value), TreeLeaf(0.0))
         return DecisionTree(
-            TreeNode(feature, 0, lo, True, TreeLeaf(0.0), inner),
+            TreeNode(feature, lo, TreeLeaf(0.0), inner),
             "single", (feature,), (feature,))
 
     trees = []

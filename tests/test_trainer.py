@@ -1,10 +1,13 @@
 import json
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ilmart import (
     Dataset,
+    IlmartModel,
     ModelError,
     TrainConfig,
     build_bins,
@@ -16,6 +19,8 @@ from ilmart import (
     train_interaction_effects,
     train_main_effects,
 )
+
+from ilmart.trees import DecisionTree, TreeLeaf, TreeNode
 
 from synthdata import planted_interaction, single_signal
 
@@ -182,11 +187,11 @@ def test_empty_model_predicts_zero():
         single_signal(10, 10, seed=10),
         small_cfg(max_rounds_per_stage=1, early_stopping_rounds=1),
     )
+    probe = np.zeros((1, 6))
     if not model.main_trees:  # nothing improved in one round
-        assert model.predict(np.zeros(6)) == 0.0
-    probe = np.zeros(6)
-    got = model.predict(probe)
-    assert got == sum(t.predict(probe) for t in model.main_trees)
+        assert model.predict_batch(probe).tolist() == [0.0]
+    got = model.predict_batch(probe)[0]
+    assert got == sum(t.predict_batch(probe)[0] for t in model.main_trees)
 
 
 def test_learning_rate_zero_rejected():
@@ -288,7 +293,7 @@ def test_mismatched_dimensions_rejected():
 
 def test_predict_requires_enough_features(planted_run):
     with pytest.raises(ModelError, match="feature"):
-        planted_run["full"].predict(np.zeros(2))
+        planted_run["full"].predict_batch(np.zeros((1, 2)))
 
 
 def test_heredity_validated_on_trained_model(planted_run):
@@ -296,3 +301,44 @@ def test_heredity_validated_on_trained_model(planted_run):
     j = set(planted_run["full"].main_features)
     for i, k in planted_run["full"].interaction_pairs:
         assert i in j and k in j
+
+
+def test_scores_by_pair_rank_runs_from_stage1_to_full(planted_run):
+    full, stage1 = planted_run["full"], planted_run["stage1"]
+    X = planted_run["valid"].features
+    prefix = list(full.scores_by_pair_rank(X))
+    assert len(prefix) == full.num_interactions + 1
+    np.testing.assert_array_equal(prefix[0], stage1.predict_batch(X))
+    np.testing.assert_array_equal(prefix[-1], full.predict_batch(X))
+
+
+def _pair_tree(i, j, value):
+    inner = TreeNode(j, 0.5, TreeLeaf(0.0), TreeLeaf(value))
+    return DecisionTree(TreeNode(i, 0.5, TreeLeaf(0.0), inner), "pair", (i, j), (i, j))
+
+
+def test_validate_requires_trees_grouped_by_pair_in_k_set_order():
+    main = [DecisionTree(TreeNode(f, 0.5, TreeLeaf(-0.25), TreeLeaf(0.25)), "single", (f,), (f,))
+            for f in (1, 2, 3)]
+    a1, a2, b1 = _pair_tree(1, 2, 0.5), _pair_tree(1, 2, 1.0), _pair_tree(1, 3, 2.0)
+    good = IlmartModel(num_features=3, main_trees=main, main_features=[1, 2, 3],
+                       interaction_trees=[a1, a2, b1], interaction_pairs=[(1, 2), (1, 3)])
+    good.validate()
+    X = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+    assert [s.tolist() for s in good.scores_by_pair_rank(X)] == [
+        [-0.75, 0.25, 0.75], [-0.75, 1.75, 2.25], [-0.75, 1.75, 4.25]]
+    for trees, pairs in (([a1, b1, a2], [(1, 2), (1, 3)]),    # pair (1, 2) split in two runs
+                         ([a1, a2, b1], [(1, 3), (1, 2)])):   # runs out of K_set order
+        with pytest.raises(ModelError, match="grouped by pair in K_set order"):
+            replace(good, interaction_trees=trees, interaction_pairs=pairs).validate()
+
+
+def test_failed_save_leaves_the_old_file(tmp_path, planted_run):
+    path = tmp_path / "model.json"
+    save_model(planted_run["stage1"], path)
+    before = path.read_bytes()
+    broken = replace(planted_run["stage1"], dataset_digest=object())  # not JSON-serialisable
+    with pytest.raises(TypeError):
+        save_model(broken, path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.json"]

@@ -109,8 +109,8 @@ def test_root_split_matches_exhaustive_oracle():
         regime = ConstraintRegime.single_feature([1, 2, 3, 4, 5], 2, min_data_in_leaf=5)
         tree = fit_tree(bins, grad, hess, regime, 0.1)
         assert oracle is not None
-        root = tree.root
-        assert (root.feature, root.bin_threshold) == (oracle[1], oracle[2])
+        _, fid, t = oracle
+        assert (tree.root.feature, tree.root.threshold) == (fid, bins.boundaries[fid - 1][t])
 
 
 def test_pair_root_split_matches_constrained_oracle():
@@ -123,8 +123,8 @@ def test_pair_root_split_matches_constrained_oracle():
     oracle = exhaustive_root_split(bins, grad, hess, allowed, min_data=10)
     regime = ConstraintRegime.feature_pairs([(1, 3)], 2, min_data_in_leaf=10)
     tree = fit_tree(bins, grad, hess, regime, 0.1)
-    root = tree.root
-    assert (root.feature, root.bin_threshold) == (oracle[1], oracle[2])
+    _, fid, t = oracle
+    assert (tree.root.feature, tree.root.threshold) == (fid, bins.boundaries[fid - 1][t])
 
 
 def test_leaf_values_are_newton_steps():
@@ -189,27 +189,17 @@ def test_raw_threshold_routing_matches_bin_routing():
     tree = fit_tree(bins, grad, hess, regime, 0.1)
 
     def predict_by_bins(r):
+        # A threshold is the boundary that closes bin t on the right.
         node = tree.root
         while isinstance(node, TreeNode):
-            b = bins.binned[r, node.feature - 1]
-            node = node.left if b <= node.bin_threshold else node.right
+            boundaries = bins.boundaries[node.feature - 1]
+            t = boundaries.tolist().index(node.threshold)
+            node = node.left if bins.binned[r, node.feature - 1] <= t else node.right
         return node.value
 
     raw = tree.predict_batch(X)
     binned = np.array([predict_by_bins(r) for r in range(1000)])
     np.testing.assert_array_equal(raw, binned)
-
-
-def test_predict_scalar_matches_batch():
-    rng = np.random.default_rng(11)
-    X = rng.random((200, 2))
-    grad = rng.normal(size=200)
-    bins = make_bins(X)
-    regime = ConstraintRegime.single_feature([1, 2], 6, min_data_in_leaf=5)
-    tree = fit_tree(bins, grad, np.ones(200), regime, 0.1)
-    batch = tree.predict_batch(X[:20])
-    single = [tree.predict(X[r]) for r in range(20)]
-    np.testing.assert_array_equal(batch, single)
 
 
 def test_tie_break_prefers_lowest_feature():
@@ -250,16 +240,16 @@ def test_serialization_round_trip():
 
 def test_stump_predicts_its_value():
     tree = DecisionTree(TreeLeaf(0.0), "single", (), ())
-    assert tree.predict(np.array([1.0, 2.0])) == 0.0
+    assert tree.predict_batch(np.array([[1.0, 2.0]])).tolist() == [0.0]
 
 
 def test_manual_two_leaf_routing():
     tree = DecisionTree(
-        TreeNode(1, 0, 0.5, True, TreeLeaf(-0.1), TreeLeaf(0.2)), "single", (1,), (1,)
+        TreeNode(1, 0.5, TreeLeaf(-0.1), TreeLeaf(0.2)), "single", (1,), (1,)
     )
-    assert tree.predict(np.array([0.3])) == -0.1
-    assert tree.predict(np.array([0.5])) == -0.1
-    assert tree.predict(np.array([0.7])) == 0.2
+    x = np.array([[0.3], [0.5], [0.7], [-np.inf], [np.inf], [np.nan]])
+    # NaN compares false at the split, so it goes right
+    assert tree.predict_batch(x).tolist() == [-0.1, -0.1, 0.2, -0.1, 0.2, 0.2]
 
 
 def test_input_validation():
