@@ -80,8 +80,11 @@ def _resolve_train_config(args) -> tuple[TrainConfig, dict]:
     """Merge defaults < config file < CLI flags, returning (config, file extras)."""
     file_values: dict = {}
     if args.config:
-        with open(_require_file(args.config, "config")) as fh:
-            file_values = json.load(fh)
+        try:
+            with open(_require_file(args.config, "config"), encoding="utf-8") as fh:
+                file_values = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise UsageError(f"config file {args.config} is not valid JSON ({exc})") from None
         if not isinstance(file_values, dict):
             raise UsageError(f"config file {args.config} must hold a JSON object")
     config_fields = {f.name for f in fields(TrainConfig)}

@@ -218,6 +218,19 @@ class BinMapper:
         return len(self.boundaries[fid - 1]) + 1
 
 
+def _midpoints(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Boundaries ``m`` with ``lower <= m < upper``, halfway where possible.
+
+    ``lower / 2 + upper / 2`` is used only where ``lower + upper`` overflows,
+    and ``lower`` itself where the halfway point of two adjacent floats
+    rounds up to ``upper`` (which would put both values in one bin).
+    """
+    with np.errstate(over="ignore"):
+        total = lower + upper
+    mid = np.where(np.isfinite(total), total / 2.0, lower / 2.0 + upper / 2.0)
+    return np.where(mid < upper, mid, lower)
+
+
 def build_bins(ds: Dataset, max_bins: int = DEFAULT_MAX_BINS) -> BinMapper:
     """Choose per-feature bin boundaries at quantiles of the distinct values.
 
@@ -235,10 +248,10 @@ def build_bins(ds: Dataset, max_bins: int = DEFAULT_MAX_BINS) -> BinMapper:
         if m <= 1:
             boundaries.append(np.empty(0, dtype=np.float64))
         elif m <= max_bins:
-            boundaries.append((distinct[:-1] + distinct[1:]) / 2.0)
+            boundaries.append(_midpoints(distinct[:-1], distinct[1:]))
         else:
             cut = np.floor(np.arange(1, max_bins) * m / max_bins).astype(np.intp)
-            boundaries.append((distinct[cut - 1] + distinct[cut]) / 2.0)
+            boundaries.append(_midpoints(distinct[cut - 1], distinct[cut]))
     dtype = np.uint8 if max_bins <= 256 else np.int32
     binned = np.zeros((ds.num_rows, ds.num_features), dtype=dtype)
     for k in range(ds.num_features):

@@ -12,6 +12,14 @@ of the more relevant document in a mis-ordered pair is positive. Ranks, gains
 and discounts follow the metrics module exactly (stable tie-breaking, gain
 2**l - 1, discount 1/log2(rank + 1), positions beyond the truncation
 discounted to zero, normalisation by the ideal DCG at the truncation).
+
+Swapping two documents that both sit below position ``truncation`` leaves
+NDCG@truncation unchanged, so only pairs with at least one document in the
+top ``truncation`` positions are formed (the restriction LightGBM's
+lambdarank objective uses). A :class:`LambdaPlan` fixes those rank-position
+pairs and each query's ideal DCG once per dataset and truncation; a round
+then ranks every query with one sort and works on flat pair vectors. Work
+and memory are O(k·n) per query of n documents at truncation k, never O(n²).
 """
 from __future__ import annotations
 
@@ -51,8 +59,92 @@ def ndcg_swap_deltas(labels, scores, truncation: int) -> np.ndarray:
     return np.abs((gains[:, None] - gains[None, :]) * (disc[:, None] - disc[None, :])) / ideal
 
 
+class LambdaPlan:
+    """The rank-position pairs of a dataset at one truncation, fixed once.
+
+    Positions index the rows of all queries ranked together: query ``g``
+    owns positions ``starts[g] .. starts[g] + sizes[g] - 1`` in rank order.
+    The plan lists every pair ``(p, q)`` of those positions with local rank
+    ``p < truncation`` and ``p < q``, for queries with a non-zero ideal DCG,
+    together with ``|disc(p) - disc(q)|``.
+    """
+
+    def __init__(self, ds: Dataset, truncation: int):
+        if truncation < 1:
+            raise ValueError(f"truncation must be >= 1, got {truncation}")
+        self.ds = ds
+        self.truncation = int(truncation)
+        groups = ds.query_groups
+        self.qidx = np.empty(ds.num_rows, dtype=np.intp)
+        for g, rows in enumerate(groups):
+            self.qidx[rows] = g
+        self.sizes = np.array([rows.size for rows in groups], dtype=np.intp)
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.ideal = np.array([ideal_dcg(ds.labels[rows], truncation) for rows in groups])
+        self.gains = np.exp2(ds.labels.astype(np.float64)) - 1.0
+
+        position_query = np.repeat(np.arange(self.sizes.size), self.sizes)
+        rank = np.arange(ds.num_rows) - self.starts[position_query] + 1
+        disc = np.where(rank <= truncation, 1.0 / np.log2(rank + 1.0), 0.0)
+
+        first, second = [], []
+        live = self.ideal > 0.0
+        for p in range(min(self.truncation, int(self.sizes.max()))):
+            qs = np.flatnonzero(live & (self.sizes > p + 1))
+            lengths = self.sizes[qs] - (p + 1)
+            a = np.repeat(self.starts[qs] + p, lengths)
+            offsets = np.arange(a.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+            first.append(a)
+            second.append(a + 1 + offsets)
+        self.pos_a = np.concatenate(first)
+        self.pos_b = np.concatenate(second)
+        self.pair_query = position_query[self.pos_a]
+        self.abs_disc = np.abs(disc[self.pos_a] - disc[self.pos_b])
+
+    def __call__(self, scores: np.ndarray, sigma: float, lambdarank_norm: bool) -> LambdaGrad:
+        n_rows = self.ds.num_rows
+        # Rows grouped by query, each query by descending score; lexsort is
+        # stable, so ties keep ascending row order as in rank_desc_stable.
+        order = np.lexsort((-scores, self.qidx))
+        a = order[self.pos_a]
+        b = order[self.pos_b]
+        label_a = self.ds.labels[a]
+        label_b = self.ds.labels[b]
+        keep = label_a != label_b
+        if not keep.any():  # bincount of nothing would come back as integers
+            return LambdaGrad(np.zeros(n_rows), np.zeros(n_rows))
+        a_wins = label_a[keep] > label_b[keep]
+        a, b = a[keep], b[keep]
+        hi = np.where(a_wins, a, b)
+        lo = np.where(a_wins, b, a)
+        query = self.pair_query[keep]
+
+        delta = np.abs(self.gains[a] - self.gains[b]) * self.abs_disc[keep] / self.ideal[query]
+        sdiff = scores[hi] - scores[lo]
+        if lambdarank_norm:
+            # Ranked descending, so a query's scores vary iff first != last.
+            varied = scores[order[self.starts]] != scores[order[self.starts + self.sizes - 1]]
+            delta = np.where(varied[query], delta / (0.01 + np.abs(sdiff)), delta)
+        with np.errstate(over="ignore"):
+            rho = 1.0 / (1.0 + np.exp(sigma * sdiff))
+        lam = sigma * rho * delta
+        hes = sigma * sigma * rho * (1.0 - rho) * delta
+
+        gradient = np.bincount(hi, lam, n_rows) - np.bincount(lo, lam, n_rows)
+        hessian = np.bincount(hi, hes, n_rows) + np.bincount(lo, hes, n_rows)
+        if lambdarank_norm:
+            mass = 2.0 * np.bincount(query, lam, self.sizes.size)
+            factor = np.ones_like(mass)
+            pos = mass > 0
+            factor[pos] = np.log2(1.0 + mass[pos]) / mass[pos]
+            gradient *= factor[self.qidx]
+            hessian *= factor[self.qidx]
+        return LambdaGrad(gradient, hessian)
+
+
 def compute_lambdas(scores, ds: Dataset, sigma: float = 1.0, truncation: int = 10,
-                    lambdarank_norm: bool = False) -> LambdaGrad:
+                    lambdarank_norm: bool = False, *,
+                    plan: LambdaPlan | None = None) -> LambdaGrad:
     """Accumulate gradients and hessians over all label-discordant pairs.
 
     ``lambdarank_norm`` applies the usual boosting-library damping: each
@@ -60,6 +152,9 @@ def compute_lambdas(scores, ds: Dataset, sigma: float = 1.0, truncation: int = 1
     rescaled by log2(1 + L)/L with L the total absolute pair lambda mass.
     It keeps score magnitudes from running away on confidently ordered data
     at the cost of no longer matching the plain closed-form values.
+
+    ``plan`` is a :class:`LambdaPlan` of ``ds`` at ``truncation`` built by the
+    caller, so a boosting stage builds it once instead of every round.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (ds.num_rows,):
@@ -70,30 +165,8 @@ def compute_lambdas(scores, ds: Dataset, sigma: float = 1.0, truncation: int = 1
         raise ValueError(f"sigma must be > 0, got {sigma}")
     if truncation < 1:
         raise ValueError(f"truncation must be >= 1, got {truncation}")
-
-    gradient = np.zeros(ds.num_rows, dtype=np.float64)
-    hessian = np.zeros(ds.num_rows, dtype=np.float64)
-    for rows in ds.query_groups:
-        lab = ds.labels[rows]
-        if lab.min() == lab.max():
-            continue
-        delta = ndcg_swap_deltas(lab, scores[rows], truncation)
-        mask = lab[:, None] > lab[None, :]
-        sdiff = scores[rows][:, None] - scores[rows][None, :]
-        if lambdarank_norm and scores[rows].min() != scores[rows].max():
-            delta = delta / (0.01 + np.abs(sdiff))
-        with np.errstate(over="ignore"):
-            rho = 1.0 / (1.0 + np.exp(sigma * sdiff))
-        lam = np.where(mask, sigma * rho * delta, 0.0)
-        hes = np.where(mask, sigma * sigma * rho * (1.0 - rho) * delta, 0.0)
-        grad_q = lam.sum(axis=1) - lam.sum(axis=0)
-        hess_q = hes.sum(axis=1) + hes.sum(axis=0)
-        if lambdarank_norm:
-            lambda_mass = 2.0 * lam.sum()
-            if lambda_mass > 0:
-                factor = np.log2(1.0 + lambda_mass) / lambda_mass
-                grad_q = grad_q * factor
-                hess_q = hess_q * factor
-        gradient[rows] += grad_q
-        hessian[rows] += hess_q
-    return LambdaGrad(gradient, hessian)
+    if plan is None:
+        plan = LambdaPlan(ds, truncation)
+    elif plan.ds is not ds or plan.truncation != truncation:
+        raise ValueError("plan was built for another dataset or truncation")
+    return plan(scores, sigma, lambdarank_norm)

@@ -21,12 +21,12 @@ import json
 import logging
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .dataset import BinMapper, Dataset, build_bins, DEFAULT_MAX_BINS
-from .lambdas import compute_lambdas
+from .lambdas import LambdaPlan, compute_lambdas
 from .metrics import QueryEvaluator
 from .trees import ConstraintRegime, DecisionTree, fit_tree
 
@@ -86,6 +86,19 @@ class TrainConfig:
         for ok, message in checks:
             if not ok:
                 raise ModelError(f"invalid config: {message}")
+        overrides = self.stage3_overrides
+        if overrides is None:
+            return
+        if not isinstance(overrides, dict):
+            raise ModelError("invalid config: stage3_overrides must be an object")
+        names = {f.name for f in fields(self)} - {"stage3_overrides"}
+        unknown = sorted(set(overrides) - names)
+        if unknown:
+            raise ModelError(f"invalid config: unknown stage3_overrides key(s) {unknown}")
+        try:
+            replace(self, **overrides, stage3_overrides=None).validate()
+        except ModelError as exc:
+            raise ModelError(f"{exc} (in stage3_overrides)") from None
 
     def for_stage3(self) -> "TrainConfig":
         if not self.stage3_overrides:
@@ -239,6 +252,7 @@ def _boost_stage(stage, regime, train, bins, valid, cfg, learning_rate,
     with the snapshots of both score vectors at the best round.
     """
     evaluator = QueryEvaluator(valid, cfg.ndcg_cutoff)
+    plan = LambdaPlan(train, cfg.truncation)
     trees: list[DecisionTree] = []
     best_ndcg = evaluator.mean(scores_valid)
     best_len = 0
@@ -247,7 +261,7 @@ def _boost_stage(stage, regime, train, bins, valid, cfg, learning_rate,
     since_best = 0
     for rnd in range(1, cfg.max_rounds_per_stage + 1):
         grads = compute_lambdas(scores_train, train, cfg.sigma, cfg.truncation,
-                                cfg.lambdarank_norm)
+                                cfg.lambdarank_norm, plan=plan)
         tree = fit_tree(bins, -grads.gradient, grads.hessian, regime,
                         learning_rate, cfg.lambda_l2)
         if tree.is_stump:
@@ -325,6 +339,7 @@ def select_interactions(model: IlmartModel, train: Dataset, valid: Dataset,
     if target < 1:
         return []
     evaluator = QueryEvaluator(valid, cfg.ndcg_cutoff) if log is not None else None
+    plan = LambdaPlan(train, cfg.truncation)
     scores_train = model.predict_dataset(train)
     scores_valid = model.predict_dataset(valid) if log is not None else None
     regime = ConstraintRegime.pair_discovery(
@@ -335,7 +350,7 @@ def select_interactions(model: IlmartModel, train: Dataset, valid: Dataset,
     seen: set[tuple[int, int]] = set()
     for rnd in range(1, cfg.stage2_max_rounds + 1):
         grads = compute_lambdas(scores_train, train, cfg.sigma, cfg.truncation,
-                                cfg.lambdarank_norm)
+                                cfg.lambdarank_norm, plan=plan)
         tree = fit_tree(bins, -grads.gradient, grads.hessian, regime,
                         cfg.learning_rate, cfg.lambda_l2)
         if tree.is_stump:

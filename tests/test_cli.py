@@ -257,6 +257,33 @@ def test_bad_config_value_exits_2(files, capsys):
     assert "learning_rate" in capsys.readouterr().err
 
 
+def test_config_that_is_not_json_exits_2(files, tmp_path, capsys):
+    config = tmp_path / "broken.json"
+    config.write_text('{"max_bins": 3')
+    code = main(["train", "--train", files["train"], "--valid", files["valid"],
+                 "--out", str(tmp_path / "run"), "--config", str(config)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {config} is not valid JSON") \
+        and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"bogus": 1}, "unknown stage3_overrides key(s) ['bogus']"),
+    ({"num_leaves": 1}, "num_leaves must be >= 2 (in stage3_overrides)"),
+])
+def test_bad_stage3_overrides_exit_2_before_training(files, tmp_path, capsys,
+                                                      overrides, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"stage3_overrides": overrides}))
+    out = tmp_path / "run"
+    code = main(["train", "--train", files["train"], "--valid", files["valid"],
+                 "--out", str(out), "--config", str(config)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rerun_reproduces_output_byte_for_byte(trained_dir, files, capsys):
     argv = ["eval", "--model", str(trained_dir / "model.json"),
             "--data", files["test"], "--cutoffs", "1,5,10"]

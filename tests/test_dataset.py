@@ -187,6 +187,28 @@ def test_boundaries_reproduce_training_binning():
         assert np.all(edges[b] < x) and np.all(x <= edges[b + 1])
 
 
+_ONE_UP = np.nextafter(1.0, 2.0)
+
+
+@pytest.mark.parametrize("values", [
+    [0.0, 1e308, 1.7e308],
+    [-1.7e308, -1e308, 0.0, 1.7e308],
+    # adjacent floats: the halfway point of the last two rounds up to the upper one
+    [1.0, _ONE_UP, np.nextafter(_ONE_UP, 2.0)],
+])
+def test_boundaries_split_every_pair_of_distinct_values(values):
+    # (a + b) / 2 overflows to inf on the first two; each boundary m must
+    # still be finite with a <= m < b, so every value keeps its own bin.
+    X = np.asarray(values).reshape(-1, 1)
+    ds = Dataset.from_rows([0] * len(values), ["q"] * len(values), X)
+    with np.errstate(over="raise"):
+        bounds = build_bins(ds).boundaries[0]
+    assert bounds.size == len(values) - 1
+    assert np.all(np.isfinite(bounds))
+    assert np.all(X[:-1, 0] <= bounds) and np.all(bounds < X[1:, 0])
+    assert build_bins(ds).binned[:, 0].tolist() == list(range(len(values)))
+
+
 def test_max_bins_lower_bound():
     ds = random_queries(5, 4, seed=2)
     with pytest.raises(DatasetError, match="max_bins"):

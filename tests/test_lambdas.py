@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ilmart import Dataset, compute_lambdas, ndcg_swap_deltas
+from ilmart.lambdas import LambdaPlan
 
 from synthdata import random_queries
 
@@ -133,3 +135,120 @@ def test_saturated_scores_stay_finite():
     assert np.all(np.isfinite(out.gradient))
     assert np.all(np.isfinite(out.hessian))
     assert out.gradient[0] > 0
+
+
+def lambda_oracle(ds, scores, sigma, truncation, lambdarank_norm):
+    """Independent per-row gradients: a plain double loop over every
+    label-discordant pair of each query, with |dZ| from ``swap_oracle``."""
+    gradient = np.zeros(ds.num_rows)
+    hessian = np.zeros(ds.num_rows)
+    for rows in ds.query_groups:
+        labels = [int(ds.labels[r]) for r in rows]
+        s = [float(scores[r]) for r in rows]
+        deltas = swap_oracle(labels, s, truncation)
+        varied = min(s) != max(s)
+        grad = [0.0] * len(rows)
+        hess = [0.0] * len(rows)
+        mass = 0.0
+        for i in range(len(rows)):
+            for j in range(len(rows)):
+                if labels[i] <= labels[j]:
+                    continue
+                delta = deltas[i, j]
+                if lambdarank_norm and varied:
+                    delta /= 0.01 + abs(s[i] - s[j])
+                rho = 1.0 / (1.0 + math.exp(sigma * (s[i] - s[j])))
+                lam = sigma * rho * delta
+                hes = sigma * sigma * rho * (1.0 - rho) * delta
+                grad[i] += lam
+                grad[j] -= lam
+                hess[i] += hes
+                hess[j] += hes
+                mass += 2.0 * lam
+        factor = math.log2(1.0 + mass) / mass if lambdarank_norm and mass > 0 else 1.0
+        for r, g, h in zip(rows, grad, hess):
+            gradient[r] = g * factor
+            hessian[r] = h * factor
+    return gradient, hessian
+
+
+def _mixed_queries():
+    """Rows of five queries interleaved at random: one longer than every
+    truncation tested below, a short one, a single document, all labels zero
+    and all labels equal but non-zero."""
+    rng = np.random.default_rng(31)
+    blocks = [
+        ("long", rng.integers(0, 5, 24)),
+        ("short", np.array([2, 0, 1])),
+        ("single", np.array([3])),
+        ("zeros", np.zeros(5, dtype=int)),
+        ("equal", np.full(4, 2)),
+    ]
+    labels = np.concatenate([lab for _, lab in blocks])
+    qids = np.concatenate([[name] * lab.size for name, lab in blocks])
+    perm = rng.permutation(labels.size)
+    ds = Dataset.from_rows(labels[perm], qids[perm], np.zeros((labels.size, 1)))
+    assert any(np.any(np.diff(rows) > 1) for rows in ds.query_groups)
+    return ds
+
+
+def _scores(kind, ds):
+    rng = np.random.default_rng(5)
+    if kind == "random":
+        return rng.normal(size=ds.num_rows) * 2.0
+    if kind == "tied":
+        return np.round(rng.normal(size=ds.num_rows) * 2.0) / 2.0
+    if kind == "all_equal":
+        return np.zeros(ds.num_rows)
+    # constant inside every query but the long one, which varies
+    scores = rng.normal(size=ds.num_rows)
+    for g, rows in enumerate(ds.query_groups):
+        if ds.qids[rows[0]] != "long":
+            scores[rows] = 0.3 * g
+    return scores
+
+
+@pytest.mark.parametrize("kind", ["random", "tied", "all_equal", "constant_in_some_queries"])
+@pytest.mark.parametrize("truncation", [1, 3, 10, 50])
+def test_lambdas_match_pairwise_oracle(kind, truncation):
+    ds = _mixed_queries()
+    scores = _scores(kind, ds)
+    for lambdarank_norm in (False, True):
+        for sigma in (0.5, 1.0, 2.0):
+            got = compute_lambdas(scores, ds, sigma, truncation, lambdarank_norm)
+            want_g, want_h = lambda_oracle(ds, scores, sigma, truncation, lambdarank_norm)
+            np.testing.assert_allclose(got.gradient, want_g, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got.hessian, want_h, rtol=0, atol=1e-12)
+
+
+def test_plan_is_reusable_and_tied_to_its_dataset():
+    ds = random_queries(30, 12, seed=8)
+    plan = LambdaPlan(ds, 5)
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        scores = rng.normal(size=ds.num_rows)
+        fresh = compute_lambdas(scores, ds, 1.5, 5, True)
+        reused = compute_lambdas(scores, ds, 1.5, 5, True, plan=plan)
+        np.testing.assert_array_equal(reused.gradient, fresh.gradient)
+        np.testing.assert_array_equal(reused.hessian, fresh.hessian)
+    with pytest.raises(ValueError, match="plan"):
+        compute_lambdas(np.zeros(ds.num_rows), ds, 1.0, 10, plan=plan)
+    other = random_queries(30, 12, seed=8)
+    with pytest.raises(ValueError, match="plan"):
+        compute_lambdas(np.zeros(other.num_rows), other, 1.0, 5, plan=plan)
+
+
+def test_memory_stays_bounded_on_a_long_query():
+    # One dense n x n float64 buffer at n = 20 000 would take 3.2 GB.
+    n = 20_000
+    rng = np.random.default_rng(12)
+    ds = Dataset.from_rows(rng.integers(0, 5, n), ["q"] * n, np.zeros((n, 1)))
+    scores = rng.normal(size=n)
+    tracemalloc.start()
+    try:
+        out = compute_lambdas(scores, ds, 1.0, 10, True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert abs(out.gradient.sum()) <= 1e-10

@@ -199,6 +199,25 @@ def test_learning_rate_zero_rejected():
         small_cfg(learning_rate=0.0).validate()
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"bogus": 1}, "unknown stage3_overrides key"),
+    ({"stage3_overrides": {}}, "unknown stage3_overrides key"),
+    ({"num_leaves": 1}, "num_leaves must be >= 2 (in stage3_overrides)"),
+    ([["num_leaves", 8]], "stage3_overrides must be an object"),
+])
+def test_bad_stage3_overrides_rejected_by_validate(overrides, message):
+    with pytest.raises(ModelError) as info:
+        small_cfg(stage3_overrides=overrides).validate()
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize("overrides, leaves", [({}, 8), ({"num_leaves": 4}, 4)])
+def test_good_stage3_overrides_pass_validate(overrides, leaves):
+    cfg = small_cfg(stage3_overrides=overrides)
+    cfg.validate()
+    assert cfg.for_stage3().num_leaves == leaves
+
+
 def test_stage3_requires_pairs(planted_run):
     with pytest.raises(ModelError, match="pair"):
         train_interaction_effects(planted_run["stage1"], [], planted_run["train"],
