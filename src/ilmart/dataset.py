@@ -13,7 +13,7 @@ split and reused everywhere else.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -201,10 +201,19 @@ class BinMapper:
     'left')``, i.e. bin ``b`` covers the half-open interval
     ``(boundaries[b-1], boundaries[b]]``. A constant feature has no
     boundaries and a single bin.
+
+    :func:`build_bins` stores ``binned`` feature-major, so ``binned[:, k]``
+    is a contiguous column. ``counts[k]`` holds the number of rows in each
+    bin of feature ``k + 1`` (the same at the root of every tree).
     """
 
     boundaries: list[np.ndarray]
     binned: np.ndarray
+    counts: list[np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.counts = [np.bincount(self.binned[:, k], minlength=b.size + 1)
+                       for k, b in enumerate(self.boundaries)]
 
     @property
     def num_features(self) -> int:
@@ -253,7 +262,7 @@ def build_bins(ds: Dataset, max_bins: int = DEFAULT_MAX_BINS) -> BinMapper:
             cut = np.floor(np.arange(1, max_bins) * m / max_bins).astype(np.intp)
             boundaries.append(_midpoints(distinct[cut - 1], distinct[cut]))
     dtype = np.uint8 if max_bins <= 256 else np.int32
-    binned = np.zeros((ds.num_rows, ds.num_features), dtype=dtype)
+    binned = np.zeros((ds.num_rows, ds.num_features), dtype=dtype, order="F")
     for k in range(ds.num_features):
         binned[:, k] = np.searchsorted(boundaries[k], ds.features[:, k], side="left")
     return BinMapper(boundaries, binned)

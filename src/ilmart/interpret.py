@@ -92,18 +92,18 @@ def _effect_table(trees, features) -> tuple[list[np.ndarray], np.ndarray]:
     axis = {f: k for k, f in enumerate(features)}
     cuts = [b.tolist() for b in breakpoints]
 
-    def walk(node, box):
-        if isinstance(node, TreeLeaf):
-            values[tuple(slice(lo, hi) for lo, hi in box)] += node.value
-            return
-        k = axis[node.feature]
-        lo, hi = box[k]
-        cut = bisect.bisect_left(cuts[k], node.threshold) + 1
-        walk(node.left, box[:k] + ((lo, min(hi, cut)),) + box[k + 1:])
-        walk(node.right, box[:k] + ((max(lo, cut), hi),) + box[k + 1:])
-
     for tree in trees:
-        walk(tree.root, tuple((0, n) for n in values.shape))
+        stack = [(tree.root, tuple((0, n) for n in values.shape))]
+        while stack:
+            node, box = stack.pop()
+            if isinstance(node, TreeLeaf):
+                values[tuple(slice(lo, hi) for lo, hi in box)] += node.value
+                continue
+            k = axis[node.feature]
+            lo, hi = box[k]
+            cut = bisect.bisect_left(cuts[k], node.threshold) + 1
+            stack.append((node.right, box[:k] + ((max(lo, cut), hi),) + box[k + 1:]))
+            stack.append((node.left, box[:k] + ((lo, min(hi, cut)),) + box[k + 1:]))
     return breakpoints, values
 
 

@@ -494,9 +494,12 @@ def write_atomically(path):
 
 def save_model(model: IlmartModel, path) -> None:
     """Serialize to schema-versioned JSON (floats as shortest round-trip text)."""
-    with write_atomically(path) as fh:
-        json.dump(_model_to_dict(model), fh)
-        fh.write("\n")
+    try:
+        with write_atomically(path) as fh:
+            json.dump(_model_to_dict(model), fh)
+            fh.write("\n")
+    except RecursionError:
+        raise ModelError(f"{path}: a tree nests too deeply to write as JSON") from None
 
 
 def load_model(path) -> IlmartModel:
@@ -510,6 +513,8 @@ def load_model(path) -> IlmartModel:
             data = json.load(fh)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelError(f"{path}: not a JSON model file ({exc})") from None
+    except RecursionError:
+        raise ModelError(f"{path}: model file nests too deeply to parse") from None
     version = data.get("version") if isinstance(data, dict) else None
     if version != MODEL_SCHEMA_VERSION:
         raise ModelError(
@@ -529,11 +534,12 @@ def load_model(path) -> IlmartModel:
             training_log=[(int(s), int(r), float(v)) for s, r, v in data["training_log"]],
             best_valid_ndcg=data["metadata"].get("best_valid_ndcg"),
         )
+        model.config.validate()
         model.validate()
     except KeyError as exc:
         raise ModelError(f"{path}: malformed model file, missing key {exc}") from None
-    except ModelError:
-        raise
+    except ModelError as exc:
+        raise ModelError(f"{path}: {exc}") from None
     except (TypeError, ValueError, AttributeError) as exc:
         raise ModelError(f"{path}: malformed model file ({exc})") from None
     return model

@@ -14,6 +14,15 @@ features at a node are restricted by a :class:`ConstraintRegime`:
 * ``discovery`` - at most 3 leaves and 2 splits, the second split must use a
                   feature different from the root's. Used to nominate pairs.
 
+Split search works on histograms of the feature-major binned matrix (the
+layout of LightGBM, Ke et al. 2017). Each step scores, in one pass, only the
+leaves that need it: the two children of the last split, or every open leaf
+whose candidate list just changed. A leaf with fewer than
+``2 * min_data_in_leaf`` rows cannot split and is never scored. The result
+is the same tree as scoring every leaf one feature at a time: each histogram
+cell sums the same rows in the same order, and ties resolve to the lowest
+gain-maximising feature id, then the lowest bin, then the oldest leaf.
+
 Splits store raw thresholds (the boundary value between the two bins), so
 inference never needs the bin mapper. Inputs are finite (the loader rejects
 anything else); a NaN in a raw array compares false and goes right at every
@@ -154,51 +163,52 @@ class DecisionTree:
     def predict_batch(self, features: np.ndarray) -> np.ndarray:
         features = np.asarray(features, dtype=np.float64)
         out = np.empty(features.shape[0], dtype=np.float64)
-
-        def walk(node, idx):
+        stack = [(self.root, np.arange(features.shape[0]))]
+        while stack:
+            node, idx = stack.pop()
             if isinstance(node, TreeLeaf):
                 out[idx] = node.value
-                return
-            x = features[idx, node.feature - 1]
-            go_left = x <= node.threshold
-            walk(node.left, idx[go_left])
-            walk(node.right, idx[~go_left])
-
-        walk(self.root, np.arange(features.shape[0]))
+                continue
+            go_left = features[idx, node.feature - 1] <= node.threshold
+            stack.append((node.right, idx[~go_left]))
+            stack.append((node.left, idx[go_left]))
         return out
 
     def to_dict(self) -> dict:
-        def encode(node):
+        nodes: dict = {}
+        stack = [(self.root, nodes)]
+        while stack:
+            node, out = stack.pop()
             if isinstance(node, TreeLeaf):
-                return {"value": node.value}
-            return {
-                "feature": node.feature,
-                "threshold": node.threshold,
-                "left": encode(node.left),
-                "right": encode(node.right),
-            }
-
+                out["value"] = node.value
+                continue
+            out.update(feature=node.feature, threshold=node.threshold, left={}, right={})
+            stack.append((node.right, out["right"]))
+            stack.append((node.left, out["left"]))
         return {
             "constraint": [self.constraint_kind, list(self.constraint_features)],
             "used_features": list(self.used_features),
-            "nodes": encode(self.root),
+            "nodes": nodes,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecisionTree":
-        def decode(node):
-            if "value" in node:
-                return TreeLeaf(float(node["value"]))
-            return TreeNode(
-                int(node["feature"]),
-                float(node["threshold"]),
-                decode(node["left"]),
-                decode(node["right"]),
-            )
+        holder = TreeNode(0, 0.0, None, None)      # the root goes in holder.left
+        stack = [(data["nodes"], holder, "left")]
+        while stack:
+            item, parent, side = stack.pop()
+            if "value" in item:
+                node = TreeLeaf(float(item["value"]))
+            else:
+                node = TreeNode(int(item["feature"]), float(item["threshold"]), None, None)
+                left, right = item["left"], item["right"]
+                stack.append((right, node, "right"))
+                stack.append((left, node, "left"))
+            setattr(parent, side, node)
 
         kind, feats = data["constraint"]
         return cls(
-            decode(data["nodes"]),
+            holder.left,
             str(kind),
             tuple(int(f) for f in feats),
             tuple(int(f) for f in data["used_features"]),
@@ -206,71 +216,92 @@ class DecisionTree:
 
 
 class _GrowLeaf:
-    __slots__ = ("rows", "order", "best", "best_version")
+    __slots__ = ("rows", "order", "slot", "cands", "best")
 
-    def __init__(self, rows, order):
-        self.rows = rows
-        self.order = order
-        self.best = None
-        self.best_version = -1
-
-
-class _GrowNode:
-    __slots__ = ("feature", "threshold", "left", "right")
-
-    def __init__(self, feature, threshold, left, right):
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
+    def __init__(self, rows, order, slot):
+        self.rows = rows            # ascending row indices
+        self.order = order          # creation order, the last tie-break
+        self.slot = slot            # (node, "left" | "right") that will hold the leaf
+        self.cands = None           # candidate features of the last scoring
+        self.best = None            # (gain, feature, bin) or None
 
 
-def _best_split(bins, rows, gradients, hessians, cands, min_data, min_gain, l2,
-                min_hess):
-    """Best (gain, feature, bin) over the candidate features, or None.
+def _score_leaves(bins, leaves, gradients, hessians, cands, min_data, min_gain, l2,
+                  min_hess):
+    """Set ``leaf.best`` to each leaf's best (gain, feature, bin), or None.
 
-    Ties resolve to the lowest feature id, then the lowest bin index.
+    All leaves are scored in one pass. Per candidate feature, one
+    ``bincount`` per statistic lays the leaves' histograms side by side
+    (cell ``leaf * width + bin``) over their rows, concatenated leaf after
+    leaf in ascending order, so every cell sums the same rows in the same
+    order as a histogram of that leaf alone. Gains are then computed on one
+    (leaves x features x bins) array. Ties resolve to the lowest feature id,
+    then the lowest bin index.
     """
-    grad = gradients[rows]
-    hess = hessians[rows]
-    g_total = grad.sum()
-    h_total = hess.sum()
-    denom = h_total + l2
-    parent = g_total * g_total / denom if denom > 0 else 0.0
+    sizes = [leaf.rows.size for leaf in leaves]
+    num_bins = np.array([bins.num_bins(f) for f in cands])
+    width = int(num_bins.max())
+    cells = len(leaves) * width
+    # hist[0], hist[1], hist[2]: gradient sums, hessian sums, row counts
+    hist = np.zeros((3, len(leaves), len(cands), width))
+    if sizes == [bins.num_rows]:            # the root: every row, cached counts
+        grad, hess, rows = gradients, hessians, None
+    else:
+        rows = np.concatenate([leaf.rows for leaf in leaves])
+        grad, hess = gradients[rows], hessians[rows]
+        offset = np.repeat(np.arange(0, cells, width), sizes)
+    for j, fid in enumerate(cands):
+        idx = bins.binned[:, fid - 1]
+        if rows is None:
+            hist[2, 0, j, :num_bins[j]] = bins.counts[fid - 1]
+        else:
+            idx = idx[rows] + offset
+            hist[2, :, j] = np.bincount(idx, minlength=cells).reshape(-1, width)
+        hist[0, :, j] = np.bincount(idx, weights=grad, minlength=cells).reshape(-1, width)
+        hist[1, :, j] = np.bincount(idx, weights=hess, minlength=cells).reshape(-1, width)
+
+    totals = np.zeros((3, len(leaves)))
+    parent = np.zeros(len(leaves))
+    threshold = np.zeros(len(leaves))
+    start = 0
+    for i, size in enumerate(sizes):
+        g_total = grad[start:start + size].sum()
+        h_total = hess[start:start + size].sum()
+        start += size
+        denom = h_total + l2
+        p = g_total * g_total / denom if denom > 0 else 0.0
+        totals[:, i] = g_total, h_total, size
+        parent[i] = p
+        # Summation noise can make a mathematically zero gain come out at
+        # ~1e-16; require the gain to clear min_gain by a margin scaled to
+        # the parent.
+        threshold[i] = min_gain + 1e-12 * max(1.0, abs(p))
+
+    left = np.cumsum(hist, axis=3)[..., :-1]
+    g_left, h_left, c_left = left
+    g_right, h_right, c_right = totals[..., None, None] - left
+    dl = h_left + l2
+    dr = h_right + l2
     hess_floor = max(min_hess, np.finfo(np.float64).tiny)
-    # Summation noise can make a mathematically zero gain come out at ~1e-16;
-    # require the gain to clear min_gain by a margin scaled to the parent.
-    gain_eps = 1e-12 * max(1.0, abs(parent))
-    best = None
-    for fid in cands:
-        nb = bins.num_bins(fid)
-        if nb < 2:
-            continue
-        col = bins.binned[rows, fid - 1]
-        hist_g = np.bincount(col, weights=grad, minlength=nb)
-        hist_h = np.bincount(col, weights=hess, minlength=nb)
-        hist_c = np.bincount(col, minlength=nb)
-        g_left = np.cumsum(hist_g)[:-1]
-        h_left = np.cumsum(hist_h)[:-1]
-        c_left = np.cumsum(hist_c)[:-1]
-        g_right = g_total - g_left
-        h_right = h_total - h_left
-        c_right = rows.size - c_left
-        dl = h_left + l2
-        dr = h_right + l2
-        ok = (
-            (c_left >= min_data)
-            & (c_right >= min_data)
-            & (dl >= hess_floor)
-            & (dr >= hess_floor)
-        )
-        term_l = np.divide(g_left * g_left, dl, out=np.zeros_like(dl), where=ok)
-        term_r = np.divide(g_right * g_right, dr, out=np.zeros_like(dr), where=ok)
-        gains = np.where(ok, term_l + term_r - parent, -np.inf)
-        t = int(np.argmax(gains))
-        if gains[t] > min_gain + gain_eps and (best is None or gains[t] > best[0]):
-            best = (float(gains[t]), fid, t)
-    return best
+    ok = (
+        (c_left >= min_data)
+        & (c_right >= min_data)
+        & (dl >= hess_floor)
+        & (dr >= hess_floor)
+        & (np.arange(width - 1) < num_bins[:, None] - 1)     # real bins only
+    )
+    term_l = np.divide(g_left * g_left, dl, out=np.zeros_like(dl), where=ok)
+    term_r = np.divide(g_right * g_right, dr, out=np.zeros_like(dr), where=ok)
+    gains = np.where(ok, term_l + term_r - parent[:, None, None], -np.inf)
+    # First maximum per feature, then the first feature whose maximum
+    # clears the threshold and is largest.
+    t = gains.argmax(axis=2)
+    top = gains.max(axis=2)
+    top = np.where(top > threshold[:, None], top, -np.inf)
+    k = top.argmax(axis=1)
+    for i, leaf in enumerate(leaves):
+        gain = top[i, k[i]]
+        leaf.best = None if gain == -np.inf else (float(gain), cands[k[i]], int(t[i, k[i]]))
 
 
 def _leaf_value(rows, gradients, hessians, l2, learning_rate, max_output) -> float:
@@ -305,63 +336,54 @@ def fit_tree(
     if learning_rate <= 0:
         raise ValueError(f"learning rate must be > 0, got {learning_rate}")
 
-    root = _GrowLeaf(np.arange(n, dtype=np.intp), 0)
-    structure: _GrowNode | _GrowLeaf = root
-    parents: dict[int, tuple[_GrowNode, str]] = {}
-    open_leaves = [root]
+    holder = TreeNode(0, 0.0, None, None)      # the root goes in holder.left
+    open_leaves = [_GrowLeaf(np.arange(n, dtype=np.intp), 0, (holder, "left"))]
     used: list[int] = []
     root_feature: int | None = None
-    version = 0
+    cands = None
     next_order = 1
 
     while len(open_leaves) < regime.leaf_budget:
-        chosen = None
-        for leaf in open_leaves:
-            if leaf.best_version != version:
-                cands = regime.candidates(frozenset(used), root_feature)
-                leaf.best = _best_split(
-                    bins, leaf.rows, gradients, hessians, cands,
-                    regime.min_data_in_leaf, regime.min_gain, lambda_l2,
-                    regime.min_child_hessian,
-                )
-                leaf.best_version = version
-            if leaf.best is None:
-                continue
-            key = (-leaf.best[0], leaf.best[1], leaf.best[2], leaf.order)
-            if chosen is None or key < chosen[0]:
-                chosen = (key, leaf)
-        if chosen is None:
+        if cands is None:
+            cands = tuple(f for f in regime.candidates(frozenset(used), root_feature)
+                          if bins.num_bins(f) >= 2)
+        # Score the leaves whose candidate list changed (new children
+        # included); a leaf too small to give both children min_data rows
+        # cannot split and is not scored.
+        stale = [leaf for leaf in open_leaves if leaf.cands != cands]
+        for leaf in stale:
+            leaf.cands = cands
+            leaf.best = None
+        stale = [leaf for leaf in stale if leaf.rows.size >= 2 * regime.min_data_in_leaf]
+        if stale and cands:
+            _score_leaves(bins, stale, gradients, hessians, cands,
+                          regime.min_data_in_leaf, regime.min_gain, lambda_l2,
+                          regime.min_child_hessian)
+        scored = [leaf for leaf in open_leaves if leaf.best is not None]
+        if not scored:
             break
+        leaf = min(scored, key=lambda lf: (-lf.best[0], lf.best[1], lf.best[2], lf.order))
 
-        leaf = chosen[1]
         _, fid, t = leaf.best
-        col = bins.binned[leaf.rows, fid - 1]
-        go_left = col <= t
-        left = _GrowLeaf(leaf.rows[go_left], next_order)
-        right = _GrowLeaf(leaf.rows[~go_left], next_order + 1)
+        go_left = bins.binned[:, fid - 1][leaf.rows] <= t
+        node = TreeNode(fid, float(bins.boundaries[fid - 1][t]), None, None)
+        setattr(*leaf.slot, node)
+        left = _GrowLeaf(leaf.rows[go_left], next_order, (node, "left"))
+        right = _GrowLeaf(leaf.rows[~go_left], next_order + 1, (node, "right"))
         next_order += 2
-        node = _GrowNode(fid, float(bins.boundaries[fid - 1][t]), left, right)
-        parent = parents.pop(id(leaf), None)
-        if parent is None:
-            structure = node
-        else:
-            setattr(parent[0], parent[1], node)
-        parents[id(left)] = (node, "left")
-        parents[id(right)] = (node, "right")
         open_leaves.remove(leaf)
         open_leaves.extend((left, right))
         if root_feature is None:
             root_feature = fid
-            version += 1
+            cands = None
         if fid not in used:
             used.append(fid)
-            version += 1
+            cands = None
 
-    def freeze(node):
-        if isinstance(node, _GrowLeaf):
-            return TreeLeaf(_leaf_value(node.rows, gradients, hessians, lambda_l2,
-                                        learning_rate, regime.max_leaf_output))
-        return TreeNode(node.feature, node.threshold, freeze(node.left), freeze(node.right))
+    for leaf in open_leaves:
+        value = _leaf_value(leaf.rows, gradients, hessians, lambda_l2, learning_rate,
+                            regime.max_leaf_output)
+        setattr(*leaf.slot, TreeLeaf(value))
 
     if regime.kind == "single":
         tag = tuple(used)
@@ -369,4 +391,4 @@ def fit_tree(
         tag = tuple(sorted(used))
     else:
         tag = ()
-    return DecisionTree(freeze(structure), regime.kind, tag, tuple(used))
+    return DecisionTree(holder.left, regime.kind, tag, tuple(used))

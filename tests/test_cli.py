@@ -220,12 +220,19 @@ def test_eval_dimension_mismatch_exits_2(trained_dir, files, tmp_path, capsys):
     assert "feature" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["unknown_config_key", "missing_key", "truncated_json"])
+@pytest.mark.parametrize("damage", ["unknown_config_key", "missing_key", "truncated_json",
+                                    "negative_learning_rate", "unknown_stage3_override"])
 def test_malformed_model_file_exits_2(trained_dir, files, tmp_path, capsys, damage):
     text = (trained_dir / "model.json").read_text()
     data = json.loads(text)
     if damage == "unknown_config_key":
         data["config"]["no_such_option"] = 1
+        text = json.dumps(data)
+    elif damage == "negative_learning_rate":
+        data["config"]["learning_rate"] = -1
+        text = json.dumps(data)
+    elif damage == "unknown_stage3_override":
+        data["config"]["stage3_overrides"] = {"bogus": 1}
         text = json.dumps(data)
     elif damage == "missing_key":
         del data["K_set"]

@@ -1,5 +1,9 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ilmart import Dataset, DatasetError, build_bins, load_svmlight
 
@@ -220,3 +224,32 @@ def test_digest_changes_with_content():
     b = random_queries(10, 5, seed=2)
     assert a.digest() != b.digest()
     assert a.digest() == random_queries(10, 5, seed=1).digest()
+
+
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308]),
+    st.integers(-(2 ** 53), 2 ** 53).map(float),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_svmlight_text_round_trips_exactly(data):
+    rows = data.draw(st.integers(1, 12))
+    width = data.draw(st.integers(1, 5))
+    features = np.array(data.draw(st.lists(st.lists(FINITE, min_size=width, max_size=width),
+                                           min_size=rows, max_size=rows)), dtype=np.float64)
+    labels = data.draw(st.lists(st.integers(0, 31), min_size=rows, max_size=rows))
+    qid = st.text("abqQ019_-.", min_size=1, max_size=3)
+    qids = data.draw(st.lists(qid, min_size=rows, max_size=rows))
+    ds = Dataset.from_rows(labels, qids, features)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.txt")
+        ds.save_svmlight(path)
+        back = load_svmlight(path)
+    # bit patterns, so that -0.0 and 0.0 differ
+    assert back.features.view(np.uint64).tolist() == features.view(np.uint64).tolist()
+    assert back.labels.tolist() == labels
+    assert back.qids == qids
+    assert [g.tolist() for g in back.query_groups] == [g.tolist() for g in ds.query_groups]

@@ -302,3 +302,62 @@ def test_importance_present_in_index(tmp_path, trained):
     assert header == ["effect", "kind", "features", "file", "importance", "rank"]
     ranks = sorted(int(r[5]) for r in body)
     assert ranks == list(range(1, len(body) + 1))
+
+
+def chain_tree(features, thresholds, values, kind, tag):
+    """A chain: split ``i`` sends ``x <= thresholds[i]`` to leaf ``values[i]``
+    and everything else on to split ``i + 1``; the last leaf takes the rest."""
+    node = TreeLeaf(float(values[-1]))
+    for f, t, v in zip(features[::-1], thresholds[::-1], values[-2::-1]):
+        node = TreeNode(int(f), float(t), TreeLeaf(float(v)), node)
+    used = tuple(dict.fromkeys(int(f) for f in features))
+    return DecisionTree(node, kind, tag, used)
+
+
+def preorder(tree):
+    """Splits as (feature, threshold) and leaves as values, root first."""
+    out, stack = [], [tree.root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, TreeLeaf):
+            out.append(node.value)
+        else:
+            out.append((node.feature, node.threshold))
+            stack += [node.right, node.left]
+    return out
+
+
+def test_5000_deep_chain_round_trips_scores_and_distils():
+    # Deeper than the interpreter's recursion limit at every step: encode,
+    # decode, score and distil all walk the tree with an explicit stack.
+    depth = 5000
+    rng = np.random.default_rng(17)
+    cuts = np.sort(rng.random(depth))
+    pair_features = rng.integers(1, 3, depth)
+    pair_cuts = rng.choice(np.linspace(0.05, 0.95, 8), depth)
+    model = IlmartModel(
+        num_features=2,
+        main_trees=[chain_tree([1] * depth, cuts, rng.normal(size=depth + 1), "single", (1,)),
+                    chain_tree([2] * depth, cuts, rng.normal(size=depth + 1), "single", (2,))],
+        interaction_trees=[chain_tree(pair_features, pair_cuts, rng.normal(size=depth + 1),
+                                      "pair", (1, 2))],
+        main_features=[1, 2],
+        interaction_pairs=[(1, 2)],
+    )
+    model.validate()
+    loaded = [DecisionTree.from_dict(t.to_dict()) for t in model.trees]
+    assert [preorder(t) for t in loaded] == [preorder(t) for t in model.trees]
+    assert len(preorder(loaded[0])) == 2 * depth + 1
+    back = IlmartModel(num_features=2, main_trees=loaded[:2], interaction_trees=loaded[2:],
+                       main_features=[1, 2], interaction_pairs=[(1, 2)])
+    back.validate()
+
+    inputs = np.concatenate([cuts, np.nextafter(cuts, 2), rng.random(500)])
+    X = rng.choice(inputs, (3000, 2))
+    score = back.predict_batch(X)
+    np.testing.assert_array_equal(score, model.predict_batch(X))
+    shapes, surfaces = distill_shapes(back)
+    assert [s.breakpoints.size for s in shapes] == [depth, depth]
+    table = sum(s.lookup_batch(X[:, s.feature - 1]) for s in shapes)
+    table += sum(s.lookup_batch(X[:, 0], X[:, 1]) for s in surfaces)
+    np.testing.assert_allclose(table, score, rtol=0, atol=1e-9)

@@ -1,9 +1,12 @@
+import itertools
 import json
 import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ilmart import (
     Dataset,
@@ -257,6 +260,87 @@ def test_stage1_model_round_trips_with_no_interactions(tmp_path, planted_run):
     X = planted_run["valid"].features[:50]
     np.testing.assert_array_equal(back.predict_batch(X),
                                   planted_run["stage1"].predict_batch(X))
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"learning_rate": -1}, "learning_rate must be > 0"),
+    ({"stage3_overrides": {"bogus": 1}}, "unknown stage3_overrides key(s) ['bogus']"),
+    ({"stage3_overrides": {"num_leaves": 1}}, "num_leaves must be >= 2 (in stage3_overrides)"),
+])
+def test_load_model_validates_stored_config(tmp_path, planted_run, change, message):
+    path = tmp_path / "model.json"
+    save_model(planted_run["stage1"], path)
+    data = json.loads(path.read_text())
+    data["config"].update(change)
+    path.write_text(json.dumps(data))
+    with pytest.raises(ModelError) as info:
+        load_model(path)
+    assert str(info.value) == f"{path}: invalid config: {message}"
+
+
+def draw_tree(data, features, kind, tag, depth=3):
+    """A random tree over ``features`` whose root is a split."""
+    thresholds = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.sampled_from([0.0, -0.0, 0.5, 5e-324]))
+    values = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from([0.0, -0.0, 5e-324, 1.7e308]))
+
+    def grow(level):
+        if level > 0 and (level == depth or data.draw(st.booleans())):
+            return TreeLeaf(data.draw(values))
+        return TreeNode(data.draw(st.sampled_from(features)), data.draw(thresholds),
+                        grow(level + 1), grow(level + 1))
+
+    root = grow(0)
+    used = tuple(dict.fromkeys(n.feature for n in DecisionTree(root, kind, tag).nodes()))
+    return DecisionTree(root, kind, tag, used)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_saved_model_scores_bit_identically(data):
+    width = 4
+    main = data.draw(st.lists(st.integers(1, width), min_size=1, max_size=3, unique=True))
+    main_trees = [draw_tree(data, [f], "single", (f,))
+                  for f in main for _ in range(data.draw(st.integers(1, 2)))]
+    main_trees.sort(key=lambda t: main.index(t.used_features[0]))
+    candidates = [tuple(sorted(p)) for p in itertools.combinations(main, 2)]
+    pairs = data.draw(st.lists(st.sampled_from(candidates), unique=True, max_size=2)
+                      if candidates else st.just([]))
+    pair_trees = [draw_tree(data, list(p), "pair", p)
+                  for p in pairs for _ in range(data.draw(st.integers(1, 2)))]
+    model = IlmartModel(num_features=width, main_trees=main_trees, main_features=main,
+                        interaction_trees=pair_trees, interaction_pairs=pairs)
+    model.validate()
+    inputs = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 0.5]))
+    X = np.array(data.draw(st.lists(st.lists(inputs, min_size=width, max_size=width),
+                                    min_size=1, max_size=8)), dtype=np.float64)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        save_model(model, path)
+        back = load_model(path)
+    with np.errstate(over="ignore", invalid="ignore"):     # sums of +-1.7e308 leaves
+        assert back.predict_batch(X).tobytes() == model.predict_batch(X).tobytes()
+
+
+def test_tree_too_deep_for_json_is_refused_on_save(tmp_path):
+    node = TreeLeaf(0.0)
+    for k in range(5000):
+        node = TreeNode(1, float(k), TreeLeaf(1.0), node)
+    model = IlmartModel(num_features=1, main_trees=[DecisionTree(node, "single", (1,), (1,))],
+                        main_features=[1])
+    path = tmp_path / "model.json"
+    with pytest.raises(ModelError, match="nests too deeply"):
+        save_model(model, path)
+    assert os.listdir(tmp_path) == []
+
+
+def test_deeply_nested_model_file_is_a_model_error(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ModelError) as info:
+        load_model(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_tampered_model_rejected(tmp_path, planted_run):

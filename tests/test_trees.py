@@ -264,3 +264,178 @@ def test_input_validation():
         ConstraintRegime.single_feature([1], 1)
     with pytest.raises(ValueError):
         ConstraintRegime.feature_pairs([(2, 2)], 4)
+
+
+# -- Whole-tree oracle: the plain per-leaf, per-feature split search ---------
+
+def oracle_best_split(bins, rows, gradients, hessians, cands, min_data, min_gain, l2,
+                      min_hess):
+    """Best (gain, feature, bin) of one leaf, one feature at a time, or None."""
+    grad = gradients[rows]
+    hess = hessians[rows]
+    g_total = grad.sum()
+    h_total = hess.sum()
+    denom = h_total + l2
+    parent = g_total * g_total / denom if denom > 0 else 0.0
+    hess_floor = max(min_hess, np.finfo(np.float64).tiny)
+    gain_eps = 1e-12 * max(1.0, abs(parent))
+    best = None
+    for fid in cands:
+        nb = bins.num_bins(fid)
+        if nb < 2:
+            continue
+        col = bins.binned[rows, fid - 1]
+        g_left = np.cumsum(np.bincount(col, weights=grad, minlength=nb))[:-1]
+        h_left = np.cumsum(np.bincount(col, weights=hess, minlength=nb))[:-1]
+        c_left = np.cumsum(np.bincount(col, minlength=nb))[:-1]
+        g_right = g_total - g_left
+        h_right = h_total - h_left
+        c_right = rows.size - c_left
+        dl = h_left + l2
+        dr = h_right + l2
+        ok = (c_left >= min_data) & (c_right >= min_data) & (dl >= hess_floor) \
+            & (dr >= hess_floor)
+        term_l = np.divide(g_left * g_left, dl, out=np.zeros_like(dl), where=ok)
+        term_r = np.divide(g_right * g_right, dr, out=np.zeros_like(dr), where=ok)
+        gains = np.where(ok, term_l + term_r - parent, -np.inf)
+        t = int(np.argmax(gains))
+        if gains[t] > min_gain + gain_eps and (best is None or gains[t] > best[0]):
+            best = (float(gains[t]), fid, t)
+    return best
+
+
+def oracle_fit_tree(bins, gradients, hessians, regime, learning_rate, lambda_l2=0.0,
+                    scored_sizes=None):
+    """Leaf-wise growth that re-scores every open leaf, whatever its size,
+    each time the features used so far change. ``scored_sizes`` collects
+    the row count of every leaf scored."""
+    root = {"rows": np.arange(bins.num_rows), "order": 0, "version": -1}
+    open_leaves = [root]
+    used, root_feature, version, next_order = [], None, 0, 1
+    while len(open_leaves) < regime.leaf_budget:
+        chosen = None
+        for leaf in open_leaves:
+            if leaf["version"] != version:
+                cands = regime.candidates(frozenset(used), root_feature)
+                leaf["best"] = oracle_best_split(
+                    bins, leaf["rows"], gradients, hessians, cands, regime.min_data_in_leaf,
+                    regime.min_gain, lambda_l2, regime.min_child_hessian)
+                leaf["version"] = version
+                if scored_sizes is not None:
+                    scored_sizes.append(leaf["rows"].size)
+            if leaf["best"] is None:
+                continue
+            key = (-leaf["best"][0], leaf["best"][1], leaf["best"][2], leaf["order"])
+            if chosen is None or key < chosen[0]:
+                chosen = (key, leaf)
+        if chosen is None:
+            break
+        leaf = chosen[1]
+        _, fid, t = leaf["best"]
+        go_left = bins.binned[leaf["rows"], fid - 1] <= t
+        leaf["split"] = (fid, float(bins.boundaries[fid - 1][t]))
+        leaf["left"] = {"rows": leaf["rows"][go_left], "order": next_order, "version": -1}
+        leaf["right"] = {"rows": leaf["rows"][~go_left], "order": next_order + 1,
+                         "version": -1}
+        next_order += 2
+        open_leaves.remove(leaf)
+        open_leaves.extend((leaf["left"], leaf["right"]))
+        if root_feature is None:
+            root_feature = fid
+            version += 1
+        if fid not in used:
+            used.append(fid)
+            version += 1
+
+    def freeze(leaf):
+        if "split" in leaf:
+            return TreeNode(*leaf["split"], freeze(leaf["left"]), freeze(leaf["right"]))
+        rows = leaf["rows"]
+        denom = hessians[rows].sum() + lambda_l2
+        if denom <= 0:
+            return TreeLeaf(0.0)
+        step = -(gradients[rows].sum()) / denom
+        if regime.max_leaf_output > 0:
+            step = min(max(step, -regime.max_leaf_output), regime.max_leaf_output)
+        return TreeLeaf(float(step * learning_rate))
+
+    if regime.kind == "single":
+        tag = tuple(used)
+    elif regime.kind == "pair" and len(used) == 2:
+        tag = tuple(sorted(used))
+    else:
+        tag = ()
+    return DecisionTree(freeze(root), regime.kind, tag, tuple(used))
+
+
+def oracle_case(seed):
+    """Tie-heavy data and limits drawn at random; returns the fit_tree arguments."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 400))
+    small = rng.integers(0, 3, n).astype(float)
+    X = np.column_stack([
+        small,                                  # three distinct values
+        rng.integers(0, 6, n),                  # tie-heavy small integers
+        np.full(n, 7.0),                        # constant: a single bin
+        small,                                  # duplicate of feature 1: exact gain ties
+        np.round(rng.random(n), 1),
+        rng.random(n),                          # (nearly) all distinct
+    ])
+    max_bins = int(rng.choice([2, 4, 255]))
+    ds = Dataset.from_rows(np.zeros(n, dtype=int), ["q"] * n, X)
+    bins = build_bins(ds, max_bins=max_bins)
+    grad = rng.normal(size=n)
+    if rng.random() < 0.5:
+        grad = np.round(grad)                   # ties between bins, leaves and features
+    hess = rng.choice([np.ones(n), rng.uniform(0.0, 0.5, n), rng.uniform(0.5, 1.0, n)])
+    limits = dict(
+        min_data_in_leaf=int(rng.integers(1, max(2, n // 4))),
+        min_gain=float(rng.choice([0.0, 0.0, 0.5])),
+        min_child_hessian=float(rng.choice([0.0, 1e-3, 2.0])),   # 2.0 often binds
+        max_leaf_output=float(rng.choice([0.0, 10.0, 0.05])),   # 0.05 binds
+    )
+    kind = ("single", "pair", "discovery")[seed % 3]
+    budget = int(rng.integers(2, 33))
+    if kind == "single":
+        regime = ConstraintRegime.single_feature(range(1, 7), budget, **limits)
+    elif kind == "pair":
+        pairs = [(1, 2), (3, 4)] if rng.random() < 0.5 else [(1, 5), (4, 5), (5, 6)]
+        regime = ConstraintRegime.feature_pairs(pairs, budget, **limits)
+    else:
+        regime = ConstraintRegime.pair_discovery(range(1, 7), **limits)
+    l2 = float(rng.choice([0.0, 0.5, 3.0]))
+    lr = float(rng.choice([0.1, 1.0]))
+    return bins, grad, hess, regime, lr, l2
+
+
+def test_fit_tree_matches_per_leaf_oracle_node_for_node():
+    offsets = []        # leaf size minus 2 * min_data_in_leaf, per oracle scoring
+    splits = both_pair_features = 0
+    for seed in range(1500):
+        bins, grad, hess, regime, lr, l2 = oracle_case(seed)
+        sizes = []
+        want = oracle_fit_tree(bins, grad, hess, regime, lr, lambda_l2=l2,
+                               scored_sizes=sizes)
+        got = fit_tree(bins, grad, hess, regime, lr, lambda_l2=l2)
+        assert got.to_dict() == want.to_dict(), f"seed {seed}"
+        offsets += [s - 2 * regime.min_data_in_leaf for s in sizes[1:]]
+        splits += sum(1 for _ in want.nodes())
+        both_pair_features += regime.kind == "pair" and len(want.used_features) == 2
+    # the cases reach leaves just below and exactly at the splittable size,
+    # and pair trees whose candidate list shrinks while leaves are open
+    assert -1 in offsets and 0 in offsets
+    assert splits > 4000 and both_pair_features > 100
+
+
+@pytest.mark.parametrize("extra", [-1, 0])
+def test_root_just_below_and_at_twice_min_data(extra):
+    min_data = 6
+    n = 2 * min_data + extra
+    X = np.arange(n, dtype=float).reshape(-1, 1)
+    grad = np.where(np.arange(n) < min_data, -1.0, 1.0)
+    bins = make_bins(X)
+    regime = ConstraintRegime.single_feature([1], 4, min_data_in_leaf=min_data)
+    tree = fit_tree(bins, grad, np.ones(n), regime, 0.1)
+    want = oracle_fit_tree(bins, grad, np.ones(n), regime, 0.1)
+    assert tree.to_dict() == want.to_dict()
+    assert tree.num_leaves == (1 if extra < 0 else 2)
