@@ -19,7 +19,6 @@ import numpy as np
 
 from .dataset import Dataset
 from .trainer import IlmartModel
-from .trees import TreeLeaf
 
 
 def _interval_index(breakpoints: np.ndarray, x) -> np.ndarray:
@@ -96,14 +95,14 @@ def _effect_table(trees, features) -> tuple[list[np.ndarray], np.ndarray]:
         stack = [(tree.root, tuple((0, n) for n in values.shape))]
         while stack:
             node, box = stack.pop()
-            if isinstance(node, TreeLeaf):
-                values[tuple(slice(lo, hi) for lo, hi in box)] += node.value
+            if node < 0:
+                values[tuple(slice(lo, hi) for lo, hi in box)] += tree.leaf_value[~node]
                 continue
-            k = axis[node.feature]
+            k = axis[tree.split_feature[node]]
             lo, hi = box[k]
-            cut = bisect.bisect_left(cuts[k], node.threshold) + 1
-            stack.append((node.right, box[:k] + ((max(lo, cut), hi),) + box[k + 1:]))
-            stack.append((node.left, box[:k] + ((lo, min(hi, cut)),) + box[k + 1:]))
+            cut = bisect.bisect_left(cuts[k], tree.threshold[node]) + 1
+            stack.append((tree.right_child[node], box[:k] + ((max(lo, cut), hi),) + box[k + 1:]))
+            stack.append((tree.left_child[node], box[:k] + ((lo, min(hi, cut)),) + box[k + 1:]))
     return breakpoints, values
 
 

@@ -32,7 +32,7 @@ from .trees import ConstraintRegime, DecisionTree, fit_tree
 
 logger = logging.getLogger(__name__)
 
-MODEL_SCHEMA_VERSION = 2
+MODEL_SCHEMA_VERSION = 3
 
 # A round counts as an improvement only if it beats the best by more than
 # this, so float noise cannot keep a stage alive.
@@ -178,6 +178,16 @@ class IlmartModel:
 
     def validate(self) -> None:
         """Check every structural invariant; raises :class:`ModelError`."""
+        for tree in self.trees:
+            for f in tree.split_feature:
+                if not 1 <= f <= self.num_features or f not in tree.constraint_features:
+                    raise ModelError(f"constraint violation: split on feature {f} outside "
+                                     f"the tree's features {list(tree.constraint_features)}")
+            if not all(math.isfinite(t) for t in tree.threshold):
+                raise ModelError("constraint violation: non-finite split threshold")
+            if not all(math.isfinite(v) for v in tree.leaf_value):
+                raise ModelError("constraint violation: non-finite leaf value")
+
         j_order: list[int] = []
         for tree in self.main_trees:
             if tree.constraint_kind != "single":
@@ -187,8 +197,6 @@ class IlmartModel:
             if tuple(tree.constraint_features) != tuple(tree.used_features):
                 raise ModelError("constraint violation: main tree tag disagrees with its splits")
             f = tree.used_features[0]
-            if not 1 <= f <= self.num_features:
-                raise ModelError(f"constraint violation: feature id {f} out of range")
             if f not in j_order:
                 j_order.append(f)
         if j_order != list(self.main_features):
@@ -215,10 +223,8 @@ class IlmartModel:
             tag = tuple(tree.constraint_features)
             if len(tag) != 2 or tag not in pair_set:
                 raise ModelError("constraint violation: interaction tree assigned to an unknown pair")
-            if not 1 <= len(tree.used_features) <= 2:
+            if tree.is_stump:
                 raise ModelError("constraint violation: interaction tree must use one or two features")
-            if not set(tree.used_features) <= set(tag):
-                raise ModelError("constraint violation: interaction tree splits outside its pair")
             used_pairs.add(tag)
         if used_pairs != pair_set:
             raise ModelError("constraint violation: pair list does not match the trees present")
@@ -228,11 +234,6 @@ class IlmartModel:
             raise ModelError(
                 "constraint violation: interaction trees not grouped by pair in K_set order"
             )
-
-        for tree in self.trees:
-            for leaf in tree.leaves():
-                if not math.isfinite(leaf.value):
-                    raise ModelError("constraint violation: non-finite leaf value")
 
 
 def _first_use_order(trees: list[DecisionTree]) -> list[int]:
@@ -408,8 +409,8 @@ def train_interaction_effects(model: IlmartModel, pairs, train: Dataset,
     best = None
     round_base = 0
     for pair in pairs:
-        regime = ConstraintRegime.feature_pairs(
-            [pair], cfg3.num_leaves, cfg3.min_data_in_leaf, cfg3.min_gain,
+        regime = ConstraintRegime.feature_pair(
+            pair, cfg3.num_leaves, cfg3.min_data_in_leaf, cfg3.min_gain,
             cfg3.min_child_hessian, cfg3.max_leaf_output
         )
         phase_log: list[tuple[int, int, float]] = []
@@ -494,12 +495,9 @@ def write_atomically(path):
 
 def save_model(model: IlmartModel, path) -> None:
     """Serialize to schema-versioned JSON (floats as shortest round-trip text)."""
-    try:
-        with write_atomically(path) as fh:
-            json.dump(_model_to_dict(model), fh)
-            fh.write("\n")
-    except RecursionError:
-        raise ModelError(f"{path}: a tree nests too deeply to write as JSON") from None
+    with write_atomically(path) as fh:
+        json.dump(_model_to_dict(model), fh)
+        fh.write("\n")
 
 
 def load_model(path) -> IlmartModel:
@@ -511,10 +509,10 @@ def load_model(path) -> IlmartModel:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested deeper than the json
+        # module can parse, which no model file does.
         raise ModelError(f"{path}: not a JSON model file ({exc})") from None
-    except RecursionError:
-        raise ModelError(f"{path}: model file nests too deeply to parse") from None
     version = data.get("version") if isinstance(data, dict) else None
     if version != MODEL_SCHEMA_VERSION:
         raise ModelError(

@@ -9,28 +9,28 @@ over gradient/hessian sums G, H of the rows routed to each side. Candidate
 features at a node are restricted by a :class:`ConstraintRegime`:
 
 * ``single``    - one feature per tree; the root's feature locks the tree.
-* ``pair``      - an explicit list of feature pairs; once the used features
-                  identify one pair, only that pair remains available.
+* ``pair``      - both features of one pair, anywhere in the tree.
 * ``discovery`` - at most 3 leaves and 2 splits, the second split must use a
                   feature different from the root's. Used to nominate pairs.
 
 Split search works on histograms of the feature-major binned matrix (the
 layout of LightGBM, Ke et al. 2017). Each step scores, in one pass, only the
-leaves that need it: the two children of the last split, or every open leaf
-whose candidate list just changed. A leaf with fewer than
+leaves that need it: the root, then the two children of the last split (the
+candidate features change only at the root split). A leaf with fewer than
 ``2 * min_data_in_leaf`` rows cannot split and is never scored. The result
 is the same tree as scoring every leaf one feature at a time: each histogram
 cell sums the same rows in the same order, and ties resolve to the lowest
 gain-maximising feature id, then the lowest bin, then the oldest leaf.
 
-Splits store raw thresholds (the boundary value between the two bins), so
-inference never needs the bin mapper. Inputs are finite (the loader rejects
+A fitted tree is a set of flat split and leaf arrays, as in LightGBM. Splits
+store raw thresholds (the boundary value between the two bins), so inference
+never needs the bin mapper. Inputs are finite (the loader rejects
 anything else); a NaN in a raw array compares false and goes right at every
 split, which is the last interval of every distilled table.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,24 +38,10 @@ from .dataset import BinMapper
 
 
 @dataclass
-class TreeLeaf:
-    value: float
-
-
-@dataclass
-class TreeNode:
-    feature: int            # 1-based feature id
-    threshold: float        # raw value; x <= threshold routes left
-    left: "TreeNode | TreeLeaf"
-    right: "TreeNode | TreeLeaf"
-
-
-@dataclass
 class ConstraintRegime:
-    """Which feature sets a tree may draw its splits from."""
+    """Which features a tree may draw its splits from."""
 
     kind: str                                   # "single" | "pair" | "discovery"
-    allowed_sets: tuple[frozenset[int], ...]
     feature_pool: frozenset[int]
     leaf_budget: int
     min_data_in_leaf: int = 20
@@ -80,44 +66,46 @@ class ConstraintRegime:
     @classmethod
     def single_feature(cls, features, leaf_budget, min_data_in_leaf=20, min_gain=0.0,
                        min_child_hessian=1e-3, max_leaf_output=10.0):
-        sets = tuple(frozenset((int(f),)) for f in features)
         pool = frozenset(int(f) for f in features)
-        return cls("single", sets, pool, leaf_budget, min_data_in_leaf, min_gain,
+        return cls("single", pool, leaf_budget, min_data_in_leaf, min_gain,
                    min_child_hessian, max_leaf_output)
 
     @classmethod
-    def feature_pairs(cls, pairs, leaf_budget, min_data_in_leaf=20, min_gain=0.0,
-                      min_child_hessian=1e-3, max_leaf_output=10.0):
-        sets = []
-        for i, j in pairs:
-            if i == j:
-                raise ValueError(f"pair members must be distinct, got ({i}, {j})")
-            sets.append(frozenset((int(i), int(j))))
-        pool = frozenset().union(*sets) if sets else frozenset()
-        return cls("pair", tuple(sets), pool, leaf_budget, min_data_in_leaf, min_gain,
-                   min_child_hessian, max_leaf_output)
+    def feature_pair(cls, pair, leaf_budget, min_data_in_leaf=20, min_gain=0.0,
+                     min_child_hessian=1e-3, max_leaf_output=10.0):
+        i, j = pair
+        if i == j:
+            raise ValueError(f"pair members must be distinct, got ({i}, {j})")
+        return cls("pair", frozenset((int(i), int(j))), leaf_budget, min_data_in_leaf,
+                   min_gain, min_child_hessian, max_leaf_output)
 
     @classmethod
     def pair_discovery(cls, features, min_data_in_leaf=20, min_gain=0.0,
                        min_child_hessian=1e-3, max_leaf_output=10.0):
         pool = frozenset(int(f) for f in features)
-        return cls("discovery", (), pool, cls.DISCOVERY_LEAVES, min_data_in_leaf,
+        return cls("discovery", pool, cls.DISCOVERY_LEAVES, min_data_in_leaf,
                    min_gain, min_child_hessian, max_leaf_output)
 
-    def candidates(self, used: frozenset[int], root_feature: int | None) -> list[int]:
-        """Features a new split may use, given the features used so far."""
-        if self.kind == "discovery":
-            pool = self.feature_pool
-            if root_feature is not None:
-                pool = pool - {root_feature}
-            return sorted(pool)
-        consistent = [s for s in self.allowed_sets if used <= s]
-        return sorted(frozenset().union(*consistent)) if consistent else []
+    def candidates(self, root_feature: int | None) -> list[int]:
+        """Features a new split may use, given the root split's feature
+        (None before the root is split)."""
+        if root_feature is None or self.kind == "pair":
+            return sorted(self.feature_pool)
+        if self.kind == "single":
+            return [root_feature]
+        return sorted(self.feature_pool - {root_feature})
 
 
 @dataclass
 class DecisionTree:
-    """A fitted tree: routing structure, constraint tag, and features used.
+    """A fitted tree in flat split and leaf arrays, plus its constraint tag.
+
+    Split ``s`` sends an input ``x`` with ``x[split_feature[s] - 1] <=
+    threshold[s]`` (feature ids are 1-based) to ``left_child[s]`` and any
+    other input to ``right_child[s]``. A child ``c >= 0`` is split ``c``; a
+    child ``c < 0`` is leaf ``~c``, which outputs ``leaf_value[~c]``. Splits
+    are numbered in growth order, so split 0 is the root; a tree without
+    splits is the single leaf 0.
 
     ``constraint_features`` carries the resolved allowed set: the single
     feature for main-effect trees and the assigned pair for interaction
@@ -125,40 +113,33 @@ class DecisionTree:
     the set down (the trainer resolves those).
     """
 
-    root: TreeNode | TreeLeaf
+    split_feature: list[int]
+    threshold: list[float]
+    left_child: list[int]
+    right_child: list[int]
+    leaf_value: list[float]
     constraint_kind: str
     constraint_features: tuple[int, ...]
-    used_features: tuple[int, ...] = field(default_factory=tuple)
+
+    @property
+    def root(self) -> int:
+        return 0 if self.split_feature else ~0
+
+    @property
+    def used_features(self) -> tuple[int, ...]:
+        """The split features in order of first use."""
+        return tuple(dict.fromkeys(self.split_feature))
 
     @property
     def num_leaves(self) -> int:
-        return sum(1 for _ in self.leaves())
+        return len(self.leaf_value)
 
     @property
     def is_stump(self) -> bool:
-        return isinstance(self.root, TreeLeaf)
-
-    def leaves(self):
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, TreeLeaf):
-                yield node
-            else:
-                stack.append(node.right)
-                stack.append(node.left)
-
-    def nodes(self):
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, TreeNode):
-                yield node
-                stack.append(node.right)
-                stack.append(node.left)
+        return not self.split_feature
 
     def thresholds_for(self, fid: int) -> list[float]:
-        return [n.threshold for n in self.nodes() if n.feature == fid]
+        return [t for f, t in zip(self.split_feature, self.threshold) if f == fid]
 
     def predict_batch(self, features: np.ndarray) -> np.ndarray:
         features = np.asarray(features, dtype=np.float64)
@@ -166,63 +147,65 @@ class DecisionTree:
         stack = [(self.root, np.arange(features.shape[0]))]
         while stack:
             node, idx = stack.pop()
-            if isinstance(node, TreeLeaf):
-                out[idx] = node.value
+            if node < 0:
+                out[idx] = self.leaf_value[~node]
                 continue
-            go_left = features[idx, node.feature - 1] <= node.threshold
-            stack.append((node.right, idx[~go_left]))
-            stack.append((node.left, idx[go_left]))
+            go_left = features[idx, self.split_feature[node] - 1] <= self.threshold[node]
+            stack.append((self.right_child[node], idx[~go_left]))
+            stack.append((self.left_child[node], idx[go_left]))
         return out
 
     def to_dict(self) -> dict:
-        nodes: dict = {}
-        stack = [(self.root, nodes)]
-        while stack:
-            node, out = stack.pop()
-            if isinstance(node, TreeLeaf):
-                out["value"] = node.value
-                continue
-            out.update(feature=node.feature, threshold=node.threshold, left={}, right={})
-            stack.append((node.right, out["right"]))
-            stack.append((node.left, out["left"]))
         return {
             "constraint": [self.constraint_kind, list(self.constraint_features)],
-            "used_features": list(self.used_features),
-            "nodes": nodes,
+            "split_feature": list(self.split_feature),
+            "threshold": list(self.threshold),
+            "left_child": list(self.left_child),
+            "right_child": list(self.right_child),
+            "leaf_value": list(self.leaf_value),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecisionTree":
-        holder = TreeNode(0, 0.0, None, None)      # the root goes in holder.left
-        stack = [(data["nodes"], holder, "left")]
-        while stack:
-            item, parent, side = stack.pop()
-            if "value" in item:
-                node = TreeLeaf(float(item["value"]))
-            else:
-                node = TreeNode(int(item["feature"]), float(item["threshold"]), None, None)
-                left, right = item["left"], item["right"]
-                stack.append((right, node, "right"))
-                stack.append((left, node, "left"))
-            setattr(parent, side, node)
+        """Rebuild a tree, refusing arrays that do not form one tree.
 
+        With S splits there must be S features, thresholds, left and right
+        children and S + 1 leaves; the 2S children must name every split
+        but the root and every leaf exactly once, and a child split must
+        come after its parent, so every node reaches the root.
+        """
         kind, feats = data["constraint"]
-        return cls(
-            holder.left,
+        tree = cls(
+            [int(f) for f in data["split_feature"]],
+            [float(t) for t in data["threshold"]],
+            [int(c) for c in data["left_child"]],
+            [int(c) for c in data["right_child"]],
+            [float(v) for v in data["leaf_value"]],
             str(kind),
             tuple(int(f) for f in feats),
-            tuple(int(f) for f in data["used_features"]),
         )
+        n = len(tree.split_feature)
+        if not (len(tree.threshold) == len(tree.left_child) == len(tree.right_child) == n
+                and len(tree.leaf_value) == n + 1):
+            raise ValueError(f"tree arrays disagree in length ({n} split features need "
+                             f"{n} thresholds and children and {n + 1} leaf values)")
+        children = tree.left_child + tree.right_child
+        if n and sorted(children) != list(range(-n - 1, 0)) + list(range(1, n)):
+            raise ValueError("tree children must name every leaf and every split "
+                             "but the root exactly once")
+        if any(0 <= c <= s for s, pair in enumerate(zip(tree.left_child, tree.right_child))
+               for c in pair):
+            raise ValueError("a child split must come after its parent split")
+        return tree
 
 
 class _GrowLeaf:
-    __slots__ = ("rows", "order", "slot", "cands", "best")
+    __slots__ = ("rows", "index", "slot", "best")
 
-    def __init__(self, rows, order, slot):
+    def __init__(self, rows, index, slot):
         self.rows = rows            # ascending row indices
-        self.order = order          # creation order, the last tie-break
-        self.slot = slot            # (node, "left" | "right") that will hold the leaf
-        self.cands = None           # candidate features of the last scoring
+        self.index = index          # leaf number in the finished tree
+        self.slot = slot            # (child list, split) that points at the leaf; None at the root
         self.best = None            # (gain, feature, bin) or None
 
 
@@ -336,59 +319,50 @@ def fit_tree(
     if learning_rate <= 0:
         raise ValueError(f"learning rate must be > 0, got {learning_rate}")
 
-    holder = TreeNode(0, 0.0, None, None)      # the root goes in holder.left
-    open_leaves = [_GrowLeaf(np.arange(n, dtype=np.intp), 0, (holder, "left"))]
-    used: list[int] = []
-    root_feature: int | None = None
-    cands = None
-    next_order = 1
+    tree = DecisionTree([], [], [], [], [], regime.kind, ())
+    open_leaves = [_GrowLeaf(np.arange(n, dtype=np.intp), 0, None)]   # in creation order
+    new = open_leaves
 
     while len(open_leaves) < regime.leaf_budget:
-        if cands is None:
-            cands = tuple(f for f in regime.candidates(frozenset(used), root_feature)
-                          if bins.num_bins(f) >= 2)
-        # Score the leaves whose candidate list changed (new children
-        # included); a leaf too small to give both children min_data rows
-        # cannot split and is not scored.
-        stale = [leaf for leaf in open_leaves if leaf.cands != cands]
-        for leaf in stale:
-            leaf.cands = cands
-            leaf.best = None
-        stale = [leaf for leaf in stale if leaf.rows.size >= 2 * regime.min_data_in_leaf]
-        if stale and cands:
-            _score_leaves(bins, stale, gradients, hessians, cands,
+        # The candidates change only at the root split, when every open leaf
+        # is new, so only new leaves are scored. A leaf too small to give
+        # both children min_data rows cannot split and is not scored.
+        root_feature = tree.split_feature[0] if tree.split_feature else None
+        cands = [f for f in regime.candidates(root_feature) if bins.num_bins(f) >= 2]
+        new = [leaf for leaf in new if leaf.rows.size >= 2 * regime.min_data_in_leaf]
+        if new and cands:
+            _score_leaves(bins, new, gradients, hessians, cands,
                           regime.min_data_in_leaf, regime.min_gain, lambda_l2,
                           regime.min_child_hessian)
         scored = [leaf for leaf in open_leaves if leaf.best is not None]
         if not scored:
             break
-        leaf = min(scored, key=lambda lf: (-lf.best[0], lf.best[1], lf.best[2], lf.order))
+        # min() returns the first of equal keys: the oldest leaf wins a tie.
+        leaf = min(scored, key=lambda lf: (-lf.best[0], lf.best[1], lf.best[2]))
 
         _, fid, t = leaf.best
         go_left = bins.binned[:, fid - 1][leaf.rows] <= t
-        node = TreeNode(fid, float(bins.boundaries[fid - 1][t]), None, None)
-        setattr(*leaf.slot, node)
-        left = _GrowLeaf(leaf.rows[go_left], next_order, (node, "left"))
-        right = _GrowLeaf(leaf.rows[~go_left], next_order + 1, (node, "right"))
-        next_order += 2
+        split = len(tree.split_feature)
+        if leaf.slot is not None:
+            children, parent = leaf.slot
+            children[parent] = split
+        tree.split_feature.append(fid)
+        tree.threshold.append(float(bins.boundaries[fid - 1][t]))
+        tree.left_child.append(~leaf.index)
+        tree.right_child.append(~(split + 1))
+        new = [_GrowLeaf(leaf.rows[go_left], leaf.index, (tree.left_child, split)),
+               _GrowLeaf(leaf.rows[~go_left], split + 1, (tree.right_child, split))]
         open_leaves.remove(leaf)
-        open_leaves.extend((left, right))
-        if root_feature is None:
-            root_feature = fid
-            cands = None
-        if fid not in used:
-            used.append(fid)
-            cands = None
+        open_leaves.extend(new)
 
+    tree.leaf_value = [0.0] * len(open_leaves)
     for leaf in open_leaves:
-        value = _leaf_value(leaf.rows, gradients, hessians, lambda_l2, learning_rate,
-                            regime.max_leaf_output)
-        setattr(*leaf.slot, TreeLeaf(value))
+        tree.leaf_value[leaf.index] = _leaf_value(leaf.rows, gradients, hessians, lambda_l2,
+                                                  learning_rate, regime.max_leaf_output)
 
+    used = tree.used_features
     if regime.kind == "single":
-        tag = tuple(used)
+        tree.constraint_features = used
     elif regime.kind == "pair" and len(used) == 2:
-        tag = tuple(sorted(used))
-    else:
-        tag = ()
-    return DecisionTree(holder.left, regime.kind, tag, tuple(used))
+        tree.constraint_features = tuple(sorted(used))
+    return tree

@@ -221,11 +221,51 @@ def test_eval_dimension_mismatch_exits_2(trained_dir, files, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("damage", ["unknown_config_key", "missing_key", "truncated_json",
-                                    "negative_learning_rate", "unknown_stage3_override"])
+                                    "negative_learning_rate", "unknown_stage3_override",
+                                    "root_split_moved", "split_on_feature_zero",
+                                    "nan_threshold", "child_listed_twice",
+                                    "split_is_its_own_child", "leaf_missing",
+                                    "pair_tree_splits_outside_its_pair"])
 def test_malformed_model_file_exits_2(trained_dir, files, tmp_path, capsys, damage):
     text = (trained_dir / "model.json").read_text()
     data = json.loads(text)
-    if damage == "unknown_config_key":
+    tree = data["main_trees"][0]
+    if damage == "root_split_moved":
+        tree["split_feature"][0] = tree["split_feature"][0] % data["metadata"]["num_features"] + 1
+        text = json.dumps(data)
+    elif damage == "split_on_feature_zero":
+        # feature J[0] becomes 0 everywhere, so only the range check can tell
+        f = data["J"][0]
+
+        def relabel(ids):
+            return [0 if x == f else x for x in ids]
+        for t in data["main_trees"] + data["interaction_trees"]:
+            t["split_feature"] = relabel(t["split_feature"])
+            t["constraint"][1] = relabel(t["constraint"][1])
+        data["J"] = relabel(data["J"])
+        data["K_set"] = [relabel(p) for p in data["K_set"]]
+        text = json.dumps(data)
+    elif damage == "nan_threshold":
+        tree["threshold"][0] = float("nan")
+        text = json.dumps(data)
+    elif damage == "child_listed_twice":
+        tree["right_child"][0] = tree["left_child"][0]
+        text = json.dumps(data)
+    elif damage == "split_is_its_own_child":
+        # split 1 takes over a child of its parent and points at itself
+        side = "left_child" if 1 in tree["left_child"] else "right_child"
+        parent = tree[side].index(1)
+        tree[side][parent], tree["left_child"][1] = tree["left_child"][1], 1
+        text = json.dumps(data)
+    elif damage == "leaf_missing":
+        tree["leaf_value"].pop()
+        text = json.dumps(data)
+    elif damage == "pair_tree_splits_outside_its_pair":
+        pair_tree = data["interaction_trees"][0]
+        outside = min(set(data["J"]) - set(pair_tree["constraint"][1]))
+        pair_tree["split_feature"][0] = outside
+        text = json.dumps(data)
+    elif damage == "unknown_config_key":
         data["config"]["no_such_option"] = 1
         text = json.dumps(data)
     elif damage == "negative_learning_rate":

@@ -18,23 +18,20 @@ from ilmart import (
     train_main_effects,
     TrainConfig,
 )
-from ilmart.trees import DecisionTree, TreeLeaf, TreeNode
+from ilmart.trees import DecisionTree
 
 from synthdata import letor_like, planted_interaction
+from treespec import make_tree
 
 
 def two_leaf(feature, threshold, left, right):
-    return DecisionTree(
-        TreeNode(feature, threshold, TreeLeaf(left), TreeLeaf(right)),
-        "single", (feature,), (feature,),
-    )
+    return make_tree((feature, threshold, left, right), "single", (feature,))
 
 
 def pair_tree(i, j, threshold_i, threshold_j, values):
     """Root on i, right child split on j; values = (left, right-left, right-right)."""
-    right = TreeNode(j, threshold_j, TreeLeaf(values[1]), TreeLeaf(values[2]))
-    root = TreeNode(i, threshold_i, TreeLeaf(values[0]), right)
-    return DecisionTree(root, "pair", tuple(sorted((i, j))), (i, j))
+    spec = (i, threshold_i, values[0], (j, threshold_j, values[1], values[2]))
+    return make_tree(spec, "pair", tuple(sorted((i, j))))
 
 
 @pytest.fixture(scope="module")
@@ -106,11 +103,8 @@ def test_nan_goes_right_in_tree_and_table():
 def test_leaf_walk_skips_unreachable_branches():
     # The inner split at 0.7 sits under "x <= 0.5", so its right leaf is
     # unreachable; the pair tree splits on j first and on i below it.
-    inner = TreeNode(1, 0.7, TreeLeaf(1.0), TreeLeaf(100.0))
-    main = DecisionTree(TreeNode(1, 0.5, inner, TreeLeaf(-1.0)), "single", (1,), (1,))
-    pair = DecisionTree(
-        TreeNode(2, 0.3, TreeNode(1, 0.6, TreeLeaf(0.5), TreeLeaf(0.25)), TreeLeaf(-0.5)),
-        "pair", (1, 2), (2, 1))
+    main = make_tree((1, 0.5, (1, 0.7, 1.0, 100.0), -1.0), "single", (1,))
+    pair = make_tree((2, 0.3, (1, 0.6, 0.5, 0.25), -0.5), "pair", (1, 2))
     model = IlmartModel(num_features=2, main_trees=[main], main_features=[1],
                         interaction_trees=[pair], interaction_pairs=[(1, 2)])
     (shape,), (surface,) = distill_shapes(model)
@@ -175,17 +169,12 @@ def test_distillation_idempotence(trained):
     def interval_tree(feature, lo, hi, value):
         # value inside (lo, hi], zero outside; lo/hi None for open ends
         if lo is None:
-            return DecisionTree(
-                TreeNode(feature, hi, TreeLeaf(value), TreeLeaf(0.0)),
-                "single", (feature,), (feature,))
-        if hi is None:
-            return DecisionTree(
-                TreeNode(feature, lo, TreeLeaf(0.0), TreeLeaf(value)),
-                "single", (feature,), (feature,))
-        inner = TreeNode(feature, hi, TreeLeaf(value), TreeLeaf(0.0))
-        return DecisionTree(
-            TreeNode(feature, lo, TreeLeaf(0.0), inner),
-            "single", (feature,), (feature,))
+            spec = (feature, hi, value, 0.0)
+        elif hi is None:
+            spec = (feature, lo, 0.0, value)
+        else:
+            spec = (feature, lo, 0.0, (feature, hi, value, 0.0))
+        return make_tree(spec, "single", (feature,))
 
     trees = []
     order = []
@@ -307,29 +296,15 @@ def test_importance_present_in_index(tmp_path, trained):
 def chain_tree(features, thresholds, values, kind, tag):
     """A chain: split ``i`` sends ``x <= thresholds[i]`` to leaf ``values[i]``
     and everything else on to split ``i + 1``; the last leaf takes the rest."""
-    node = TreeLeaf(float(values[-1]))
+    spec = values[-1]
     for f, t, v in zip(features[::-1], thresholds[::-1], values[-2::-1]):
-        node = TreeNode(int(f), float(t), TreeLeaf(float(v)), node)
-    used = tuple(dict.fromkeys(int(f) for f in features))
-    return DecisionTree(node, kind, tag, used)
-
-
-def preorder(tree):
-    """Splits as (feature, threshold) and leaves as values, root first."""
-    out, stack = [], [tree.root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, TreeLeaf):
-            out.append(node.value)
-        else:
-            out.append((node.feature, node.threshold))
-            stack += [node.right, node.left]
-    return out
+        spec = (f, t, v, spec)
+    return make_tree(spec, kind, tag)
 
 
 def test_5000_deep_chain_round_trips_scores_and_distils():
-    # Deeper than the interpreter's recursion limit at every step: encode,
-    # decode, score and distil all walk the tree with an explicit stack.
+    # Deeper than the interpreter's recursion limit: scoring and distilling
+    # walk the tree with an explicit stack.
     depth = 5000
     rng = np.random.default_rng(17)
     cuts = np.sort(rng.random(depth))
@@ -346,8 +321,8 @@ def test_5000_deep_chain_round_trips_scores_and_distils():
     )
     model.validate()
     loaded = [DecisionTree.from_dict(t.to_dict()) for t in model.trees]
-    assert [preorder(t) for t in loaded] == [preorder(t) for t in model.trees]
-    assert len(preorder(loaded[0])) == 2 * depth + 1
+    assert [t.to_dict() for t in loaded] == [t.to_dict() for t in model.trees]
+    assert loaded[0].num_leaves == depth + 1
     back = IlmartModel(num_features=2, main_trees=loaded[:2], interaction_trees=loaded[2:],
                        main_features=[1, 2], interaction_pairs=[(1, 2)])
     back.validate()

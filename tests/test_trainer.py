@@ -14,6 +14,7 @@ from ilmart import (
     ModelError,
     TrainConfig,
     build_bins,
+    distill_shapes,
     load_model,
     mean_ndcg,
     save_model,
@@ -23,9 +24,8 @@ from ilmart import (
     train_main_effects,
 )
 
-from ilmart.trees import DecisionTree, TreeLeaf, TreeNode
-
 from synthdata import planted_interaction, single_signal
+from treespec import make_tree
 
 
 def small_cfg(**overrides):
@@ -76,7 +76,7 @@ def test_signal_feature_dominates_leaf_mass():
     assert 1 in model.main_features
     mass = {f: 0.0 for f in model.main_features}
     for tree in model.main_trees:
-        mass[tree.used_features[0]] += sum(abs(l.value) for l in tree.leaves())
+        mass[tree.used_features[0]] += sum(abs(v) for v in tree.leaf_value)
     assert max(mass, key=mass.get) == 1
 
 
@@ -287,13 +287,11 @@ def draw_tree(data, features, kind, tag, depth=3):
 
     def grow(level):
         if level > 0 and (level == depth or data.draw(st.booleans())):
-            return TreeLeaf(data.draw(values))
-        return TreeNode(data.draw(st.sampled_from(features)), data.draw(thresholds),
-                        grow(level + 1), grow(level + 1))
+            return data.draw(values)
+        return (data.draw(st.sampled_from(features)), data.draw(thresholds),
+                grow(level + 1), grow(level + 1))
 
-    root = grow(0)
-    used = tuple(dict.fromkeys(n.feature for n in DecisionTree(root, kind, tag).nodes()))
-    return DecisionTree(root, kind, tag, used)
+    return make_tree(grow(0), kind, tag)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -323,16 +321,21 @@ def test_saved_model_scores_bit_identically(data):
         assert back.predict_batch(X).tobytes() == model.predict_batch(X).tobytes()
 
 
-def test_tree_too_deep_for_json_is_refused_on_save(tmp_path):
-    node = TreeLeaf(0.0)
+def test_5000_deep_chain_saves_and_loads_bit_identically(tmp_path):
+    spec = 0.0
     for k in range(5000):
-        node = TreeNode(1, float(k), TreeLeaf(1.0), node)
-    model = IlmartModel(num_features=1, main_trees=[DecisionTree(node, "single", (1,), (1,))],
+        spec = (1, float(k), 1.0, spec)
+    model = IlmartModel(num_features=1, main_trees=[make_tree(spec, "single", (1,))],
                         main_features=[1])
     path = tmp_path / "model.json"
-    with pytest.raises(ModelError, match="nests too deeply"):
-        save_model(model, path)
-    assert os.listdir(tmp_path) == []
+    save_model(model, path)
+    back = load_model(path)
+    X = np.arange(-1.0, 5001.0, 0.5).reshape(-1, 1)
+    assert back.predict_batch(X).tobytes() == model.predict_batch(X).tobytes()
+    (want,), _ = distill_shapes(model)
+    (got,), _ = distill_shapes(back)
+    assert np.array_equal(got.breakpoints, want.breakpoints)
+    assert np.array_equal(got.values, want.values)
 
 
 def test_deeply_nested_model_file_is_a_model_error(tmp_path):
@@ -349,9 +352,7 @@ def test_tampered_model_rejected(tmp_path, planted_run):
     data = json.loads(path.read_text())
     tree = data["interaction_trees"][0]
     # rewrite one split to use a feature outside the assigned pair
-    node = tree["nodes"]
-    node["feature"] = 99 if node["feature"] != 99 else 98
-    tree["used_features"] = sorted(set(tree["used_features"]) | {node["feature"]})
+    tree["split_feature"][0] = 99 if tree["split_feature"][0] != 99 else 98
     path.write_text(json.dumps(data))
     with pytest.raises(ModelError, match="constraint violation"):
         load_model(path)
@@ -416,13 +417,11 @@ def test_scores_by_pair_rank_runs_from_stage1_to_full(planted_run):
 
 
 def _pair_tree(i, j, value):
-    inner = TreeNode(j, 0.5, TreeLeaf(0.0), TreeLeaf(value))
-    return DecisionTree(TreeNode(i, 0.5, TreeLeaf(0.0), inner), "pair", (i, j), (i, j))
+    return make_tree((i, 0.5, 0.0, (j, 0.5, 0.0, value)), "pair", (i, j))
 
 
 def test_validate_requires_trees_grouped_by_pair_in_k_set_order():
-    main = [DecisionTree(TreeNode(f, 0.5, TreeLeaf(-0.25), TreeLeaf(0.25)), "single", (f,), (f,))
-            for f in (1, 2, 3)]
+    main = [make_tree((f, 0.5, -0.25, 0.25), "single", (f,)) for f in (1, 2, 3)]
     a1, a2, b1 = _pair_tree(1, 2, 0.5), _pair_tree(1, 2, 1.0), _pair_tree(1, 3, 2.0)
     good = IlmartModel(num_features=3, main_trees=main, main_features=[1, 2, 3],
                        interaction_trees=[a1, a2, b1], interaction_pairs=[(1, 2), (1, 3)])

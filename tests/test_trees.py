@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from ilmart import Dataset, build_bins
-from ilmart.trees import ConstraintRegime, DecisionTree, TreeLeaf, TreeNode, fit_tree
+from ilmart.trees import ConstraintRegime, DecisionTree, fit_tree
 
 from synthdata import random_queries
+from treespec import make_tree
 
 
 def make_bins(X, max_bins=32):
@@ -34,14 +35,15 @@ def exhaustive_root_split(bins, grad, hess, features, min_data=1, l2=0.0, min_he
 
 
 def leaf_rows(tree, X):
-    """Group training rows by the leaf object they route to."""
+    """Group training rows by the leaf they route to, as (leaf value, rows)."""
     groups = {}
     for r in range(len(X)):
         node = tree.root
-        while isinstance(node, TreeNode):
-            node = node.left if X[r, node.feature - 1] <= node.threshold else node.right
-        groups.setdefault(id(node), (node, []))[1].append(r)
-    return list(groups.values())
+        while node >= 0:
+            go_left = X[r, tree.split_feature[node] - 1] <= tree.threshold[node]
+            node = tree.left_child[node] if go_left else tree.right_child[node]
+        groups.setdefault(~node, []).append(r)
+    return [(tree.leaf_value[leaf], rows) for leaf, rows in groups.items()]
 
 
 def test_single_regime_uses_one_feature_everywhere():
@@ -53,7 +55,7 @@ def test_single_regime_uses_one_feature_everywhere():
     regime = ConstraintRegime.single_feature([1, 2, 3, 4], 16, min_data_in_leaf=5)
     tree = fit_tree(bins, grad, hess, regime, 0.1)
     assert tree.used_features == (3,)
-    assert all(n.feature == 3 for n in tree.nodes())
+    assert set(tree.split_feature) == {3}
     assert tree.constraint_kind == "single"
     assert tree.constraint_features == (3,)
 
@@ -64,9 +66,9 @@ def test_pair_regime_locks_to_one_pair():
     grad = (X[:, 0] - 0.5) * (X[:, 1] - 0.5) * 4 + 0.05 * rng.normal(size=400)
     hess = np.full(400, 0.25)
     bins = make_bins(X)
-    regime = ConstraintRegime.feature_pairs([(1, 2), (3, 4)], 12, min_data_in_leaf=5)
+    regime = ConstraintRegime.feature_pair((1, 2), 12, min_data_in_leaf=5)
     tree = fit_tree(bins, grad, hess, regime, 0.1)
-    assert set(tree.used_features) <= {1, 2} or set(tree.used_features) <= {3, 4}
+    assert set(tree.used_features) <= {1, 2}
     assert tree.num_leaves <= 12
 
 
@@ -81,7 +83,7 @@ def test_discovery_tree_caps_leaves_and_requires_distinct_features():
     regime = ConstraintRegime.pair_discovery([1, 2, 3], min_data_in_leaf=5)
     tree = fit_tree(bins, grad, hess, regime, 0.1)
     assert tree.num_leaves <= 3
-    feats = [n.feature for n in tree.nodes()]
+    feats = tree.split_feature
     assert len(feats) == len(set(feats)), "the two discovery splits must differ"
     assert set(tree.used_features) == {1, 2}
 
@@ -110,7 +112,7 @@ def test_root_split_matches_exhaustive_oracle():
         tree = fit_tree(bins, grad, hess, regime, 0.1)
         assert oracle is not None
         _, fid, t = oracle
-        assert (tree.root.feature, tree.root.threshold) == (fid, bins.boundaries[fid - 1][t])
+        assert (tree.split_feature[0], tree.threshold[0]) == (fid, bins.boundaries[fid - 1][t])
 
 
 def test_pair_root_split_matches_constrained_oracle():
@@ -121,10 +123,10 @@ def test_pair_root_split_matches_constrained_oracle():
     bins = make_bins(X, max_bins=8)
     allowed = [1, 3]
     oracle = exhaustive_root_split(bins, grad, hess, allowed, min_data=10)
-    regime = ConstraintRegime.feature_pairs([(1, 3)], 2, min_data_in_leaf=10)
+    regime = ConstraintRegime.feature_pair((1, 3), 2, min_data_in_leaf=10)
     tree = fit_tree(bins, grad, hess, regime, 0.1)
     _, fid, t = oracle
-    assert (tree.root.feature, tree.root.threshold) == (fid, bins.boundaries[fid - 1][t])
+    assert (tree.split_feature[0], tree.threshold[0]) == (fid, bins.boundaries[fid - 1][t])
 
 
 def test_leaf_values_are_newton_steps():
@@ -138,10 +140,10 @@ def test_leaf_values_are_newton_steps():
         lr = 0.3
         tree = fit_tree(bins, grad, hess, regime, lr, lambda_l2=l2)
         assert not tree.is_stump
-        for leaf, rows in leaf_rows(tree, X):
+        for value, rows in leaf_rows(tree, X):
             rows = np.asarray(rows)
             want = -grad[rows].sum() / (hess[rows].sum() + l2) * lr
-            assert leaf.value == pytest.approx(want, abs=1e-10)
+            assert value == pytest.approx(want, abs=1e-10)
 
 
 def test_leaf_budget_respected():
@@ -191,11 +193,12 @@ def test_raw_threshold_routing_matches_bin_routing():
     def predict_by_bins(r):
         # A threshold is the boundary that closes bin t on the right.
         node = tree.root
-        while isinstance(node, TreeNode):
-            boundaries = bins.boundaries[node.feature - 1]
-            t = boundaries.tolist().index(node.threshold)
-            node = node.left if bins.binned[r, node.feature - 1] <= t else node.right
-        return node.value
+        while node >= 0:
+            fid = tree.split_feature[node]
+            t = bins.boundaries[fid - 1].tolist().index(tree.threshold[node])
+            go_left = bins.binned[r, fid - 1] <= t
+            node = tree.left_child[node] if go_left else tree.right_child[node]
+        return tree.leaf_value[~node]
 
     raw = tree.predict_batch(X)
     binned = np.array([predict_by_bins(r) for r in range(1000)])
@@ -214,6 +217,18 @@ def test_tie_break_prefers_lowest_feature():
     assert tree.used_features == (2,)
 
 
+def test_gain_tie_between_leaves_goes_to_the_oldest_leaf():
+    # The root splits on feature 1; both children then have the same best
+    # split (feature 2, bin 0) with exactly equal gains, and one split is left.
+    x1, x2 = np.repeat([0.0, 1.0], 20), np.tile(np.repeat([0.0, 1.0], 10), 2)
+    grad = 6.0 * (x1 - 0.5) + 2.0 * (x2 - 0.5)
+    bins = make_bins(np.column_stack([x1, x2]))
+    regime = ConstraintRegime.feature_pair((1, 2), 3, min_data_in_leaf=1)
+    tree = fit_tree(bins, grad, np.ones(40), regime, 0.1)
+    assert tree.split_feature == [1, 2]
+    assert tree.left_child[0] == 1
+
+
 def test_leaf_output_clamp_binds_on_degenerate_hessians():
     X = np.repeat([[0.0], [1.0]], 25, axis=0)
     grad = np.where(X[:, 0] > 0.5, -5.0, 5.0)
@@ -222,7 +237,7 @@ def test_leaf_output_clamp_binds_on_degenerate_hessians():
     regime = ConstraintRegime.single_feature([1], 2, min_data_in_leaf=1,
                                              max_leaf_output=10.0)
     tree = fit_tree(bins, grad, hess, regime, 1.0)
-    values = sorted(leaf.value for leaf in tree.leaves())
+    values = sorted(tree.leaf_value)
     assert values == [-10.0, 10.0]
 
 
@@ -239,14 +254,13 @@ def test_serialization_round_trip():
 
 
 def test_stump_predicts_its_value():
-    tree = DecisionTree(TreeLeaf(0.0), "single", (), ())
+    tree = make_tree(0.0, "single", ())
     assert tree.predict_batch(np.array([[1.0, 2.0]])).tolist() == [0.0]
+    assert DecisionTree.from_dict(tree.to_dict()) == tree
 
 
 def test_manual_two_leaf_routing():
-    tree = DecisionTree(
-        TreeNode(1, 0.5, TreeLeaf(-0.1), TreeLeaf(0.2)), "single", (1,), (1,)
-    )
+    tree = make_tree((1, 0.5, -0.1, 0.2), "single", (1,))
     x = np.array([[0.3], [0.5], [0.7], [-np.inf], [np.inf], [np.nan]])
     # NaN compares false at the split, so it goes right
     assert tree.predict_batch(x).tolist() == [-0.1, -0.1, 0.2, -0.1, 0.2, 0.2]
@@ -263,7 +277,7 @@ def test_input_validation():
     with pytest.raises(ValueError):
         ConstraintRegime.single_feature([1], 1)
     with pytest.raises(ValueError):
-        ConstraintRegime.feature_pairs([(2, 2)], 4)
+        ConstraintRegime.feature_pair((2, 2), 4)
 
 
 # -- Whole-tree oracle: the plain per-leaf, per-feature split search ---------
@@ -308,15 +322,18 @@ def oracle_fit_tree(bins, gradients, hessians, regime, learning_rate, lambda_l2=
                     scored_sizes=None):
     """Leaf-wise growth that re-scores every open leaf, whatever its size,
     each time the features used so far change. ``scored_sizes`` collects
-    the row count of every leaf scored."""
-    root = {"rows": np.arange(bins.num_rows), "order": 0, "version": -1}
+    the row count of every leaf scored. The left child of split ``s`` keeps
+    its parent's leaf number and the right child takes number ``s + 1``."""
+    tree = DecisionTree([], [], [], [], [], regime.kind, ())
+    root = {"rows": np.arange(bins.num_rows), "order": 0, "version": -1, "index": 0,
+            "slot": None}
     open_leaves = [root]
     used, root_feature, version, next_order = [], None, 0, 1
     while len(open_leaves) < regime.leaf_budget:
         chosen = None
-        for leaf in open_leaves:
+        for pos, leaf in enumerate(open_leaves):
             if leaf["version"] != version:
-                cands = regime.candidates(frozenset(used), root_feature)
+                cands = regime.candidates(root_feature)
                 leaf["best"] = oracle_best_split(
                     bins, leaf["rows"], gradients, hessians, cands, regime.min_data_in_leaf,
                     regime.min_gain, lambda_l2, regime.min_child_hessian)
@@ -327,19 +344,26 @@ def oracle_fit_tree(bins, gradients, hessians, regime, learning_rate, lambda_l2=
                 continue
             key = (-leaf["best"][0], leaf["best"][1], leaf["best"][2], leaf["order"])
             if chosen is None or key < chosen[0]:
-                chosen = (key, leaf)
+                chosen = (key, pos)
         if chosen is None:
             break
-        leaf = chosen[1]
+        leaf = open_leaves.pop(chosen[1])
         _, fid, t = leaf["best"]
         go_left = bins.binned[leaf["rows"], fid - 1] <= t
-        leaf["split"] = (fid, float(bins.boundaries[fid - 1][t]))
-        leaf["left"] = {"rows": leaf["rows"][go_left], "order": next_order, "version": -1}
-        leaf["right"] = {"rows": leaf["rows"][~go_left], "order": next_order + 1,
-                         "version": -1}
+        split = len(tree.split_feature)
+        if leaf["slot"] is not None:
+            children, parent = leaf["slot"]
+            children[parent] = split
+        tree.split_feature.append(fid)
+        tree.threshold.append(float(bins.boundaries[fid - 1][t]))
+        tree.left_child.append(~leaf["index"])
+        tree.right_child.append(~(split + 1))
+        left = {"rows": leaf["rows"][go_left], "order": next_order, "version": -1,
+                "index": leaf["index"], "slot": (tree.left_child, split)}
+        right = {"rows": leaf["rows"][~go_left], "order": next_order + 1, "version": -1,
+                 "index": split + 1, "slot": (tree.right_child, split)}
         next_order += 2
-        open_leaves.remove(leaf)
-        open_leaves.extend((leaf["left"], leaf["right"]))
+        open_leaves.extend((left, right))
         if root_feature is None:
             root_feature = fid
             version += 1
@@ -347,25 +371,23 @@ def oracle_fit_tree(bins, gradients, hessians, regime, learning_rate, lambda_l2=
             used.append(fid)
             version += 1
 
-    def freeze(leaf):
-        if "split" in leaf:
-            return TreeNode(*leaf["split"], freeze(leaf["left"]), freeze(leaf["right"]))
-        rows = leaf["rows"]
+    def value(rows):
         denom = hessians[rows].sum() + lambda_l2
         if denom <= 0:
-            return TreeLeaf(0.0)
+            return 0.0
         step = -(gradients[rows].sum()) / denom
         if regime.max_leaf_output > 0:
             step = min(max(step, -regime.max_leaf_output), regime.max_leaf_output)
-        return TreeLeaf(float(step * learning_rate))
+        return float(step * learning_rate)
 
+    tree.leaf_value = [0.0] * len(open_leaves)
+    for leaf in open_leaves:
+        tree.leaf_value[leaf["index"]] = value(leaf["rows"])
     if regime.kind == "single":
-        tag = tuple(used)
+        tree.constraint_features = tuple(used)
     elif regime.kind == "pair" and len(used) == 2:
-        tag = tuple(sorted(used))
-    else:
-        tag = ()
-    return DecisionTree(freeze(root), regime.kind, tag, tuple(used))
+        tree.constraint_features = tuple(sorted(used))
+    return tree
 
 
 def oracle_case(seed):
@@ -399,8 +421,8 @@ def oracle_case(seed):
     if kind == "single":
         regime = ConstraintRegime.single_feature(range(1, 7), budget, **limits)
     elif kind == "pair":
-        pairs = [(1, 2), (3, 4)] if rng.random() < 0.5 else [(1, 5), (4, 5), (5, 6)]
-        regime = ConstraintRegime.feature_pairs(pairs, budget, **limits)
+        pair = (1, 2) if rng.random() < 0.5 else (5, 6)
+        regime = ConstraintRegime.feature_pair(pair, budget, **limits)
     else:
         regime = ConstraintRegime.pair_discovery(range(1, 7), **limits)
     l2 = float(rng.choice([0.0, 0.5, 3.0]))
@@ -419,10 +441,10 @@ def test_fit_tree_matches_per_leaf_oracle_node_for_node():
         got = fit_tree(bins, grad, hess, regime, lr, lambda_l2=l2)
         assert got.to_dict() == want.to_dict(), f"seed {seed}"
         offsets += [s - 2 * regime.min_data_in_leaf for s in sizes[1:]]
-        splits += sum(1 for _ in want.nodes())
+        splits += len(want.split_feature)
         both_pair_features += regime.kind == "pair" and len(want.used_features) == 2
     # the cases reach leaves just below and exactly at the splittable size,
-    # and pair trees whose candidate list shrinks while leaves are open
+    # and pair trees that split on both features
     assert -1 in offsets and 0 in offsets
     assert splits > 4000 and both_pair_features > 100
 
