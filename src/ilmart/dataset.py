@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -86,6 +87,19 @@ class Dataset:
     @property
     def group_qids(self) -> list[str]:
         return [self.qids[g[0]] for g in self.query_groups]
+
+    @cached_property
+    def query_sizes(self) -> np.ndarray:
+        """Number of rows of each query, in ``query_groups`` order."""
+        return np.array([rows.size for rows in self.query_groups], dtype=np.intp)
+
+    @cached_property
+    def query_index(self) -> np.ndarray:
+        """Position in ``query_groups`` of each row's query."""
+        index = np.empty(self.num_rows, dtype=np.intp)
+        index[np.concatenate(self.query_groups)] = np.repeat(
+            np.arange(self.num_queries), self.query_sizes)
+        return index
 
     def digest(self) -> str:
         """Content hash recorded in trained model metadata."""
@@ -250,19 +264,20 @@ def build_bins(ds: Dataset, max_bins: int = DEFAULT_MAX_BINS) -> BinMapper:
     """
     if max_bins < 2:
         raise DatasetError(f"max_bins must be >= 2, got {max_bins}")
-    boundaries: list[np.ndarray] = []
-    for k in range(ds.num_features):
-        distinct = np.unique(ds.features[:, k])
-        m = distinct.size
-        if m <= 1:
-            boundaries.append(np.empty(0, dtype=np.float64))
-        elif m <= max_bins:
-            boundaries.append(_midpoints(distinct[:-1], distinct[1:]))
-        else:
-            cut = np.floor(np.arange(1, max_bins) * m / max_bins).astype(np.intp)
-            boundaries.append(_midpoints(distinct[cut - 1], distinct[cut]))
     dtype = np.uint8 if max_bins <= 256 else np.int32
     binned = np.zeros((ds.num_rows, ds.num_features), dtype=dtype, order="F")
+    boundaries: list[np.ndarray] = []
     for k in range(ds.num_features):
-        binned[:, k] = np.searchsorted(boundaries[k], ds.features[:, k], side="left")
+        # Bin the distinct values once; every row takes its value's bin.
+        distinct, inverse = np.unique(ds.features[:, k], return_inverse=True)
+        m = distinct.size
+        if m <= 1:
+            bounds = np.empty(0, dtype=np.float64)
+        elif m <= max_bins:
+            bounds = _midpoints(distinct[:-1], distinct[1:])
+        else:
+            cut = np.floor(np.arange(1, max_bins) * m / max_bins).astype(np.intp)
+            bounds = _midpoints(distinct[cut - 1], distinct[cut])
+        boundaries.append(bounds)
+        binned[:, k] = np.searchsorted(bounds, distinct, side="left")[inverse]
     return BinMapper(boundaries, binned)

@@ -15,11 +15,22 @@ discounted to zero, normalisation by the ideal DCG at the truncation).
 
 Swapping two documents that both sit below position ``truncation`` leaves
 NDCG@truncation unchanged, so only pairs with at least one document in the
-top ``truncation`` positions are formed (the restriction LightGBM's
-lambdarank objective uses). A :class:`LambdaPlan` fixes those rank-position
-pairs and each query's ideal DCG once per dataset and truncation; a round
-then ranks every query with one sort and works on flat pair vectors. Work
-and memory are O(k·n) per query of n documents at truncation k, never O(n²).
+top ``truncation`` positions count (the restriction LightGBM's lambdarank
+objective uses). A :class:`LambdaPlan` lays the queries out once per dataset
+and truncation as dense blocks: queries are bucketed by the power of two at
+or above their size, and each bucket is a (queries x width) matrix of row
+ids, ``width`` being its largest member's size, padded with a sentinel row.
+A round ranks each block's rows with one stable sort along the width and
+forms the (queries x truncation x width) block of rank-position pairs
+(p, q) by broadcasting; pairs with ``q <= p``, padding or equal labels
+weigh zero. Summing the block over q gives each top-``truncation``
+document's share as the first of its pairs, summing over p each document's
+share as the second; one scatter per block writes them back to the rows.
+Bucketing keeps one long query from setting every query's width, so work
+and memory are O(k·n) per query of n documents at truncation k (less than
+twice the query's own share), never O(n²). The sums run in another order
+than a loop over pairs, so results agree with one to rounding, not bit for
+bit.
 """
 from __future__ import annotations
 
@@ -28,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .metrics import ideal_dcg, rank_desc_stable
+from .metrics import QueryEvaluator, ideal_dcg, rank_desc_stable
 
 
 @dataclass
@@ -59,14 +70,78 @@ def ndcg_swap_deltas(labels, scores, truncation: int) -> np.ndarray:
     return np.abs((gains[:, None] - gains[None, :]) * (disc[:, None] - disc[None, :])) / ideal
 
 
-class LambdaPlan:
-    """The rank-position pairs of a dataset at one truncation, fixed once.
+class _Block:
+    """The queries of one size bucket as dense rank-position arrays.
 
-    Positions index the rows of all queries ranked together: query ``g``
-    owns positions ``starts[g] .. starts[g] + sizes[g] - 1`` in rank order.
-    The plan lists every pair ``(p, q)`` of those positions with local rank
-    ``p < truncation`` and ``p < q``, for queries with a non-zero ideal DCG,
-    together with ``|disc(p) - disc(q)|``.
+    ``rows[i]`` lists query ``i``'s rows in ascending order, padded with the
+    sentinel row id ``num_rows`` up to the bucket's width. ``weight[i, p,
+    q]`` is ``|disc(p) - disc(q)| / ideal_i`` for rank positions ``p < q``
+    with ``p`` in the top ``truncation`` and ``q`` a real document, and zero
+    for every other cell; a pair's |dZ| is its weight times its gap in gains.
+    """
+
+    def __init__(self, ds: Dataset, queries: np.ndarray, ideal: np.ndarray, truncation: int):
+        sizes = ds.query_sizes[queries]
+        width = int(sizes.max())
+        top = min(truncation, width)
+        self.last = sizes - 1
+        real = np.arange(width) < sizes[:, None]
+        self.rows = np.full((queries.size, width), ds.num_rows, dtype=np.intp)
+        self.rows[real] = np.concatenate([ds.query_groups[g] for g in queries.tolist()])
+        rank = np.arange(1, width + 1)
+        disc = np.where(rank <= truncation, 1.0 / np.log2(rank + 1.0), 0.0)
+        pair_disc = np.where(rank[None, :] > rank[:top, None],
+                             np.abs(disc[:top, None] - disc[None, :]), 0.0)
+        self.weight = pair_disc * real[:, None, :] / ideal[queries, None, None]
+
+    def __call__(self, keys, scores, gains, sigma, lambdarank_norm):
+        """Rank the block; return its rows in rank order and their gradients
+        and hessians (zero at the sentinel).
+
+        ``keys`` are the negated scores with ``+inf`` at the sentinel, which
+        the stable sort therefore ranks last; ``scores`` and ``gains`` are
+        zero there.
+        """
+        order = np.argsort(keys[self.rows], axis=1, kind="stable")
+        rows = np.take_along_axis(self.rows, order, axis=1)
+        s = scores[rows]
+        g = gains[rows]
+        top = self.weight.shape[1]
+        # Cell (i, p, q) pairs rank positions p < top and q of query i.
+        gain_gap = g[:, :top, None] - g[:, None, :]
+        sign = np.sign(gain_gap)                # +1 where p is the more relevant
+        delta = np.abs(gain_gap) * self.weight
+        sdiff = sign * (s[:, :top, None] - s[:, None, :])     # s_hi - s_lo
+        if lambdarank_norm:
+            # Ranked descending, so a query's scores vary iff first != last.
+            varied = s[:, 0] != s[np.arange(s.shape[0]), self.last]
+            delta = np.where(varied[:, None, None], delta / (0.01 + np.abs(sdiff)), delta)
+        with np.errstate(over="ignore"):
+            rho = 1.0 / (1.0 + np.exp(sigma * sdiff))
+        lam = sigma * rho * delta
+        hes = sigma * sigma * rho * (1.0 - rho) * delta
+        signed = sign * lam
+        gradient = -signed.sum(axis=1)
+        gradient[:, :top] += signed.sum(axis=2)
+        hessian = hes.sum(axis=1)
+        hessian[:, :top] += hes.sum(axis=2)
+        if lambdarank_norm:
+            mass = 2.0 * lam.sum(axis=(1, 2))
+            factor = np.ones_like(mass)
+            pos = mass > 0
+            factor[pos] = np.log2(1.0 + mass[pos]) / mass[pos]
+            gradient *= factor[:, None]
+            hessian *= factor[:, None]
+        return rows, gradient, hessian
+
+
+class LambdaPlan:
+    """The queries of a dataset laid out in size buckets at one truncation.
+
+    Queries whose ideal DCG is zero, or that hold one document, have no pair
+    that changes NDCG and are left out. The others are bucketed by
+    ``ceil(log2(size))``, so a bucket's width is less than twice the size
+    of each of its queries, and each bucket is one :class:`_Block`.
     """
 
     def __init__(self, ds: Dataset, truncation: int):
@@ -74,75 +149,31 @@ class LambdaPlan:
             raise ValueError(f"truncation must be >= 1, got {truncation}")
         self.ds = ds
         self.truncation = int(truncation)
-        groups = ds.query_groups
-        self.qidx = np.empty(ds.num_rows, dtype=np.intp)
-        for g, rows in enumerate(groups):
-            self.qidx[rows] = g
-        self.sizes = np.array([rows.size for rows in groups], dtype=np.intp)
-        self.starts = np.cumsum(self.sizes) - self.sizes
-        self.ideal = np.array([ideal_dcg(ds.labels[rows], truncation) for rows in groups])
-        self.gains = np.exp2(ds.labels.astype(np.float64)) - 1.0
-
-        position_query = np.repeat(np.arange(self.sizes.size), self.sizes)
-        rank = np.arange(ds.num_rows) - self.starts[position_query] + 1
-        disc = np.where(rank <= truncation, 1.0 / np.log2(rank + 1.0), 0.0)
-
-        first, second = [], []
-        live = self.ideal > 0.0
-        for p in range(min(self.truncation, int(self.sizes.max()))):
-            qs = np.flatnonzero(live & (self.sizes > p + 1))
-            lengths = self.sizes[qs] - (p + 1)
-            a = np.repeat(self.starts[qs] + p, lengths)
-            offsets = np.arange(a.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-            first.append(a)
-            second.append(a + 1 + offsets)
-        self.pos_a = np.concatenate(first)
-        self.pos_b = np.concatenate(second)
-        self.pair_query = position_query[self.pos_a]
-        self.abs_disc = np.abs(disc[self.pos_a] - disc[self.pos_b])
+        ideal = QueryEvaluator(ds, truncation).ideal
+        sizes = ds.query_sizes
+        live = np.flatnonzero((ideal > 0.0) & (sizes > 1))
+        bucket = np.ceil(np.log2(sizes[live])).astype(np.intp)
+        self.blocks = [_Block(ds, live[bucket == b], ideal, self.truncation)
+                       for b in np.unique(bucket).tolist()]
+        # Gains with the sentinel row's zero appended.
+        self.gains = np.append(np.exp2(ds.labels.astype(np.float64)) - 1.0, 0.0)
 
     def __call__(self, scores: np.ndarray, sigma: float, lambdarank_norm: bool) -> LambdaGrad:
         n_rows = self.ds.num_rows
-        # Rows grouped by query, each query by descending score; lexsort is
-        # stable, so ties keep ascending row order as in rank_desc_stable.
-        order = np.lexsort((-scores, self.qidx))
-        a = order[self.pos_a]
-        b = order[self.pos_b]
-        label_a = self.ds.labels[a]
-        label_b = self.ds.labels[b]
-        keep = label_a != label_b
-        if not keep.any():  # bincount of nothing would come back as integers
-            return LambdaGrad(np.zeros(n_rows), np.zeros(n_rows))
-        a_wins = label_a[keep] > label_b[keep]
-        a, b = a[keep], b[keep]
-        hi = np.where(a_wins, a, b)
-        lo = np.where(a_wins, b, a)
-        query = self.pair_query[keep]
-
-        delta = np.abs(self.gains[a] - self.gains[b]) * self.abs_disc[keep] / self.ideal[query]
-        sdiff = scores[hi] - scores[lo]
-        if lambdarank_norm:
-            # Ranked descending, so a query's scores vary iff first != last.
-            varied = scores[order[self.starts]] != scores[order[self.starts + self.sizes - 1]]
-            delta = np.where(varied[query], delta / (0.01 + np.abs(sdiff)), delta)
-        with np.errstate(over="ignore"):
-            rho = 1.0 / (1.0 + np.exp(sigma * sdiff))
-        lam = sigma * rho * delta
-        hes = sigma * sigma * rho * (1.0 - rho) * delta
-
-        gradient = np.bincount(hi, lam, n_rows) - np.bincount(lo, lam, n_rows)
-        hessian = np.bincount(hi, hes, n_rows) + np.bincount(lo, hes, n_rows)
-        if lambdarank_norm:
-            mass = 2.0 * np.bincount(query, lam, self.sizes.size)
-            factor = np.ones_like(mass)
-            pos = mass > 0
-            factor[pos] = np.log2(1.0 + mass[pos]) / mass[pos]
-            gradient *= factor[self.qidx]
-            hessian *= factor[self.qidx]
-        return LambdaGrad(gradient, hessian)
+        keys = np.append(-scores, np.inf)
+        values = np.append(scores, 0.0)
+        gradient = np.zeros(n_rows + 1)
+        hessian = np.zeros(n_rows + 1)
+        # A row is in at most one block, so plain assignment scatters.
+        for block in self.blocks:
+            rows, grad, hess = block(keys, values, self.gains, sigma, lambdarank_norm)
+            gradient[rows] = grad
+            hessian[rows] = hess
+        return LambdaGrad(gradient[:n_rows], hessian[:n_rows])
 
 
-def compute_lambdas(scores, ds: Dataset, sigma: float = 1.0, truncation: int = 10,
+def compute_lambdas(
+scores, ds: Dataset, sigma: float = 1.0, truncation: int = 10,
                     lambdarank_norm: bool = False, *,
                     plan: LambdaPlan | None = None) -> LambdaGrad:
     """Accumulate gradients and hessians over all label-discordant pairs.

@@ -62,43 +62,72 @@ class NdcgReport:
         return "\n".join(lines) + "\n"
 
 
-def per_query_ndcg(scores, ds: Dataset, k: int) -> np.ndarray:
-    """NDCG@k of every query in file order."""
+def ranked_gains(ds: Dataset, scores) -> np.ndarray:
+    """Gains ``2**label - 1`` of all rows ranked with one sort: queries in
+    ``query_groups`` order, each by descending score, ties by ascending row."""
+    order = np.lexsort((-np.asarray(scores, dtype=np.float64), ds.query_index))
+    return np.exp2(ds.labels[order].astype(np.float64)) - 1.0
+
+
+class QueryEvaluator:
+    """NDCG@k of every query of one dataset, batched over queries.
+
+    Queries are grouped by their depth ``min(size, k)``; a group's DCGs are
+    one (queries x depth) block of ranked gains divided by the discounts and
+    summed along the depth axis. Each row of the block is summed like the
+    ``depth`` terms of :func:`dcg_from_ranked` (numpy's pairwise sum depends
+    on the length, so short queries are not padded to ``k``), so every value
+    equals :func:`ndcg_at` bit for bit. The ideal DCGs are the DCGs of the
+    labels ranked by themselves, computed once.
+    """
+
+    def __init__(self, ds: Dataset, k: int):
+        if k < 1:
+            raise ValueError(f"cutoff must be >= 1, got {k}")
+        self.ds = ds
+        self.k = int(k)
+        sizes = ds.query_sizes
+        starts = np.cumsum(sizes) - sizes
+        depth = np.minimum(sizes, self.k)
+        self._blocks = []
+        for m in np.unique(depth).tolist():
+            queries = np.flatnonzero(depth == m)
+            self._blocks.append((queries, starts[queries, None] + np.arange(m),
+                                 np.log2(np.arange(2, m + 2, dtype=np.float64))))
+        self.ideal = self.dcg(ranked_gains(ds, ds.labels))
+
+    def dcg(self, gains: np.ndarray) -> np.ndarray:
+        """DCG@k of every query from gains ranked by :func:`ranked_gains`."""
+        out = np.empty(self.ds.num_queries, dtype=np.float64)
+        for queries, positions, discounts in self._blocks:
+            out[queries] = np.sum(gains[positions] / discounts, axis=1)
+        return out
+
+    def ndcg(self, gains: np.ndarray) -> np.ndarray:
+        """NDCG@k of every query from ranked gains; 1.0 without a relevant document."""
+        dcg = self.dcg(gains)
+        return np.divide(dcg, self.ideal, out=np.ones_like(dcg), where=self.ideal != 0.0)
+
+    def mean(self, scores: np.ndarray) -> float:
+        return float(np.mean(self.ndcg(ranked_gains(self.ds, scores))))
+
+
+def _check_scores(scores, ds: Dataset) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (ds.num_rows,):
         raise ValueError("scores must cover every row of the dataset")
-    values = np.empty(ds.num_queries, dtype=np.float64)
-    for qi, rows in enumerate(ds.query_groups):
-        values[qi] = ndcg_at(ds.labels[rows], scores[rows], k)
-    return values
+    return scores
+
+
+def per_query_ndcg(scores, ds: Dataset, k: int) -> np.ndarray:
+    """NDCG@k of every query in file order."""
+    scores = _check_scores(scores, ds)
+    return QueryEvaluator(ds, k).ndcg(ranked_gains(ds, scores))
 
 
 def mean_ndcg(scores, ds: Dataset, cutoffs=DEFAULT_CUTOFFS) -> NdcgReport:
     cutoffs = tuple(int(k) for k in cutoffs)
-    per_query = {k: per_query_ndcg(scores, ds, k) for k in cutoffs}
+    gains = ranked_gains(ds, _check_scores(scores, ds))
+    per_query = {k: QueryEvaluator(ds, k).ndcg(gains) for k in cutoffs}
     mean = {k: float(np.mean(per_query[k])) for k in cutoffs}
     return NdcgReport(cutoffs, per_query, mean, ds.num_queries)
-
-
-class QueryEvaluator:
-    """Mean NDCG@k evaluator with ideal DCG cached per query.
-
-    Arithmetic matches :func:`ndcg_at` term for term, so values agree with a
-    fresh evaluation bit for bit; only the ideal is not recomputed per call.
-    """
-
-    def __init__(self, ds: Dataset, k: int):
-        self.ds = ds
-        self.k = int(k)
-        self._ideals = [ideal_dcg(ds.labels[rows], self.k) for rows in ds.query_groups]
-
-    def mean(self, scores: np.ndarray) -> float:
-        values = np.empty(self.ds.num_queries, dtype=np.float64)
-        for qi, rows in enumerate(self.ds.query_groups):
-            ideal = self._ideals[qi]
-            if ideal == 0.0:
-                values[qi] = 1.0
-            else:
-                ranked = self.ds.labels[rows][rank_desc_stable(scores[rows])]
-                values[qi] = dcg_from_ranked(ranked, self.k) / ideal
-        return float(np.mean(values))

@@ -12,6 +12,12 @@ exact additive decomposition over single features and feature pairs.
 
 Early stopping in stages 1 and 3 monitors validation NDCG at a configured
 cutoff and rolls the stage back to its best round.
+
+No stage scores the training rows tree by tree: each round adds the new
+tree's leaf values through the row partition :func:`fit_tree` reports, and
+:func:`train_ilmart` hands stage 1's best-round scores to stages 2 and 3.
+Both sum the same leaf values in the same order as ``predict_batch``, so
+the scores are bit-identical to the model's own.
 """
 from __future__ import annotations
 
@@ -254,6 +260,7 @@ def _boost_stage(stage, regime, train, bins, valid, cfg, learning_rate,
     """
     evaluator = QueryEvaluator(valid, cfg.ndcg_cutoff)
     plan = LambdaPlan(train, cfg.truncation)
+    leaf_of_row = np.empty(train.num_rows, dtype=np.intp)
     trees: list[DecisionTree] = []
     best_ndcg = evaluator.mean(scores_valid)
     best_len = 0
@@ -264,11 +271,11 @@ def _boost_stage(stage, regime, train, bins, valid, cfg, learning_rate,
         grads = compute_lambdas(scores_train, train, cfg.sigma, cfg.truncation,
                                 cfg.lambdarank_norm, plan=plan)
         tree = fit_tree(bins, -grads.gradient, grads.hessian, regime,
-                        learning_rate, cfg.lambda_l2)
+                        learning_rate, cfg.lambda_l2, leaf_of_row)
         if tree.is_stump:
             logger.info("stage %d: stopping at round %d (no split has positive gain)", stage, rnd)
             break
-        scores_train += tree.predict_batch(train.features)
+        scores_train += np.asarray(tree.leaf_value)[leaf_of_row]
         scores_valid += tree.predict_batch(valid.features)
         trees.append(tree)
         ndcg = evaluator.mean(scores_valid)
@@ -289,8 +296,14 @@ def _boost_stage(stage, regime, train, bins, valid, cfg, learning_rate,
 
 
 def train_main_effects(train: Dataset, valid: Dataset, cfg: TrainConfig,
-                       bins: BinMapper | None = None) -> IlmartModel:
-    """Stage 1: boost single-feature trees with validation early stopping."""
+                       bins: BinMapper | None = None,
+                       scores_out: dict | None = None) -> IlmartModel:
+    """Stage 1: boost single-feature trees with validation early stopping.
+
+    ``scores_out``, a dict, receives the returned model's scores on the
+    training and validation rows under ``"train"`` and ``"valid"``: what
+    stages 2 and 3 start from, equal to ``predict_dataset`` bit for bit.
+    """
     cfg.validate()
     if valid is None:
         raise ModelError("a validation dataset is required for early stopping")
@@ -304,10 +317,12 @@ def train_main_effects(train: Dataset, valid: Dataset, cfg: TrainConfig,
         cfg.max_leaf_output,
     )
     log: list[tuple[int, int, float]] = []
-    trees, _, _, best = _boost_stage(
+    trees, best_train, best_valid, best = _boost_stage(
         1, regime, train, bins, valid, cfg, cfg.learning_rate,
         np.zeros(train.num_rows), np.zeros(valid.num_rows), log,
     )
+    if scores_out is not None:
+        scores_out.update(train=best_train, valid=best_valid)
     return IlmartModel(
         num_features=train.num_features,
         main_trees=trees,
@@ -320,15 +335,27 @@ def train_main_effects(train: Dataset, valid: Dataset, cfg: TrainConfig,
     )
 
 
+def _start_scores(model: IlmartModel, ds: Dataset, scores: dict | None,
+                  key: str) -> np.ndarray:
+    """A fresh copy of the model's scores on ``ds``, carried or computed."""
+    if scores is None:
+        return model.predict_dataset(ds)
+    return scores[key].copy()
+
+
 def select_interactions(model: IlmartModel, train: Dataset, valid: Dataset,
                         cfg: TrainConfig, bins: BinMapper | None = None,
-                        log: list | None = None) -> list[tuple[int, int]]:
+                        log: list | None = None,
+                        start_scores: dict | None = None) -> list[tuple[int, int]]:
     """Stage 2: nominate feature pairs with discardable 3-leaf trees.
 
     Boosting continues from the stage-1 scores; every discovery tree that
     manages to use two distinct features nominates that pair on first
     appearance. The trees themselves never reach the model. Returns the
     pairs in nomination order, which doubles as their importance ranking.
+    ``start_scores`` holds the model's training and validation scores as
+    stage 1's ``scores_out`` leaves them (they are not modified); without
+    it the model scores both datasets.
     """
     cfg.validate()
     if model.p < 2:
@@ -341,8 +368,9 @@ def select_interactions(model: IlmartModel, train: Dataset, valid: Dataset,
         return []
     evaluator = QueryEvaluator(valid, cfg.ndcg_cutoff) if log is not None else None
     plan = LambdaPlan(train, cfg.truncation)
-    scores_train = model.predict_dataset(train)
-    scores_valid = model.predict_dataset(valid) if log is not None else None
+    leaf_of_row = np.empty(train.num_rows, dtype=np.intp)
+    scores_train = _start_scores(model, train, start_scores, "train")
+    scores_valid = _start_scores(model, valid, start_scores, "valid") if log is not None else None
     regime = ConstraintRegime.pair_discovery(
         model.main_features, cfg.min_data_in_leaf, cfg.min_gain,
         cfg.min_child_hessian, cfg.max_leaf_output
@@ -353,11 +381,11 @@ def select_interactions(model: IlmartModel, train: Dataset, valid: Dataset,
         grads = compute_lambdas(scores_train, train, cfg.sigma, cfg.truncation,
                                 cfg.lambdarank_norm, plan=plan)
         tree = fit_tree(bins, -grads.gradient, grads.hessian, regime,
-                        cfg.learning_rate, cfg.lambda_l2)
+                        cfg.learning_rate, cfg.lambda_l2, leaf_of_row)
         if tree.is_stump:
             logger.info("stage 2: stopping at round %d (discovery trees degenerated)", rnd)
             break
-        scores_train += tree.predict_batch(train.features)
+        scores_train += np.asarray(tree.leaf_value)[leaf_of_row]
         if log is not None:
             scores_valid += tree.predict_batch(valid.features)
             log.append((2, rnd, evaluator.mean(scores_valid)))
@@ -375,7 +403,8 @@ def select_interactions(model: IlmartModel, train: Dataset, valid: Dataset,
 def train_interaction_effects(model: IlmartModel, pairs, train: Dataset,
                               valid: Dataset, cfg: TrainConfig,
                               bins: BinMapper | None = None,
-                              stage2_log=()) -> IlmartModel:
+                              stage2_log=(),
+                              start_scores: dict | None = None) -> IlmartModel:
     """Stage 3: boost pair-constrained trees on top of the stage-1 model.
 
     Scores restart from the stage-1 model output (discovery trees left no
@@ -384,7 +413,8 @@ def train_interaction_effects(model: IlmartModel, pairs, train: Dataset,
     nomination order, each with its own early stopping: the model grown
     with the first k pairs is therefore a prefix of the final tree list,
     which is what makes rank-truncated evaluation of the pair list behave
-    like the training curve itself.
+    like the training curve itself. ``start_scores`` is as in
+    :func:`select_interactions`.
     """
     cfg.validate()
     pairs = [tuple(sorted(int(f) for f in p)) for p in pairs]
@@ -404,8 +434,8 @@ def train_interaction_effects(model: IlmartModel, pairs, train: Dataset,
     log3: list[tuple[int, int, float]] = []
     trees: list[DecisionTree] = []
     kept_pairs: list[tuple[int, int]] = []
-    scores_train = model.predict_dataset(train)
-    scores_valid = model.predict_dataset(valid)
+    scores_train = _start_scores(model, train, start_scores, "train")
+    scores_valid = _start_scores(model, valid, start_scores, "valid")
     best = None
     round_base = 0
     for pair in pairs:
@@ -446,13 +476,16 @@ def train_ilmart(train: Dataset, valid: Dataset, cfg: TrainConfig,
     cfg.validate()
     if bins is None:
         bins = build_bins(train, cfg.max_bins)
-    model = train_main_effects(train, valid, cfg, bins=bins)
+    scores: dict[str, np.ndarray] = {}
+    model = train_main_effects(train, valid, cfg, bins=bins, scores_out=scores)
     if cfg.max_interactions > 0 and model.p >= 2:
         stage2_log: list[tuple[int, int, float]] = []
-        pairs = select_interactions(model, train, valid, cfg, bins=bins, log=stage2_log)
+        pairs = select_interactions(model, train, valid, cfg, bins=bins, log=stage2_log,
+                                    start_scores=scores)
         if pairs:
             model = train_interaction_effects(
-                model, pairs, train, valid, cfg, bins=bins, stage2_log=stage2_log
+                model, pairs, train, valid, cfg, bins=bins, stage2_log=stage2_log,
+                start_scores=scores,
             )
     return model
 
@@ -515,9 +548,8 @@ def load_model(path) -> IlmartModel:
         raise ModelError(f"{path}: not a JSON model file ({exc})") from None
     version = data.get("version") if isinstance(data, dict) else None
     if version != MODEL_SCHEMA_VERSION:
-        raise ModelError(
-            f"unsupported model schema version {version!r}, expected {MODEL_SCHEMA_VERSION}"
-        )
+        raise ModelError(f"{path}: unsupported model schema version {version!r}, "
+                         f"expected {MODEL_SCHEMA_VERSION}")
     try:
         model = IlmartModel(
             num_features=int(data["metadata"]["num_features"]),

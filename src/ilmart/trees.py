@@ -169,20 +169,25 @@ class DecisionTree:
     def from_dict(cls, data: dict) -> "DecisionTree":
         """Rebuild a tree, refusing arrays that do not form one tree.
 
-        With S splits there must be S features, thresholds, left and right
-        children and S + 1 leaves; the 2S children must name every split
-        but the root and every leaf exactly once, and a child split must
-        come after its parent, so every node reaches the root.
+        Features, children and constraint features must be JSON integers,
+        thresholds and leaf values JSON numbers; nothing is coerced (a
+        string, a float id or a bool is refused). With S splits there must
+        be S features, thresholds, left and right children and S + 1
+        leaves; the 2S children must name every split but the root and
+        every leaf exactly once, and a child split must come after its
+        parent, so every node reaches the root.
         """
         kind, feats = data["constraint"]
+        if not isinstance(kind, str):
+            raise ValueError(f"tree constraint kind must be a string, got {kind!r}")
         tree = cls(
-            [int(f) for f in data["split_feature"]],
-            [float(t) for t in data["threshold"]],
-            [int(c) for c in data["left_child"]],
-            [int(c) for c in data["right_child"]],
-            [float(v) for v in data["leaf_value"]],
-            str(kind),
-            tuple(int(f) for f in feats),
+            _ints(data["split_feature"], "split_feature"),
+            _numbers(data["threshold"], "threshold"),
+            _ints(data["left_child"], "left_child"),
+            _ints(data["right_child"], "right_child"),
+            _numbers(data["leaf_value"], "leaf_value"),
+            kind,
+            tuple(_ints(feats, "constraint features")),
         )
         n = len(tree.split_feature)
         if not (len(tree.threshold) == len(tree.left_child) == len(tree.right_child) == n
@@ -197,6 +202,20 @@ class DecisionTree:
                for c in pair):
             raise ValueError("a child split must come after its parent split")
         return tree
+
+
+def _ints(values, what: str) -> list[int]:
+    """``values`` if it is a list of integers (JSON integers; no bools)."""
+    if not isinstance(values, list) or any(type(v) is not int for v in values):
+        raise ValueError(f"tree {what} must be a list of integers")
+    return list(values)
+
+
+def _numbers(values, what: str) -> list[float]:
+    """``values`` as floats if it is a list of JSON numbers (no bools)."""
+    if not isinstance(values, list) or any(type(v) not in (int, float) for v in values):
+        raise ValueError(f"tree {what} must be a list of numbers")
+    return [float(v) for v in values]
 
 
 class _GrowLeaf:
@@ -304,12 +323,16 @@ def fit_tree(
     regime: ConstraintRegime,
     learning_rate: float,
     lambda_l2: float = 0.0,
+    leaf_of_row: np.ndarray | None = None,
 ) -> DecisionTree:
     """Grow one tree on binned data under the given constraint regime.
 
     Returns a single-leaf "stump" when no split clears ``min_gain`` and
     ``min_data_in_leaf`` at the root; the caller decides whether to stop
-    boosting in that case.
+    boosting in that case. ``leaf_of_row``, an integer array with one entry
+    per binned row, receives each row's leaf, so ``leaf_value[leaf_of_row]``
+    is the tree's output on the training rows without routing them again
+    (bin routing and raw-threshold routing agree on those rows).
     """
     n = bins.num_rows
     gradients = np.asarray(gradients, dtype=np.float64)
@@ -359,6 +382,8 @@ def fit_tree(
     for leaf in open_leaves:
         tree.leaf_value[leaf.index] = _leaf_value(leaf.rows, gradients, hessians, lambda_l2,
                                                   learning_rate, regime.max_leaf_output)
+        if leaf_of_row is not None:
+            leaf_of_row[leaf.rows] = leaf.index
 
     used = tree.used_features
     if regime.kind == "single":

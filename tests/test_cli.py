@@ -225,7 +225,10 @@ def test_eval_dimension_mismatch_exits_2(trained_dir, files, tmp_path, capsys):
                                     "root_split_moved", "split_on_feature_zero",
                                     "nan_threshold", "child_listed_twice",
                                     "split_is_its_own_child", "leaf_missing",
-                                    "pair_tree_splits_outside_its_pair"])
+                                    "pair_tree_splits_outside_its_pair",
+                                    "string_threshold", "float_child_id",
+                                    "bool_split_feature", "string_leaf_value",
+                                    "bool_leaf_value"])
 def test_malformed_model_file_exits_2(trained_dir, files, tmp_path, capsys, damage):
     text = (trained_dir / "model.json").read_text()
     data = json.loads(text)
@@ -264,6 +267,23 @@ def test_malformed_model_file_exits_2(trained_dir, files, tmp_path, capsys, dama
         pair_tree = data["interaction_trees"][0]
         outside = min(set(data["J"]) - set(pair_tree["constraint"][1]))
         pair_tree["split_feature"][0] = outside
+        text = json.dumps(data)
+    elif damage == "string_threshold":
+        # each of these five parses as the same tree once coerced
+        tree["threshold"][0] = repr(tree["threshold"][0])
+        text = json.dumps(data)
+    elif damage == "float_child_id":
+        tree["left_child"][0] = float(tree["left_child"][0])
+        text = json.dumps(data)
+    elif damage == "bool_split_feature":
+        one = next(t for t in data["main_trees"] if t["split_feature"][0] == 1)
+        one["split_feature"] = [True] * len(one["split_feature"])
+        text = json.dumps(data)
+    elif damage == "string_leaf_value":
+        tree["leaf_value"][0] = repr(tree["leaf_value"][0])
+        text = json.dumps(data)
+    elif damage == "bool_leaf_value":
+        tree["leaf_value"][0] = False
         text = json.dumps(data)
     elif damage == "unknown_config_key":
         data["config"]["no_such_option"] = 1

@@ -221,6 +221,20 @@ def test_lambdas_match_pairwise_oracle(kind, truncation):
             np.testing.assert_allclose(got.hessian, want_h, rtol=0, atol=1e-12)
 
 
+def test_norm_damps_queries_that_vary_only_in_their_last_document():
+    # Ranked, both queries' scores differ only at the last position, so both
+    # count as varied and get the 1 / (0.01 + |score gap|) damping.
+    labels = np.array([0, 1, 2, 1, 1, 0])
+    qids = ["a"] * 4 + ["b"] * 2
+    scores = np.array([1.0, 1.0, 1.0, 0.0, 0.5, 0.0])
+    ds = Dataset.from_rows(labels, qids, np.zeros((6, 1)))
+    for truncation in (1, 2, 10):
+        got = compute_lambdas(scores, ds, 1.0, truncation, True)
+        want_g, want_h = lambda_oracle(ds, scores, 1.0, truncation, True)
+        np.testing.assert_allclose(got.gradient, want_g, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.hessian, want_h, rtol=0, atol=1e-12)
+
+
 def test_plan_is_reusable_and_tied_to_its_dataset():
     ds = random_queries(30, 12, seed=8)
     plan = LambdaPlan(ds, 5)

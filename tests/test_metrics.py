@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from ilmart import mean_ndcg, ndcg_at
-from ilmart.metrics import QueryEvaluator, dcg_from_ranked
+from ilmart import Dataset, mean_ndcg, ndcg_at, per_query_ndcg
+from ilmart.metrics import QueryEvaluator, dcg_from_ranked, ideal_dcg
 
 from synthdata import random_queries
 
@@ -142,3 +142,38 @@ def test_report_csv_shape():
     assert lines[0] == "cutoff,mean_ndcg,num_queries"
     assert len(lines) == 3
     assert lines[1].startswith("1,") and lines[1].endswith(",3")
+
+
+def _kernel_queries(k):
+    """Queries of every size from 1 to k + 9, rows interleaved at random.
+
+    Each size comes three times: random labels with scores on a coarse grid
+    (many ties), all labels zero, and random labels with one score for the
+    whole query (every document tied).
+    """
+    rng = np.random.default_rng(100 + k)
+    labels, qids, scores = [], [], []
+    for size in range(1, k + 10):
+        for kind in ("ties", "zero_labels", "all_tied"):
+            labels.append(np.zeros(size, int) if kind == "zero_labels"
+                          else rng.integers(0, 5, size))
+            scores.append(np.full(size, 0.5) if kind == "all_tied"
+                          else np.round(rng.normal(size=size) * 2.0) / 2.0)
+            qids += [f"{kind}{size}"] * size
+    labels, scores = np.concatenate(labels), np.concatenate(scores)
+    perm = rng.permutation(labels.size)
+    ds = Dataset.from_rows(labels[perm], np.array(qids)[perm], np.zeros((labels.size, 1)))
+    assert all(np.any(np.diff(rows) > 1) for rows in ds.query_groups if rows.size > 3)
+    return ds, scores[perm]
+
+
+@pytest.mark.parametrize("k", [1, 5, 10, 20])
+def test_batched_ndcg_equals_ndcg_at_bit_for_bit(k):
+    ds, scores = _kernel_queries(k)
+    want = [ndcg_at(ds.labels[rows], scores[rows], k) for rows in ds.query_groups]
+    got = per_query_ndcg(scores, ds, k)
+    assert [float(v) for v in got] == want
+    assert mean_ndcg(scores, ds, (1, k)).per_query[k].tolist() == want
+    ev = QueryEvaluator(ds, k)
+    assert ev.ideal.tolist() == [ideal_dcg(ds.labels[rows], k) for rows in ds.query_groups]
+    assert ev.mean(scores) == float(np.mean(want))

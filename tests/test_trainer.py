@@ -364,8 +364,61 @@ def test_schema_version_checked(tmp_path, planted_run):
     data = json.loads(path.read_text())
     data["version"] = 999
     path.write_text(json.dumps(data))
-    with pytest.raises(ModelError, match="schema version"):
+    with pytest.raises(ModelError, match="schema version") as err:
         load_model(path)
+    assert str(err.value) == f"{path}: unsupported model schema version 999, expected 3"
+
+
+def test_stage_1_scores_carry_into_stages_2_and_3(planted_run):
+    train, valid, cfg, bins = (planted_run[k] for k in ("train", "valid", "cfg", "bins"))
+    scores = {}
+    stage1 = train_main_effects(train, valid, cfg, bins=bins, scores_out=scores)
+    assert np.array_equal(scores["train"], stage1.predict_dataset(train))
+    assert np.array_equal(scores["valid"], stage1.predict_dataset(valid))
+    kept = {k: v.copy() for k, v in scores.items()}
+    carried_log, computed_log = [], []
+    pairs = select_interactions(stage1, train, valid, cfg, bins=bins, log=carried_log,
+                                start_scores=scores)
+    assert pairs == planted_run["pairs"]
+    select_interactions(stage1, train, valid, cfg, bins=bins, log=computed_log)
+    assert carried_log == computed_log
+    full = train_interaction_effects(stage1, pairs, train, valid, cfg, bins=bins,
+                                     start_scores=scores)
+    want = train_interaction_effects(stage1, pairs, train, valid, cfg, bins=bins)
+    assert [t.to_dict() for t in full.trees] == [t.to_dict() for t in want.trees]
+    assert full.training_log == want.training_log
+    assert all(np.array_equal(scores[k], kept[k]) for k in kept)     # read, not modified
+
+
+def test_carried_scores_equal_model_scores_after_every_stage(monkeypatch):
+    """Each boosting stage's best-round scores, built from leaf values of
+    the training partition and tree outputs on validation rows, equal the
+    model's own scores bit for bit."""
+    import ilmart.trainer as trainer
+
+    calls = []
+    boost = trainer._boost_stage
+
+    def recording(*args):
+        trees, best_train, best_valid, best = boost(*args)
+        calls.append((list(trees), best_train.copy(), best_valid.copy()))
+        return trees, best_train, best_valid, best
+
+    monkeypatch.setattr(trainer, "_boost_stage", recording)
+    train = planted_interaction(100, 25, seed=64)
+    valid = planted_interaction(40, 25, seed=65)
+    model = train_ilmart(train, valid, small_cfg())
+    # one stage-1 call, then one per nominated pair
+    assert model.num_interactions >= 2 and len(calls) >= 1 + model.num_interactions
+    running = [np.zeros(train.num_rows), np.zeros(valid.num_rows)]
+    for trees, best_train, best_valid in calls:
+        for tree in trees:
+            running[0] += tree.predict_batch(train.features)
+            running[1] += tree.predict_batch(valid.features)
+        assert np.array_equal(best_train, running[0])
+        assert np.array_equal(best_valid, running[1])
+    assert np.array_equal(running[0], model.predict_batch(train.features))
+    assert np.array_equal(running[1], model.predict_batch(valid.features))
 
 
 def test_training_is_deterministic(tmp_path):

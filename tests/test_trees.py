@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,25 @@ def test_raw_threshold_routing_matches_bin_routing():
     raw = tree.predict_batch(X)
     binned = np.array([predict_by_bins(r) for r in range(1000)])
     np.testing.assert_array_equal(raw, binned)
+
+
+@pytest.mark.parametrize("regime", [
+    ConstraintRegime.single_feature([1, 2, 3, 4], 16, min_data_in_leaf=5),
+    ConstraintRegime.feature_pair((2, 4), 16, min_data_in_leaf=5),
+    ConstraintRegime.pair_discovery([1, 2, 3, 4], min_data_in_leaf=5),
+    ConstraintRegime.single_feature([1], 8, min_data_in_leaf=600),       # a stump
+], ids=["single", "pair", "discovery", "stump"])
+def test_leaf_of_row_is_the_predict_batch_routing(regime):
+    rng = np.random.default_rng(11)
+    X = np.round(rng.random((1000, 4)) * 40) / 40          # ties at the thresholds
+    bins = make_bins(X, max_bins=24)
+    leaf_of_row = np.full(1000, -1, dtype=np.intp)
+    tree = fit_tree(bins, rng.normal(size=1000), rng.uniform(0.3, 1.0, 1000), regime, 0.1,
+                    leaf_of_row=leaf_of_row)
+    numbered = replace(tree, leaf_value=[float(i) for i in range(tree.num_leaves)])
+    np.testing.assert_array_equal(leaf_of_row, numbered.predict_batch(X).astype(np.intp))
+    np.testing.assert_array_equal(np.asarray(tree.leaf_value)[leaf_of_row],
+                                  tree.predict_batch(X))
 
 
 def test_tie_break_prefers_lowest_feature():
