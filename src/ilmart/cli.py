@@ -177,6 +177,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_export_shapes(args) -> int:
+    if args.top is not None and args.top < 1:
+        raise UsageError(f"--top must be >= 1, got {args.top}")
     model = load_model(_require_file(args.model, "model"))
     ds = _load_for_model(_require_file(args.data, "dataset"), model, args.num_features)
     shapes, surfaces = distill_shapes(model)
@@ -190,6 +192,9 @@ def cmd_export_shapes(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if args.permutations < 1 or args.seed < 0:
+        raise UsageError(f"--permutations must be >= 1 and --seed >= 0, "
+                         f"got {args.permutations} and {args.seed}")
     model_a = load_model(_require_file(args.model_a, "model A"))
     model_b = load_model(_require_file(args.model_b, "model B"))
     ds = _load_for_model(_require_file(args.data, "dataset"), model_a, args.num_features)

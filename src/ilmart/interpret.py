@@ -1,10 +1,11 @@
-"""Exact piecewise-constant views of a trained model, for analysts and plots.
+"""The model's effect tables, and the views analysts read from them.
 
-All trees sharing one feature collapse into a single step function (the
-breakpoints are the union of their split thresholds), and all trees sharing a
-feature pair collapse into one value grid. Summing the lookups over every
-effect reproduces the model score, which is the whole point: the model IS its
-plots. Exports are raw tree sums, deliberately not mean-centered.
+A trained model is a sum of exact piecewise-constant tables: one step
+function per main feature and one value grid per feature pair. Training
+builds each table from the trees of its effect (the breakpoints are the union
+of their split thresholds), model files store the tables, and scoring sums
+their lookups: the model IS its plots. Exports are raw tree sums,
+deliberately not mean-centered.
 """
 from __future__ import annotations
 
@@ -14,11 +15,18 @@ import itertools
 import json
 import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
 from .dataset import Dataset
-from .trainer import IlmartModel
+
+if TYPE_CHECKING:
+    from .trainer import IlmartModel
+
+
+class ModelError(ValueError):
+    """Invalid model file or violated model invariant."""
 
 
 def _interval_index(breakpoints: np.ndarray, x) -> np.ndarray:
@@ -27,13 +35,84 @@ def _interval_index(breakpoints: np.ndarray, x) -> np.ndarray:
     return np.searchsorted(breakpoints, x, side="left")
 
 
+def _feature_id(value, what: str) -> int:
+    if type(value) is not int or value < 1:
+        raise ModelError(f"{what} must be a feature id (an integer >= 1), got {value!r}")
+    return value
+
+
+def _numbers(data, ndim: int, what: str) -> np.ndarray:
+    """``data`` as float64 if it is a JSON array of numbers (``ndim`` 1) or an
+    array of equally long such arrays (``ndim`` 2). Nothing is coerced: a
+    string or a bool is refused."""
+    rows = data if ndim == 2 and isinstance(data, list) else [data]
+    if not all(isinstance(row, list) for row in rows) or len({len(r) for r in rows}) > 1:
+        kind = "equally long lists of numbers" if ndim == 2 else "numbers"
+        raise ModelError(f"{what} must be a list of {kind}")
+    if any(type(v) not in (int, float) for row in rows for v in row):
+        raise ModelError(f"{what} must hold JSON numbers only")
+    try:
+        return np.array(data, dtype=np.float64)
+    except OverflowError:
+        raise ModelError(f"{what} must be finite") from None
+
+
+class _Table:
+    """What shapes and surfaces share. Subclasses define ``kind``, ``AXES``
+    (the names of their breakpoint arrays, one per feature), ``features``
+    and ``values``."""
+
+    @property
+    def key(self) -> str:
+        """``main_<f>`` or ``pair_<i>_<j>``, also the name of its export file."""
+        return "_".join([self.kind, *map(str, self.features)])
+
+    @property
+    def axes(self) -> list[np.ndarray]:
+        return [getattr(self, name) for name in self.AXES]
+
+    def check(self) -> None:
+        """Refuse a table whose lookups are not defined, or not finite."""
+        if list(self.features) != sorted(set(self.features)):
+            raise ModelError(f"{self.key}: a pair's features must be distinct and ascending")
+        for bp in self.axes:
+            if bp.ndim != 1 or not np.isfinite(bp).all() or (np.diff(bp) <= 0).any():
+                raise ModelError(f"{self.key}: breakpoints must be finite and strictly increasing")
+        shape = tuple(bp.size + 1 for bp in self.axes)
+        if self.values.shape != shape:
+            raise ModelError(f"{self.key}: values have shape {self.values.shape}, "
+                             f"breakpoints need {shape}")
+        if not np.isfinite(self.values).all():
+            raise ModelError(f"{self.key}: values must be finite")
+
+
 @dataclass
-class ShapeFunction:
+class ShapeFunction(_Table):
     """Contribution of one feature: ``values[i]`` on the i-th interval."""
 
     feature: int
     breakpoints: np.ndarray
     values: np.ndarray
+
+    kind: ClassVar[str] = "main"
+    AXES: ClassVar[tuple[str, ...]] = ("breakpoints",)
+
+    @classmethod
+    def from_json(cls, data: dict) -> "ShapeFunction":
+        """The checked table of a ``{feature, breakpoints, values}`` object."""
+        feature = _feature_id(data["feature"], "main effect feature")
+        shape = cls(feature, _numbers(data["breakpoints"], 1, f"main_{feature}: breakpoints"),
+                    _numbers(data["values"], 1, f"main_{feature}: values"))
+        shape.check()
+        return shape
+
+    @property
+    def features(self) -> tuple[int]:
+        return (self.feature,)
+
+    def to_json(self) -> dict:
+        return {"feature": self.feature, "breakpoints": self.breakpoints.tolist(),
+                "values": self.values.tolist()}
 
     def lookup(self, x: float) -> float:
         return float(self.lookup_batch(x))
@@ -41,15 +120,44 @@ class ShapeFunction:
     def lookup_batch(self, x: np.ndarray) -> np.ndarray:
         return self.values[_interval_index(self.breakpoints, x)]
 
+    def contribution(self, features: np.ndarray) -> np.ndarray:
+        """This effect's term for every row of a feature matrix."""
+        return self.lookup_batch(features[:, self.feature - 1])
+
 
 @dataclass
-class InteractionSurface:
+class InteractionSurface(_Table):
     """Contribution of a feature pair over a breakpoint-by-breakpoint grid."""
 
     pair: tuple[int, int]
     breakpoints_i: np.ndarray
     breakpoints_j: np.ndarray
     values: np.ndarray
+
+    kind: ClassVar[str] = "pair"
+    AXES: ClassVar[tuple[str, ...]] = ("breakpoints_i", "breakpoints_j")
+
+    @classmethod
+    def from_json(cls, data: dict) -> "InteractionSurface":
+        """The checked table of a ``{pair, breakpoints_i, breakpoints_j, values}`` object."""
+        pair = data["pair"]
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ModelError(f"pair effect pair must be two feature ids, got {pair!r}")
+        pair = tuple(_feature_id(f, "pair effect feature") for f in pair)
+        what = f"pair_{pair[0]}_{pair[1]}"
+        surface = cls(pair, _numbers(data["breakpoints_i"], 1, f"{what}: breakpoints_i"),
+                      _numbers(data["breakpoints_j"], 1, f"{what}: breakpoints_j"),
+                      _numbers(data["values"], 2, f"{what}: values"))
+        surface.check()
+        return surface
+
+    @property
+    def features(self) -> tuple[int, int]:
+        return self.pair
+
+    def to_json(self) -> dict:
+        return {"pair": list(self.pair), "breakpoints_i": self.breakpoints_i.tolist(),
+                "breakpoints_j": self.breakpoints_j.tolist(), "values": self.values.tolist()}
 
     def lookup(self, xi: float, xj: float) -> float:
         return float(self.lookup_batch(xi, xj))
@@ -58,6 +166,10 @@ class InteractionSurface:
         a = _interval_index(self.breakpoints_i, xi)
         b = _interval_index(self.breakpoints_j, xj)
         return self.values[a, b]
+
+    def contribution(self, features: np.ndarray) -> np.ndarray:
+        """This effect's term for every row of a feature matrix."""
+        return self.lookup_batch(features[:, self.pair[0] - 1], features[:, self.pair[1] - 1])
 
 
 @dataclass
@@ -106,19 +218,18 @@ def _effect_table(trees, features) -> tuple[list[np.ndarray], np.ndarray]:
     return breakpoints, values
 
 
+def effect_from_trees(features: tuple[int, ...], trees) -> ShapeFunction | InteractionSurface:
+    """The table of one effect, summed from its trees: a shape for one
+    feature, a surface for a pair."""
+    breakpoints, values = _effect_table(trees, features)
+    if len(features) == 1:
+        return ShapeFunction(features[0], *breakpoints, values)
+    return InteractionSurface(tuple(features), *breakpoints, values)
+
+
 def distill_shapes(model: IlmartModel) -> tuple[list[ShapeFunction], list[InteractionSurface]]:
-    """Collapse the ensemble into one shape per main feature and one surface per pair."""
-    shapes = []
-    for f in model.main_features:
-        trees = [t for t in model.main_trees if t.used_features[0] == f]
-        (breakpoints,), values = _effect_table(trees, (f,))
-        shapes.append(ShapeFunction(f, breakpoints, values))
-    surfaces = []
-    for pair in model.interaction_pairs:
-        trees = [t for t in model.interaction_trees if tuple(t.constraint_features) == tuple(pair)]
-        (br_i, br_j), values = _effect_table(trees, pair)
-        surfaces.append(InteractionSurface(tuple(pair), br_i, br_j, values))
-    return shapes, surfaces
+    """The model's tables: one shape per main feature and one surface per pair."""
+    return list(model.shapes), list(model.surfaces)
 
 
 def additive_score(shapes, surfaces, features: np.ndarray) -> float:
@@ -137,23 +248,13 @@ def effect_importance(model: IlmartModel, reference: Dataset) -> EffectImportanc
     """
     if reference.num_rows == 0:
         raise ValueError("reference dataset is empty")
-    shapes, surfaces = distill_shapes(model)
     raw = []
-    for s in shapes:
-        contrib = s.lookup_batch(reference.features[:, s.feature - 1])
-        raw.append(("main", (s.feature,), float(np.mean(np.abs(contrib)))))
-    for s in surfaces:
-        contrib = s.lookup_batch(
-            reference.features[:, s.pair[0] - 1], reference.features[:, s.pair[1] - 1]
-        )
-        raw.append(("pair", s.pair, float(np.mean(np.abs(contrib)))))
+    for effect in model.shapes + model.surfaces:
+        contrib = effect.contribution(reference.features)
+        raw.append((effect.kind, effect.features, float(np.mean(np.abs(contrib)))))
     raw.sort(key=lambda e: (-e[2], e[0] != "main", e[1]))
     effects = [EffectScore(kind, feats, imp, rank) for rank, (kind, feats, imp) in enumerate(raw, 1)]
     return EffectImportance(effects)
-
-
-def _effect_key(kind, features):
-    return f"main_{features[0]}" if kind == "main" else f"pair_{features[0]}_{features[1]}"
 
 
 def export_shapes(shapes, surfaces, out_dir, fmt: str = "csv",
@@ -168,45 +269,42 @@ def export_shapes(shapes, surfaces, out_dir, fmt: str = "csv",
         raise ValueError(f"format must be csv or json, got {fmt!r}")
     if top is not None and importance is None:
         raise ValueError("exporting top-N effects requires importance scores")
+    if top is not None and top < 1:
+        raise ValueError(f"top must be >= 1, got {top}")
     os.makedirs(out_dir, exist_ok=True)
 
     ranked = {}
     if importance is not None:
-        ranked = {_effect_key(e.kind, e.features): e for e in importance.effects}
+        ranked = {(e.kind, e.features): e for e in importance.effects}
     keep = None
     if top is not None:
-        keep = {_effect_key(e.kind, e.features) for e in importance.by_rank()[:top]}
+        keep = {(e.kind, e.features) for e in importance.by_rank()[:top]}
 
-    # (kind, features, JSON head, breakpoints by column suffix, values), mains first
-    effects = [("main", (s.feature,), {"feature": s.feature}, {"": s.breakpoints}, s.values)
-               for s in shapes]
-    effects += [("pair", s.pair, {"pair": list(s.pair)},
-                 {"_i": s.breakpoints_i, "_j": s.breakpoints_j}, s.values) for s in surfaces]
     written = []
     index = []
-    for kind, features, head, axes, values in effects:
-        key = _effect_key(kind, features)
-        if keep is not None and key not in keep:
+    for effect in list(shapes) + list(surfaces):
+        ident = (effect.kind, effect.features)
+        if keep is not None and ident not in keep:
             continue
-        path = os.path.join(out_dir, f"{key}.{fmt}")
+        path = os.path.join(out_dir, f"{effect.key}.{fmt}")
         if fmt == "csv":
-            uppers = [np.append(b, np.inf) for b in axes.values()]
+            uppers = [np.append(b, np.inf) for b in effect.axes]
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
-                writer.writerow([f"upper_bound{sfx}" for sfx in axes] + ["value"])
+                writer.writerow([a.replace("breakpoints", "upper_bound") for a in effect.AXES]
+                                + ["value"])
                 for cell in itertools.product(*(range(u.size) for u in uppers)):
                     writer.writerow([repr(float(u[c])) for u, c in zip(uppers, cell)]
-                                    + [repr(float(values[cell]))])
+                                    + [repr(float(effect.values[cell]))])
         else:
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump({**head, **{f"breakpoints{sfx}": b.tolist() for sfx, b in axes.items()},
-                           "values": values.tolist()}, fh)
+                json.dump(effect.to_json(), fh)
         written.append(path)
-        entry = {"effect": key, "kind": kind, "features": list(features),
+        entry = {"effect": effect.key, "kind": effect.kind, "features": list(effect.features),
                  "file": os.path.basename(path)}
-        if key in ranked:
-            entry["importance"] = ranked[key].importance
-            entry["rank"] = ranked[key].rank
+        if ident in ranked:
+            entry["importance"] = ranked[ident].importance
+            entry["rank"] = ranked[ident].rank
         index.append(entry)
 
     index_path = os.path.join(out_dir, f"index.{fmt}")
@@ -228,20 +326,20 @@ def export_shapes(shapes, surfaces, out_dir, fmt: str = "csv",
 
 
 def import_shapes(out_dir) -> tuple[list[ShapeFunction], list[InteractionSurface]]:
-    """Read back a JSON export; the inverse of :func:`export_shapes`."""
+    """Read back a JSON export; the inverse of :func:`export_shapes`.
+
+    Each effect file goes through the checked conversion that
+    :func:`~ilmart.trainer.load_model` uses, so a damaged file raises
+    :class:`ModelError` here.
+    """
     with open(os.path.join(out_dir, "index.json"), encoding="utf-8") as fh:
         index = json.load(fh)["effects"]
     shapes, surfaces = [], []
     for entry in index:
         with open(os.path.join(out_dir, entry["file"]), encoding="utf-8") as fh:
             data = json.load(fh)
-        arrays = {k: np.asarray(v, dtype=np.float64) for k, v in data.items()
-                  if k.startswith(("breakpoints", "values"))}
         if entry["kind"] == "main":
-            shapes.append(ShapeFunction(int(data["feature"]), arrays["breakpoints"],
-                                        arrays["values"]))
+            shapes.append(ShapeFunction.from_json(data))
         else:
-            surfaces.append(InteractionSurface(tuple(int(f) for f in data["pair"]),
-                                               arrays["breakpoints_i"], arrays["breakpoints_j"],
-                                               arrays["values"]))
+            surfaces.append(InteractionSurface.from_json(data))
     return shapes, surfaces

@@ -6,9 +6,9 @@ selection) continues boosting with 3-leaf discovery trees restricted to J and
 records, in order of first appearance, the distinct feature pairs they use.
 Those discovery trees are then thrown away. Stage 3 (interaction effects)
 restarts from the stage-1 scores and boosts trees constrained to the selected
-pairs. The final prediction is the plain sum of all main-effect and
-interaction-tree outputs, with no intercept, which is what makes the model an
-exact additive decomposition over single features and feature pairs.
+pairs. The model is one table per main feature and per pair, each summed
+from its trees, and its prediction is the plain sum of their lookups with no
+intercept: an exact additive decomposition over features and feature pairs.
 
 Early stopping in stages 1 and 3 monitors validation NDCG at a configured
 cutoff and rolls the stage back to its best round.
@@ -16,13 +16,13 @@ cutoff and rolls the stage back to its best round.
 No stage scores the training rows tree by tree: each round adds the new
 tree's leaf values through the row partition :func:`fit_tree` reports, and
 :func:`train_ilmart` hands stage 1's best-round scores to stages 2 and 3.
-Both sum the same leaf values in the same order as ``predict_batch``, so
-the scores are bit-identical to the model's own.
+Both sum the same leaf values in the same order as the trees' own
+``predict_batch``, so training is the same whether the scores are carried
+or computed.
 """
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import logging
 import math
@@ -32,21 +32,18 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .dataset import BinMapper, Dataset, build_bins, DEFAULT_MAX_BINS
+from .interpret import InteractionSurface, ModelError, ShapeFunction, effect_from_trees
 from .lambdas import LambdaPlan, compute_lambdas
 from .metrics import QueryEvaluator
 from .trees import ConstraintRegime, DecisionTree, fit_tree
 
 logger = logging.getLogger(__name__)
 
-MODEL_SCHEMA_VERSION = 3
+MODEL_SCHEMA_VERSION = 4
 
 # A round counts as an improvement only if it beats the best by more than
 # this, so float noise cannot keep a stage alive.
 IMPROVEMENT_EPS = 1e-7
-
-
-class ModelError(ValueError):
-    """Invalid model file or violated model invariant."""
 
 
 @dataclass
@@ -114,32 +111,52 @@ class TrainConfig:
 
 @dataclass
 class IlmartModel:
-    """Staged ensemble: main-effect trees plus pair-constrained trees.
+    """An additive ranker: one shape per main feature, one surface per pair.
 
-    ``main_features`` lists the distinct features used by main-effect trees
-    in order of first appearance; ``interaction_pairs`` lists the selected
-    pairs that ended up used by at least one kept interaction tree, in the
-    order stage 2 nominated them (that order is the pair importance ranking).
+    A row's score is the sum of its lookups, shapes in order and then
+    surfaces in order. Those orders are ``main_features`` (J, in order of
+    first use by stage 1) and ``interaction_pairs`` (K_set, in the order
+    stage 2 nominated the pairs, which is their importance ranking).
+
+    ``main_trees`` and ``interaction_trees`` are the trees the tables were
+    summed from: a training artifact that stages 2 and 3 continue from. A
+    loaded model has none.
     """
 
     num_features: int
-    main_trees: list[DecisionTree] = field(default_factory=list)
-    interaction_trees: list[DecisionTree] = field(default_factory=list)
-    main_features: list[int] = field(default_factory=list)
-    interaction_pairs: list[tuple[int, int]] = field(default_factory=list)
-    bin_boundaries: list[np.ndarray] = field(default_factory=list)
+    shapes: list[ShapeFunction] = field(default_factory=list)
+    surfaces: list[InteractionSurface] = field(default_factory=list)
     config: TrainConfig = field(default_factory=TrainConfig)
     dataset_digest: str = ""
     training_log: list[tuple[int, int, float]] = field(default_factory=list)
     best_valid_ndcg: float | None = None
+    main_trees: list[DecisionTree] = field(default_factory=list)
+    interaction_trees: list[DecisionTree] = field(default_factory=list)
+
+    @classmethod
+    def from_trees(cls, num_features: int, main_trees, interaction_trees=(),
+                   **fields) -> "IlmartModel":
+        """The model whose tables sum ``main_trees`` and ``interaction_trees``
+        by constraint tag (see :func:`_tables`)."""
+        main_trees, interaction_trees = list(main_trees), list(interaction_trees)
+        return cls(num_features, _tables(main_trees), _tables(interaction_trees),
+                   main_trees=main_trees, interaction_trees=interaction_trees, **fields)
+
+    @property
+    def main_features(self) -> list[int]:
+        return [s.feature for s in self.shapes]
+
+    @property
+    def interaction_pairs(self) -> list[tuple[int, int]]:
+        return [s.pair for s in self.surfaces]
 
     @property
     def p(self) -> int:
-        return len(self.main_features)
+        return len(self.shapes)
 
     @property
     def num_interactions(self) -> int:
-        return len(self.interaction_pairs)
+        return len(self.surfaces)
 
     @property
     def trees(self) -> list[DecisionTree]:
@@ -156,99 +173,56 @@ class IlmartModel:
     def predict_batch(self, features: np.ndarray) -> np.ndarray:
         features = self._check_width(features)
         out = np.zeros(features.shape[0], dtype=np.float64)
-        for tree in self.trees:
-            out += tree.predict_batch(features)
+        for effect in self.shapes + self.surfaces:
+            out += effect.contribution(features)
         return out
 
     def scores_by_pair_rank(self, features: np.ndarray):
         """Yield the main-effect scores, then the running scores after each pair.
 
         The k-th array (from 0) scores the model cut to its first k pairs in
-        ``interaction_pairs`` order. Each tree is evaluated once. Because
-        :meth:`validate` requires the interaction trees grouped by pair in
-        that order, the last array equals :meth:`predict_batch` bit for bit.
+        ``interaction_pairs`` order; the last equals :meth:`predict_batch`
+        bit for bit.
         """
         features = self._check_width(features)
         scores = np.zeros(features.shape[0], dtype=np.float64)
-        for tree in self.main_trees:
-            scores += tree.predict_batch(features)
+        for shape in self.shapes:
+            scores += shape.contribution(features)
         yield scores.copy()
-        for _, trees in itertools.groupby(self.interaction_trees,
-                                          key=lambda t: tuple(t.constraint_features)):
-            for tree in trees:
-                scores += tree.predict_batch(features)
+        for surface in self.surfaces:
+            scores += surface.contribution(features)
             yield scores.copy()
 
     def predict_dataset(self, ds: Dataset) -> np.ndarray:
         return self.predict_batch(ds.features)
 
     def validate(self) -> None:
-        """Check every structural invariant; raises :class:`ModelError`."""
-        for tree in self.trees:
-            for f in tree.split_feature:
-                if not 1 <= f <= self.num_features or f not in tree.constraint_features:
-                    raise ModelError(f"constraint violation: split on feature {f} outside "
-                                     f"the tree's features {list(tree.constraint_features)}")
-            if not all(math.isfinite(t) for t in tree.threshold):
-                raise ModelError("constraint violation: non-finite split threshold")
-            if not all(math.isfinite(v) for v in tree.leaf_value):
-                raise ModelError("constraint violation: non-finite leaf value")
-
-        j_order: list[int] = []
-        for tree in self.main_trees:
-            if tree.constraint_kind != "single":
-                raise ModelError("constraint violation: main tree not tagged single-feature")
-            if len(tree.used_features) != 1:
-                raise ModelError("constraint violation: main tree must use exactly one feature")
-            if tuple(tree.constraint_features) != tuple(tree.used_features):
-                raise ModelError("constraint violation: main tree tag disagrees with its splits")
-            f = tree.used_features[0]
-            if f not in j_order:
-                j_order.append(f)
-        if j_order != list(self.main_features):
-            raise ModelError("constraint violation: main-effect feature list does not match trees")
-
+        """Check the config and every table invariant; raises :class:`ModelError`."""
+        self.config.validate()
+        for effect in self.shapes + self.surfaces:
+            effect.check()
+            if not all(1 <= f <= self.num_features for f in effect.features):
+                raise ModelError(f"{effect.key}: feature outside 1..{self.num_features}")
+        if len(set(self.main_features)) != self.p:
+            raise ModelError("constraint violation: duplicate main-effect feature")
+        if len(set(self.interaction_pairs)) != self.num_interactions:
+            raise ModelError("constraint violation: duplicate pair")
         j_set = set(self.main_features)
-        pair_set = set()
-        for pair in self.interaction_pairs:
-            i, j = pair
-            if i == j or not (i in j_set and j in j_set):
+        for i, j in self.interaction_pairs:
+            if not (i in j_set and j in j_set):
                 raise ModelError(
                     f"constraint violation: pair ({i}, {j}) breaks the heredity requirement"
                 )
-            if (i, j) in pair_set:
-                raise ModelError(f"constraint violation: duplicate pair ({i}, {j})")
-            pair_set.add((i, j))
-        if len(pair_set) > math.comb(len(j_set), 2):
-            raise ModelError("constraint violation: more pairs than C(p, 2)")
-
-        used_pairs = set()
-        for tree in self.interaction_trees:
-            if tree.constraint_kind != "pair":
-                raise ModelError("constraint violation: interaction tree not tagged as a pair")
-            tag = tuple(tree.constraint_features)
-            if len(tag) != 2 or tag not in pair_set:
-                raise ModelError("constraint violation: interaction tree assigned to an unknown pair")
-            if tree.is_stump:
-                raise ModelError("constraint violation: interaction tree must use one or two features")
-            used_pairs.add(tag)
-        if used_pairs != pair_set:
-            raise ModelError("constraint violation: pair list does not match the trees present")
-        runs = [pair for pair, _ in itertools.groupby(
-            tuple(t.constraint_features) for t in self.interaction_trees)]
-        if runs != [tuple(p) for p in self.interaction_pairs]:
-            raise ModelError(
-                "constraint violation: interaction trees not grouped by pair in K_set order"
-            )
 
 
-def _first_use_order(trees: list[DecisionTree]) -> list[int]:
-    order: list[int] = []
+def _tables(trees) -> list:
+    """One table per constraint tag (a main tree's feature, an interaction
+    tree's pair), summed from the trees with that tag, in order of first
+    appearance."""
+    groups: dict[tuple[int, ...], list[DecisionTree]] = {}
     for tree in trees:
-        for f in tree.used_features:
-            if f not in order:
-                order.append(f)
-    return order
+        groups.setdefault(tuple(tree.constraint_features), []).append(tree)
+    return [effect_from_trees(tag, group) for tag, group in groups.items()]
 
 
 def _boost_stage(stage, regime, train, bins, valid, cfg, learning_rate,
@@ -300,9 +274,9 @@ def train_main_effects(train: Dataset, valid: Dataset, cfg: TrainConfig,
                        scores_out: dict | None = None) -> IlmartModel:
     """Stage 1: boost single-feature trees with validation early stopping.
 
-    ``scores_out``, a dict, receives the returned model's scores on the
-    training and validation rows under ``"train"`` and ``"valid"``: what
-    stages 2 and 3 start from, equal to ``predict_dataset`` bit for bit.
+    ``scores_out``, a dict, receives the sums of the returned model's trees
+    on the training and validation rows under ``"train"`` and ``"valid"``:
+    what stages 2 and 3 start from.
     """
     cfg.validate()
     if valid is None:
@@ -323,24 +297,23 @@ def train_main_effects(train: Dataset, valid: Dataset, cfg: TrainConfig,
     )
     if scores_out is not None:
         scores_out.update(train=best_train, valid=best_valid)
-    return IlmartModel(
-        num_features=train.num_features,
-        main_trees=trees,
-        main_features=_first_use_order(trees),
-        bin_boundaries=list(bins.boundaries),
-        config=cfg,
-        dataset_digest=train.digest(),
-        training_log=log,
-        best_valid_ndcg=best,
-    )
+    return IlmartModel.from_trees(train.num_features, trees, config=cfg,
+                                  dataset_digest=train.digest(), training_log=log,
+                                  best_valid_ndcg=best)
 
 
 def _start_scores(model: IlmartModel, ds: Dataset, scores: dict | None,
                   key: str) -> np.ndarray:
-    """A fresh copy of the model's scores on ``ds``, carried or computed."""
-    if scores is None:
-        return model.predict_dataset(ds)
-    return scores[key].copy()
+    """A fresh copy of the model's scores on ``ds``, carried or summed tree by tree."""
+    if scores is not None:
+        return scores[key].copy()
+    if not model.main_trees:
+        raise ModelError("stages 2 and 3 start from the trees of a stage-1 model, and this "
+                         "model has none (a loaded model keeps only its tables)")
+    out = np.zeros(ds.num_rows, dtype=np.float64)
+    for tree in model.trees:
+        out += tree.predict_batch(ds.features)
+    return out
 
 
 def select_interactions(model: IlmartModel, train: Dataset, valid: Dataset,
@@ -355,7 +328,8 @@ def select_interactions(model: IlmartModel, train: Dataset, valid: Dataset,
     pairs in nomination order, which doubles as their importance ranking.
     ``start_scores`` holds the model's training and validation scores as
     stage 1's ``scores_out`` leaves them (they are not modified); without
-    it the model scores both datasets.
+    it the model's trees score both datasets, so a loaded model, which has
+    no trees, needs it.
     """
     cfg.validate()
     if model.p < 2:
@@ -408,13 +382,12 @@ def train_interaction_effects(model: IlmartModel, pairs, train: Dataset,
     """Stage 3: boost pair-constrained trees on top of the stage-1 model.
 
     Scores restart from the stage-1 model output (discovery trees left no
-    trace), so stripping the interaction trees from the result reproduces
-    the stage-1 predictions exactly. Pairs are trained one at a time in
-    nomination order, each with its own early stopping: the model grown
-    with the first k pairs is therefore a prefix of the final tree list,
-    which is what makes rank-truncated evaluation of the pair list behave
-    like the training curve itself. ``start_scores`` is as in
-    :func:`select_interactions`.
+    trace), so the result keeps the stage-1 shapes and adds one surface per
+    pair that kept a tree. Pairs are trained one at a time in nomination
+    order, each with its own early stopping: the model grown with the first
+    k pairs is therefore its first k surfaces, which is what makes
+    rank-truncated evaluation of the pair list behave like the training
+    curve itself. ``start_scores`` is as in :func:`select_interactions`.
     """
     cfg.validate()
     pairs = [tuple(sorted(int(f) for f in p)) for p in pairs]
@@ -433,7 +406,6 @@ def train_interaction_effects(model: IlmartModel, pairs, train: Dataset,
 
     log3: list[tuple[int, int, float]] = []
     trees: list[DecisionTree] = []
-    kept_pairs: list[tuple[int, int]] = []
     scores_train = _start_scores(model, train, start_scores, "train")
     scores_valid = _start_scores(model, valid, start_scores, "valid")
     best = None
@@ -452,22 +424,11 @@ def train_interaction_effects(model: IlmartModel, pairs, train: Dataset,
         round_base += len(phase_log)
         for tree in phase_trees:
             tree.constraint_features = pair
-        if phase_trees:
-            kept_pairs.append(pair)
-            trees.extend(phase_trees)
+        trees.extend(phase_trees)
 
-    return IlmartModel(
-        num_features=model.num_features,
-        main_trees=model.main_trees,
-        interaction_trees=trees,
-        main_features=model.main_features,
-        interaction_pairs=kept_pairs,
-        bin_boundaries=model.bin_boundaries,
-        config=cfg,
-        dataset_digest=model.dataset_digest,
-        training_log=list(model.training_log) + list(stage2_log) + log3,
-        best_valid_ndcg=best,
-    )
+    return replace(model, surfaces=_tables(trees), interaction_trees=trees, config=cfg,
+                   training_log=list(model.training_log) + list(stage2_log) + log3,
+                   best_valid_ndcg=best)
 
 
 def train_ilmart(train: Dataset, valid: Dataset, cfg: TrainConfig,
@@ -494,14 +455,8 @@ def _model_to_dict(model: IlmartModel) -> dict:
     return {
         "version": MODEL_SCHEMA_VERSION,
         "config": asdict(model.config),
-        "bin_info": {
-            "max_bins": model.config.max_bins,
-            "boundaries": [np.asarray(b).tolist() for b in model.bin_boundaries],
-        },
-        "main_trees": [t.to_dict() for t in model.main_trees],
-        "interaction_trees": [t.to_dict() for t in model.interaction_trees],
-        "J": list(model.main_features),
-        "K_set": [list(p) for p in model.interaction_pairs],
+        "main_effects": [s.to_json() for s in model.shapes],
+        "pair_effects": [s.to_json() for s in model.surfaces],
         "training_log": [[s, r, v] for s, r, v in model.training_log],
         "metadata": {
             "num_features": model.num_features,
@@ -527,17 +482,20 @@ def write_atomically(path):
 
 
 def save_model(model: IlmartModel, path) -> None:
-    """Serialize to schema-versioned JSON (floats as shortest round-trip text)."""
+    """Serialize the tables to schema-versioned JSON (floats as shortest
+    round-trip text). The model is first checked as :func:`load_model`
+    checks it, so a model that file would be refused is never written."""
+    model.validate()
     with write_atomically(path) as fh:
         json.dump(_model_to_dict(model), fh)
         fh.write("\n")
 
 
 def load_model(path) -> IlmartModel:
-    """Load a model file and re-check every structural invariant.
+    """Load a model file's tables and re-check every invariant.
 
     Anything that is not a well-formed model file of this schema version
-    raises :class:`ModelError`.
+    raises :class:`ModelError`. The loaded model has no trees.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -553,18 +511,13 @@ def load_model(path) -> IlmartModel:
     try:
         model = IlmartModel(
             num_features=int(data["metadata"]["num_features"]),
-            main_trees=[DecisionTree.from_dict(t) for t in data["main_trees"]],
-            interaction_trees=[DecisionTree.from_dict(t) for t in data["interaction_trees"]],
-            main_features=[int(f) for f in data["J"]],
-            interaction_pairs=[tuple(int(f) for f in p) for p in data["K_set"]],
-            bin_boundaries=[np.asarray(b, dtype=np.float64)
-                            for b in data["bin_info"]["boundaries"]],
+            shapes=[ShapeFunction.from_json(e) for e in data["main_effects"]],
+            surfaces=[InteractionSurface.from_json(e) for e in data["pair_effects"]],
             config=TrainConfig(**data["config"]),
             dataset_digest=str(data["metadata"].get("dataset_digest", "")),
             training_log=[(int(s), int(r), float(v)) for s, r, v in data["training_log"]],
             best_valid_ndcg=data["metadata"].get("best_valid_ndcg"),
         )
-        model.config.validate()
         model.validate()
     except KeyError as exc:
         raise ModelError(f"{path}: malformed model file, missing key {exc}") from None

@@ -155,68 +155,6 @@ class DecisionTree:
             stack.append((self.left_child[node], idx[go_left]))
         return out
 
-    def to_dict(self) -> dict:
-        return {
-            "constraint": [self.constraint_kind, list(self.constraint_features)],
-            "split_feature": list(self.split_feature),
-            "threshold": list(self.threshold),
-            "left_child": list(self.left_child),
-            "right_child": list(self.right_child),
-            "leaf_value": list(self.leaf_value),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DecisionTree":
-        """Rebuild a tree, refusing arrays that do not form one tree.
-
-        Features, children and constraint features must be JSON integers,
-        thresholds and leaf values JSON numbers; nothing is coerced (a
-        string, a float id or a bool is refused). With S splits there must
-        be S features, thresholds, left and right children and S + 1
-        leaves; the 2S children must name every split but the root and
-        every leaf exactly once, and a child split must come after its
-        parent, so every node reaches the root.
-        """
-        kind, feats = data["constraint"]
-        if not isinstance(kind, str):
-            raise ValueError(f"tree constraint kind must be a string, got {kind!r}")
-        tree = cls(
-            _ints(data["split_feature"], "split_feature"),
-            _numbers(data["threshold"], "threshold"),
-            _ints(data["left_child"], "left_child"),
-            _ints(data["right_child"], "right_child"),
-            _numbers(data["leaf_value"], "leaf_value"),
-            kind,
-            tuple(_ints(feats, "constraint features")),
-        )
-        n = len(tree.split_feature)
-        if not (len(tree.threshold) == len(tree.left_child) == len(tree.right_child) == n
-                and len(tree.leaf_value) == n + 1):
-            raise ValueError(f"tree arrays disagree in length ({n} split features need "
-                             f"{n} thresholds and children and {n + 1} leaf values)")
-        children = tree.left_child + tree.right_child
-        if n and sorted(children) != list(range(-n - 1, 0)) + list(range(1, n)):
-            raise ValueError("tree children must name every leaf and every split "
-                             "but the root exactly once")
-        if any(0 <= c <= s for s, pair in enumerate(zip(tree.left_child, tree.right_child))
-               for c in pair):
-            raise ValueError("a child split must come after its parent split")
-        return tree
-
-
-def _ints(values, what: str) -> list[int]:
-    """``values`` if it is a list of integers (JSON integers; no bools)."""
-    if not isinstance(values, list) or any(type(v) is not int for v in values):
-        raise ValueError(f"tree {what} must be a list of integers")
-    return list(values)
-
-
-def _numbers(values, what: str) -> list[float]:
-    """``values`` as floats if it is a list of JSON numbers (no bools)."""
-    if not isinstance(values, list) or any(type(v) not in (int, float) for v in values):
-        raise ValueError(f"tree {what} must be a list of numbers")
-    return [float(v) for v in values]
-
 
 class _GrowLeaf:
     __slots__ = ("rows", "index", "slot", "best")

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -130,10 +131,7 @@ def test_sweep_endpoints_match_trivial_cases(trained_dir, files, tmp_path):
     assert int(body[0][0]) == 0
     assert int(body[-1][0]) == model.num_interactions
 
-    main_scores = np.zeros(ds.num_rows)
-    for tree in model.main_trees:
-        main_scores += tree.predict_batch(ds.features)
-    stage1 = mean_ndcg(main_scores, ds, (1, 5, 10))
+    stage1 = mean_ndcg(replace(model, surfaces=[]).predict_dataset(ds), ds, (1, 5, 10))
     full = mean_ndcg(model.predict_dataset(ds), ds, (1, 5, 10))
     for col, k in ((1, 1), (2, 5), (3, 10)):
         assert float(body[0][col]) == stage1.mean[k]
@@ -178,6 +176,30 @@ def test_compare_reports_significance(trained_dir, files, capsys):
         assert cells[5] == ""
 
 
+@pytest.mark.parametrize("flag, value", [("--permutations", "0"), ("--permutations", "-5"),
+                                         ("--seed", "-1")])
+def test_compare_refuses_bad_permutations_or_seed(trained_dir, files, capsys, flag, value):
+    model_path = str(trained_dir / "model.json")
+    argv = ["compare", "--model-a", model_path, "--model-b", model_path,
+            "--data", files["test"], "--permutations", "200", "--seed", "3"]
+    argv[argv.index(flag) + 1] = value
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --permutations must be >= 1 and --seed >= 0") \
+        and len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("top", ["0", "-1"])
+def test_export_shapes_refuses_top_below_one(trained_dir, files, tmp_path, capsys, top):
+    out = tmp_path / "shapes"
+    code = main(["export-shapes", "--model", str(trained_dir / "model.json"),
+                 "--data", files["test"], "--out", str(out), "--top", top])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: --top must be >= 1, got {top}\n"
+    assert not out.exists()
+
+
 def test_compare_p_value_matches_library(trained_dir, files, capsys):
     model_path = str(trained_dir / "model.json")
     stage1_dir = files["root"] / "cmp_stage1"
@@ -220,91 +242,94 @@ def test_eval_dimension_mismatch_exits_2(trained_dir, files, tmp_path, capsys):
     assert "feature" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["unknown_config_key", "missing_key", "truncated_json",
-                                    "negative_learning_rate", "unknown_stage3_override",
-                                    "root_split_moved", "split_on_feature_zero",
-                                    "nan_threshold", "child_listed_twice",
-                                    "split_is_its_own_child", "leaf_missing",
-                                    "pair_tree_splits_outside_its_pair",
-                                    "string_threshold", "float_child_id",
-                                    "bool_split_feature", "string_leaf_value",
-                                    "bool_leaf_value"])
-def test_malformed_model_file_exits_2(trained_dir, files, tmp_path, capsys, damage):
-    text = (trained_dir / "model.json").read_text()
-    data = json.loads(text)
-    tree = data["main_trees"][0]
-    if damage == "root_split_moved":
-        tree["split_feature"][0] = tree["split_feature"][0] % data["metadata"]["num_features"] + 1
-        text = json.dumps(data)
-    elif damage == "split_on_feature_zero":
-        # feature J[0] becomes 0 everywhere, so only the range check can tell
-        f = data["J"][0]
-
-        def relabel(ids):
-            return [0 if x == f else x for x in ids]
-        for t in data["main_trees"] + data["interaction_trees"]:
-            t["split_feature"] = relabel(t["split_feature"])
-            t["constraint"][1] = relabel(t["constraint"][1])
-        data["J"] = relabel(data["J"])
-        data["K_set"] = [relabel(p) for p in data["K_set"]]
-        text = json.dumps(data)
-    elif damage == "nan_threshold":
-        tree["threshold"][0] = float("nan")
-        text = json.dumps(data)
-    elif damage == "child_listed_twice":
-        tree["right_child"][0] = tree["left_child"][0]
-        text = json.dumps(data)
-    elif damage == "split_is_its_own_child":
-        # split 1 takes over a child of its parent and points at itself
-        side = "left_child" if 1 in tree["left_child"] else "right_child"
-        parent = tree[side].index(1)
-        tree[side][parent], tree["left_child"][1] = tree["left_child"][1], 1
-        text = json.dumps(data)
-    elif damage == "leaf_missing":
-        tree["leaf_value"].pop()
-        text = json.dumps(data)
-    elif damage == "pair_tree_splits_outside_its_pair":
-        pair_tree = data["interaction_trees"][0]
-        outside = min(set(data["J"]) - set(pair_tree["constraint"][1]))
-        pair_tree["split_feature"][0] = outside
-        text = json.dumps(data)
-    elif damage == "string_threshold":
-        # each of these five parses as the same tree once coerced
-        tree["threshold"][0] = repr(tree["threshold"][0])
-        text = json.dumps(data)
-    elif damage == "float_child_id":
-        tree["left_child"][0] = float(tree["left_child"][0])
-        text = json.dumps(data)
-    elif damage == "bool_split_feature":
-        one = next(t for t in data["main_trees"] if t["split_feature"][0] == 1)
-        one["split_feature"] = [True] * len(one["split_feature"])
-        text = json.dumps(data)
-    elif damage == "string_leaf_value":
-        tree["leaf_value"][0] = repr(tree["leaf_value"][0])
-        text = json.dumps(data)
-    elif damage == "bool_leaf_value":
-        tree["leaf_value"][0] = False
-        text = json.dumps(data)
+def _damage(data, damage):
+    """Break one thing in a parsed model file, as named by ``damage``."""
+    main = next(e for e in data["main_effects"] if len(e["breakpoints"]) >= 2)
+    pair = data["pair_effects"][0]
+    if damage == "non_increasing_breakpoint":
+        main["breakpoints"][:2] = main["breakpoints"][1::-1]
+    elif damage == "duplicate_breakpoint":
+        main["breakpoints"][1] = main["breakpoints"][0]
+    elif damage == "nan_breakpoint":
+        main["breakpoints"][0] = float("nan")
+    elif damage == "infinite_breakpoint":
+        pair["breakpoints_j"][-1] = float("inf")
+    elif damage == "nan_value":
+        main["values"][0] = float("nan")
+    elif damage == "infinite_value":
+        pair["values"][0][0] = float("-inf")
+    elif damage == "values_wrong_length":
+        main["values"].pop()
+    elif damage == "values_wrong_shape":
+        pair["values"].pop()
+    elif damage == "ragged_rows":
+        pair["values"][0].pop()
+    elif damage == "string_value":
+        main["values"][0] = repr(main["values"][0])
+    elif damage == "bool_value":
+        pair["values"][0][0] = False
+    elif damage == "string_breakpoint":
+        main["breakpoints"][0] = repr(main["breakpoints"][0])
+    elif damage == "main_feature_zero":
+        main["feature"] = 0
+    elif damage == "main_feature_past_num_features":
+        main["feature"] = data["metadata"]["num_features"] + 1
+    elif damage == "bool_main_feature":
+        main["feature"] = True
+    elif damage == "duplicate_main_feature":
+        data["main_effects"].append(main)
+    elif damage == "pair_outside_j":
+        data["main_effects"] = [e for e in data["main_effects"] if e["feature"] != pair["pair"][0]]
+    elif damage == "duplicate_pair":
+        data["pair_effects"].append(pair)
+    elif damage == "unsorted_pair":
+        pair["pair"].reverse()
     elif damage == "unknown_config_key":
         data["config"]["no_such_option"] = 1
-        text = json.dumps(data)
     elif damage == "negative_learning_rate":
         data["config"]["learning_rate"] = -1
-        text = json.dumps(data)
     elif damage == "unknown_stage3_override":
         data["config"]["stage3_overrides"] = {"bogus": 1}
-        text = json.dumps(data)
     elif damage == "missing_key":
-        del data["K_set"]
-        text = json.dumps(data)
+        del data["pair_effects"]
     else:
+        raise AssertionError(damage)
+
+
+@pytest.mark.parametrize("damage", ["unknown_config_key", "missing_key", "truncated_json",
+                                    "negative_learning_rate", "unknown_stage3_override",
+                                    "non_increasing_breakpoint", "duplicate_breakpoint",
+                                    "nan_breakpoint", "infinite_breakpoint", "nan_value",
+                                    "infinite_value", "values_wrong_length",
+                                    "values_wrong_shape", "ragged_rows", "string_value",
+                                    "bool_value", "string_breakpoint", "main_feature_zero",
+                                    "main_feature_past_num_features", "bool_main_feature",
+                                    "duplicate_main_feature", "pair_outside_j",
+                                    "duplicate_pair", "unsorted_pair"])
+def test_malformed_model_file_exits_2(trained_dir, files, tmp_path, capsys, damage):
+    text = (trained_dir / "model.json").read_text()
+    if damage == "truncated_json":
         text = text[: len(text) // 2]
+    else:
+        data = json.loads(text)
+        _damage(data, damage)
+        text = json.dumps(data)
     bad = tmp_path / "model.json"
     bad.write_text(text)
     code = main(["eval", "--model", str(bad), "--data", files["test"]])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and len(err.splitlines()) == 1
+
+
+def test_v3_model_file_is_refused(trained_dir, files, tmp_path, capsys):
+    data = json.loads((trained_dir / "model.json").read_text())
+    data["version"] = 3
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(data))
+    assert main(["eval", "--model", str(bad), "--data", files["test"]]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {bad}: unsupported model schema version 3, expected 4\n"
 
 
 def test_eval_non_finite_data_exits_2(trained_dir, files, tmp_path, capsys):

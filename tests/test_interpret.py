@@ -1,4 +1,5 @@
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -6,19 +7,21 @@ from hypothesis import given, settings, strategies as st
 
 from ilmart import (
     IlmartModel,
+    ModelError,
     additive_score,
     build_bins,
     distill_shapes,
     effect_importance,
     export_shapes,
     import_shapes,
+    load_model,
+    save_model,
     select_interactions,
     train_interaction_effects,
     train_ilmart,
     train_main_effects,
     TrainConfig,
 )
-from ilmart.trees import DecisionTree
 
 from synthdata import letor_like, planted_interaction
 from treespec import make_tree
@@ -50,8 +53,7 @@ def trained():
 
 
 def test_single_tree_shape():
-    model = IlmartModel(num_features=2, main_trees=[two_leaf(1, 0.5, -0.1, 0.2)],
-                        main_features=[1])
+    model = IlmartModel.from_trees(2, [two_leaf(1, 0.5, -0.1, 0.2)])
     shapes, surfaces = distill_shapes(model)
     assert surfaces == []
     (shape,) = shapes
@@ -62,7 +64,7 @@ def test_single_tree_shape():
 
 def test_two_trees_merge_breakpoints():
     trees = [two_leaf(1, 0.5, -0.1, 0.2), two_leaf(1, 0.7, 0.05, -0.3)]
-    model = IlmartModel(num_features=1, main_trees=trees, main_features=[1])
+    model = IlmartModel.from_trees(1, trees)
     (shape,), _ = distill_shapes(model)
     assert shape.breakpoints.tolist() == [0.5, 0.7]
     # probe each interval and compare against direct tree sums
@@ -72,8 +74,7 @@ def test_two_trees_merge_breakpoints():
 
 
 def test_interval_closed_on_the_right():
-    model = IlmartModel(num_features=1, main_trees=[two_leaf(1, 0.5, -0.1, 0.2)],
-                        main_features=[1])
+    model = IlmartModel.from_trees(1, [two_leaf(1, 0.5, -0.1, 0.2)])
     (shape,), _ = distill_shapes(model)
     assert shape.lookup(0.5) == -0.1         # threshold itself routes left
     assert shape.lookup(np.nextafter(0.5, 1)) == 0.2
@@ -81,9 +82,7 @@ def test_interval_closed_on_the_right():
 
 def test_surface_grid_matches_tree_sums():
     tree = pair_tree(1, 2, 0.5, 0.3, (-1.0, 0.25, 0.75))
-    model = IlmartModel(num_features=2, main_trees=[two_leaf(1, 0.2, 0.0, 0.1)],
-                        main_features=[1], interaction_trees=[tree],
-                        interaction_pairs=[(1, 2)])
+    model = IlmartModel.from_trees(2, [two_leaf(1, 0.2, 0.0, 0.1)], [tree])
     _, (surface,) = distill_shapes(model)
     assert surface.pair == (1, 2)
     for xi in (0.1, 0.5, 0.9):
@@ -94,7 +93,7 @@ def test_surface_grid_matches_tree_sums():
 
 def test_nan_goes_right_in_tree_and_table():
     tree = two_leaf(1, 0.5, -0.1, 0.2)
-    model = IlmartModel(num_features=1, main_trees=[tree], main_features=[1])
+    model = IlmartModel.from_trees(1, [tree])
     (shape,), _ = distill_shapes(model)
     assert tree.predict_batch(np.array([[np.nan]])).tolist() == [0.2]
     assert shape.lookup(np.nan) == 0.2
@@ -105,8 +104,7 @@ def test_leaf_walk_skips_unreachable_branches():
     # unreachable; the pair tree splits on j first and on i below it.
     main = make_tree((1, 0.5, (1, 0.7, 1.0, 100.0), -1.0), "single", (1,))
     pair = make_tree((2, 0.3, (1, 0.6, 0.5, 0.25), -0.5), "pair", (1, 2))
-    model = IlmartModel(num_features=2, main_trees=[main], main_features=[1],
-                        interaction_trees=[pair], interaction_pairs=[(1, 2)])
+    model = IlmartModel.from_trees(2, [main], [pair])
     (shape,), (surface,) = distill_shapes(model)
     assert shape.breakpoints.tolist() == [0.5, 0.7]
     assert shape.values.tolist() == [1.0, -1.0, -1.0]
@@ -151,14 +149,17 @@ def test_additive_identity_at_the_edges(edge_model, data):
         table += s.lookup_batch(X[:, s.feature - 1])
     for s in surfaces:
         table += s.lookup_batch(X[:, s.pair[0] - 1], X[:, s.pair[1] - 1])
-    np.testing.assert_allclose(table, model.predict_batch(X), rtol=0, atol=1e-9)
+    np.testing.assert_array_equal(table, model.predict_batch(X))
+    # the independent oracle: the trees the tables were summed from
+    tree_sum = sum(t.predict_batch(X) for t in model.trees)
+    np.testing.assert_allclose(table, tree_sum, rtol=0, atol=1e-9)
 
 
 def test_additive_decomposition_on_trained_model(trained):
     shapes, surfaces = distill_shapes(trained)
     rng = np.random.default_rng(1)
     X = rng.random((1000, trained.num_features)) * 2 - 0.5
-    direct = trained.predict_batch(X)
+    direct = sum(t.predict_batch(X) for t in trained.trees)
     rebuilt = np.array([additive_score(shapes, surfaces, x) for x in X])
     np.testing.assert_allclose(rebuilt, direct, atol=1e-9)
 
@@ -177,17 +178,13 @@ def test_distillation_idempotence(trained):
         return make_tree(spec, "single", (feature,))
 
     trees = []
-    order = []
     for s in shapes:
         bp = s.breakpoints.tolist()
         bounds = [None] + bp
         uppers = bp + [None]
         for lo, hi, v in zip(bounds, uppers, s.values):
             trees.append(interval_tree(s.feature, lo, hi, float(v)))
-        if s.feature not in order:
-            order.append(s.feature)
-    rebuilt = IlmartModel(num_features=trained.num_features, main_trees=trees,
-                          main_features=order)
+    rebuilt = IlmartModel.from_trees(trained.num_features, trees)
     shapes2, _ = distill_shapes(rebuilt)
     by_feature = {s.feature: s for s in shapes2}
     for s in shapes:
@@ -204,23 +201,21 @@ def reference_rows(n, d, seed=3):
 
 
 def test_importance_single_effect_ranks_first():
-    model = IlmartModel(num_features=1, main_trees=[two_leaf(1, 0.5, -0.1, 0.2)],
-                        main_features=[1])
+    model = IlmartModel.from_trees(1, [two_leaf(1, 0.5, -0.1, 0.2)])
     imp = effect_importance(model, reference_rows(50, 1))
     assert len(imp.effects) == 1
     assert imp.effects[0].rank == 1
 
 
 def test_importance_zero_shape_scores_zero():
-    model = IlmartModel(num_features=1, main_trees=[two_leaf(1, 0.5, 0.0, 0.0)],
-                        main_features=[1])
+    model = IlmartModel.from_trees(1, [two_leaf(1, 0.5, 0.0, 0.0)])
     imp = effect_importance(model, reference_rows(50, 1))
     assert imp.effects[0].importance == 0.0
 
 
 def test_importance_orders_by_mean_absolute_contribution():
     trees = [two_leaf(1, 0.5, -1.0, 1.0), two_leaf(2, 0.5, -0.1, 0.1)]
-    model = IlmartModel(num_features=2, main_trees=trees, main_features=[1, 2])
+    model = IlmartModel.from_trees(2, trees)
     rng = np.random.default_rng(0)
     from ilmart import Dataset
     ref = Dataset.from_rows([0] * 50, ["q"] * 50, rng.random((50, 2)))
@@ -232,8 +227,7 @@ def test_importance_orders_by_mean_absolute_contribution():
 
 
 def test_export_csv_rows_exact(tmp_path):
-    model = IlmartModel(num_features=1, main_trees=[two_leaf(1, 0.5, -0.1, 0.2)],
-                        main_features=[1])
+    model = IlmartModel.from_trees(1, [two_leaf(1, 0.5, -0.1, 0.2)])
     shapes, surfaces = distill_shapes(model)
     export_shapes(shapes, surfaces, tmp_path, fmt="csv")
     rows = list(csv.reader(open(tmp_path / "main_1.csv")))
@@ -302,7 +296,7 @@ def chain_tree(features, thresholds, values, kind, tag):
     return make_tree(spec, kind, tag)
 
 
-def test_5000_deep_chain_round_trips_scores_and_distils():
+def test_5000_deep_chain_round_trips_scores_and_distils(tmp_path):
     # Deeper than the interpreter's recursion limit: scoring and distilling
     # walk the tree with an explicit stack.
     depth = 5000
@@ -310,22 +304,15 @@ def test_5000_deep_chain_round_trips_scores_and_distils():
     cuts = np.sort(rng.random(depth))
     pair_features = rng.integers(1, 3, depth)
     pair_cuts = rng.choice(np.linspace(0.05, 0.95, 8), depth)
-    model = IlmartModel(
-        num_features=2,
-        main_trees=[chain_tree([1] * depth, cuts, rng.normal(size=depth + 1), "single", (1,)),
-                    chain_tree([2] * depth, cuts, rng.normal(size=depth + 1), "single", (2,))],
-        interaction_trees=[chain_tree(pair_features, pair_cuts, rng.normal(size=depth + 1),
-                                      "pair", (1, 2))],
-        main_features=[1, 2],
-        interaction_pairs=[(1, 2)],
+    model = IlmartModel.from_trees(
+        2,
+        [chain_tree([1] * depth, cuts, rng.normal(size=depth + 1), "single", (1,)),
+         chain_tree([2] * depth, cuts, rng.normal(size=depth + 1), "single", (2,))],
+        [chain_tree(pair_features, pair_cuts, rng.normal(size=depth + 1), "pair", (1, 2))],
     )
-    model.validate()
-    loaded = [DecisionTree.from_dict(t.to_dict()) for t in model.trees]
-    assert [t.to_dict() for t in loaded] == [t.to_dict() for t in model.trees]
-    assert loaded[0].num_leaves == depth + 1
-    back = IlmartModel(num_features=2, main_trees=loaded[:2], interaction_trees=loaded[2:],
-                       main_features=[1, 2], interaction_pairs=[(1, 2)])
-    back.validate()
+    assert model.trees[0].num_leaves == depth + 1
+    save_model(model, tmp_path / "model.json")
+    back = load_model(tmp_path / "model.json")
 
     inputs = np.concatenate([cuts, np.nextafter(cuts, 2), rng.random(500)])
     X = rng.choice(inputs, (3000, 2))
@@ -333,6 +320,37 @@ def test_5000_deep_chain_round_trips_scores_and_distils():
     np.testing.assert_array_equal(score, model.predict_batch(X))
     shapes, surfaces = distill_shapes(back)
     assert [s.breakpoints.size for s in shapes] == [depth, depth]
-    table = sum(s.lookup_batch(X[:, s.feature - 1]) for s in shapes)
-    table += sum(s.lookup_batch(X[:, 0], X[:, 1]) for s in surfaces)
-    np.testing.assert_allclose(table, score, rtol=0, atol=1e-9)
+    tree_sum = sum(t.predict_batch(X) for t in model.trees)
+    np.testing.assert_allclose(tree_sum, score, rtol=0, atol=1e-9)
+
+
+def test_json_export_matches_the_model_file_tables(trained, tmp_path):
+    save_model(trained, tmp_path / "model.json")
+    data = json.loads((tmp_path / "model.json").read_text())
+    stored = {f"main_{e['feature']}": e for e in data["main_effects"]}
+    stored.update({f"pair_{e['pair'][0]}_{e['pair'][1]}": e for e in data["pair_effects"]})
+    export_shapes(*distill_shapes(trained), tmp_path / "shapes", fmt="json")
+    index = json.loads((tmp_path / "shapes" / "index.json").read_text())["effects"]
+    assert [e["effect"] for e in index] == list(stored)
+    for entry in index:
+        exported = json.loads((tmp_path / "shapes" / entry["file"]).read_text())
+        want = stored[entry["effect"]]
+        assert exported.keys() == want.keys()
+        for key in exported:
+            assert np.array_equal(np.array(exported[key]), np.array(want[key])), key
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda e: e["values"].pop(), "values have shape"),
+    (lambda e: e["breakpoints"].reverse(), "strictly increasing"),
+    (lambda e: e["values"].__setitem__(0, "0.5"), "JSON numbers only"),
+    (lambda e: e.__setitem__("feature", 0), "feature id"),
+])
+def test_import_shapes_refuses_a_damaged_export(trained, tmp_path, damage, message):
+    export_shapes(*distill_shapes(trained), tmp_path, fmt="json")
+    path = tmp_path / f"main_{trained.main_features[0]}.json"
+    effect = json.loads(path.read_text())
+    damage(effect)
+    path.write_text(json.dumps(effect))
+    with pytest.raises(ModelError, match=message):
+        import_shapes(tmp_path)

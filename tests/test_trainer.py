@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import os
@@ -126,11 +127,12 @@ def test_p2_selection_bounded_by_one_pair():
 
 def test_selection_does_not_touch_the_model(planted_run):
     model = planted_run["stage1"]
-    before = [t.to_dict() for t in model.main_trees]
+    before = copy.deepcopy(model)
     select_interactions(model, planted_run["train"], planted_run["valid"],
                         planted_run["cfg"], bins=planted_run["bins"])
-    assert [t.to_dict() for t in model.main_trees] == before
-    assert model.interaction_trees == []
+    assert model.main_trees == before.main_trees
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(model.shapes, before.shapes))
+    assert model.interaction_trees == [] and model.surfaces == []
 
 
 def test_interaction_trees_stay_inside_selected_pairs(planted_run):
@@ -144,19 +146,18 @@ def test_interaction_trees_stay_inside_selected_pairs(planted_run):
 
 
 def test_stage_separation(planted_run):
-    # Dropping the interaction trees reproduces stage-1 predictions exactly.
+    # Dropping the interaction surfaces reproduces stage-1 predictions exactly.
     full, stage1 = planted_run["full"], planted_run["stage1"]
     X = planted_run["valid"].features
-    main_only = np.zeros(X.shape[0])
-    for tree in full.main_trees:
-        main_only += tree.predict_batch(X)
-    np.testing.assert_array_equal(main_only, stage1.predict_batch(X))
+    np.testing.assert_array_equal(replace(full, surfaces=[]).predict_batch(X),
+                                  stage1.predict_batch(X))
 
 
 def test_discovery_trees_leave_no_trace(planted_run):
-    # Stage 3 starts from stage-1 scores, so the final model's main trees are
-    # the stage-1 trees themselves, object for object.
+    # Stage 3 starts from stage-1 scores, so the final model's main trees and
+    # shapes are the stage-1 ones themselves, object for object.
     assert planted_run["full"].main_trees is planted_run["stage1"].main_trees
+    assert planted_run["full"].shapes is planted_run["stage1"].shapes
 
 
 def test_rollback_matches_best_curve_point(planted_run):
@@ -244,7 +245,10 @@ def test_save_load_round_trip(tmp_path, planted_run):
     np.testing.assert_array_equal(back.predict_batch(X), full.predict_batch(X))
     assert back.main_features == full.main_features
     assert back.interaction_pairs == full.interaction_pairs
-    assert [t.to_dict() for t in back.main_trees] == [t.to_dict() for t in full.main_trees]
+    for got, want in zip(back.shapes + back.surfaces, full.shapes + full.surfaces):
+        assert all(np.array_equal(a, b) for a, b in zip(got.axes, want.axes))
+        assert np.array_equal(got.values, want.values)
+    assert back.trees == []     # trees are a training artifact, not saved
     # saving the loaded model reproduces the file byte for byte
     path2 = tmp_path / "model2.json"
     save_model(back, path2)
@@ -278,6 +282,23 @@ def test_load_model_validates_stored_config(tmp_path, planted_run, change, messa
     assert str(info.value) == f"{path}: invalid config: {message}"
 
 
+def test_stages_2_and_3_refuse_a_model_without_trees(tmp_path, planted_run):
+    path = tmp_path / "stage1.json"
+    save_model(planted_run["stage1"], path)
+    loaded = load_model(path)
+    args = planted_run["train"], planted_run["valid"], planted_run["cfg"]
+    with pytest.raises(ModelError, match="has none"):
+        select_interactions(loaded, *args)
+    with pytest.raises(ModelError, match="has none"):
+        train_interaction_effects(loaded, planted_run["pairs"], *args)
+
+
+def test_selection_on_a_model_without_main_effects_is_empty(planted_run):
+    empty = IlmartModel.from_trees(planted_run["train"].num_features, [])
+    assert select_interactions(empty, planted_run["train"], planted_run["valid"],
+                               planted_run["cfg"]) == []
+
+
 def draw_tree(data, features, kind, tag, depth=3):
     """A random tree over ``features`` whose root is a split."""
     thresholds = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
@@ -307,17 +328,25 @@ def test_saved_model_scores_bit_identically(data):
                       if candidates else st.just([]))
     pair_trees = [draw_tree(data, list(p), "pair", p)
                   for p in pairs for _ in range(data.draw(st.integers(1, 2)))]
-    model = IlmartModel(num_features=width, main_trees=main_trees, main_features=main,
-                        interaction_trees=pair_trees, interaction_pairs=pairs)
-    model.validate()
+    with np.errstate(over="ignore", invalid="ignore"):     # sums of +-1.7e308 leaves
+        model = IlmartModel.from_trees(width, main_trees, pair_trees)
+    assert model.main_features == main and model.interaction_pairs == pairs
     inputs = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 0.5]))
     X = np.array(data.draw(st.lists(st.lists(inputs, min_size=width, max_size=width),
                                     min_size=1, max_size=8)), dtype=np.float64)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.json")
+        if not all(np.isfinite(e.values).all() for e in model.shapes + model.surfaces):
+            with pytest.raises(ModelError, match="values must be finite"):
+                save_model(model, path)
+            assert os.listdir(tmp) == []
+            return
         save_model(model, path)
         back = load_model(path)
-    with np.errstate(over="ignore", invalid="ignore"):     # sums of +-1.7e308 leaves
+    for got, want in zip(back.shapes + back.surfaces, model.shapes + model.surfaces):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got.axes, want.axes))
+        assert got.values.tobytes() == want.values.tobytes()
+    with np.errstate(over="ignore", invalid="ignore"):
         assert back.predict_batch(X).tobytes() == model.predict_batch(X).tobytes()
 
 
@@ -325,13 +354,13 @@ def test_5000_deep_chain_saves_and_loads_bit_identically(tmp_path):
     spec = 0.0
     for k in range(5000):
         spec = (1, float(k), 1.0, spec)
-    model = IlmartModel(num_features=1, main_trees=[make_tree(spec, "single", (1,))],
-                        main_features=[1])
+    model = IlmartModel.from_trees(1, [make_tree(spec, "single", (1,))])
     path = tmp_path / "model.json"
     save_model(model, path)
     back = load_model(path)
     X = np.arange(-1.0, 5001.0, 0.5).reshape(-1, 1)
     assert back.predict_batch(X).tobytes() == model.predict_batch(X).tobytes()
+    assert back.predict_batch(X).tobytes() == model.main_trees[0].predict_batch(X).tobytes()
     (want,), _ = distill_shapes(model)
     (got,), _ = distill_shapes(back)
     assert np.array_equal(got.breakpoints, want.breakpoints)
@@ -350,9 +379,9 @@ def test_tampered_model_rejected(tmp_path, planted_run):
     path = tmp_path / "model.json"
     save_model(planted_run["full"], path)
     data = json.loads(path.read_text())
-    tree = data["interaction_trees"][0]
-    # rewrite one split to use a feature outside the assigned pair
-    tree["split_feature"][0] = 99 if tree["split_feature"][0] != 99 else 98
+    # drop the main effect of a pair's first feature: the pair loses heredity
+    first = data["pair_effects"][0]["pair"][0]
+    data["main_effects"] = [e for e in data["main_effects"] if e["feature"] != first]
     path.write_text(json.dumps(data))
     with pytest.raises(ModelError, match="constraint violation"):
         load_model(path)
@@ -366,15 +395,16 @@ def test_schema_version_checked(tmp_path, planted_run):
     path.write_text(json.dumps(data))
     with pytest.raises(ModelError, match="schema version") as err:
         load_model(path)
-    assert str(err.value) == f"{path}: unsupported model schema version 999, expected 3"
+    assert str(err.value) == f"{path}: unsupported model schema version 999, expected 4"
 
 
 def test_stage_1_scores_carry_into_stages_2_and_3(planted_run):
     train, valid, cfg, bins = (planted_run[k] for k in ("train", "valid", "cfg", "bins"))
     scores = {}
     stage1 = train_main_effects(train, valid, cfg, bins=bins, scores_out=scores)
-    assert np.array_equal(scores["train"], stage1.predict_dataset(train))
-    assert np.array_equal(scores["valid"], stage1.predict_dataset(valid))
+    for key, ds in (("train", train), ("valid", valid)):
+        assert np.array_equal(scores[key], sum(t.predict_batch(ds.features) for t in stage1.trees))
+        np.testing.assert_allclose(scores[key], stage1.predict_dataset(ds), rtol=0, atol=1e-12)
     kept = {k: v.copy() for k, v in scores.items()}
     carried_log, computed_log = [], []
     pairs = select_interactions(stage1, train, valid, cfg, bins=bins, log=carried_log,
@@ -385,7 +415,7 @@ def test_stage_1_scores_carry_into_stages_2_and_3(planted_run):
     full = train_interaction_effects(stage1, pairs, train, valid, cfg, bins=bins,
                                      start_scores=scores)
     want = train_interaction_effects(stage1, pairs, train, valid, cfg, bins=bins)
-    assert [t.to_dict() for t in full.trees] == [t.to_dict() for t in want.trees]
+    assert full.trees == want.trees
     assert full.training_log == want.training_log
     assert all(np.array_equal(scores[k], kept[k]) for k in kept)     # read, not modified
 
@@ -393,7 +423,7 @@ def test_stage_1_scores_carry_into_stages_2_and_3(planted_run):
 def test_carried_scores_equal_model_scores_after_every_stage(monkeypatch):
     """Each boosting stage's best-round scores, built from leaf values of
     the training partition and tree outputs on validation rows, equal the
-    model's own scores bit for bit."""
+    sums of the model's trees bit for bit, and its table sums to 1e-12."""
     import ilmart.trainer as trainer
 
     calls = []
@@ -417,8 +447,10 @@ def test_carried_scores_equal_model_scores_after_every_stage(monkeypatch):
             running[1] += tree.predict_batch(valid.features)
         assert np.array_equal(best_train, running[0])
         assert np.array_equal(best_valid, running[1])
-    assert np.array_equal(running[0], model.predict_batch(train.features))
-    assert np.array_equal(running[1], model.predict_batch(valid.features))
+    assert sum(len(trees) for trees, _, _ in calls) == len(model.trees)
+    for ds, scores in zip((train, valid), running):
+        assert np.array_equal(scores, sum(t.predict_batch(ds.features) for t in model.trees))
+        np.testing.assert_allclose(scores, model.predict_dataset(ds), rtol=0, atol=1e-12)
 
 
 def test_training_is_deterministic(tmp_path):
@@ -473,19 +505,14 @@ def _pair_tree(i, j, value):
     return make_tree((i, 0.5, 0.0, (j, 0.5, 0.0, value)), "pair", (i, j))
 
 
-def test_validate_requires_trees_grouped_by_pair_in_k_set_order():
+def test_scores_by_pair_rank_adds_surfaces_in_k_set_order():
     main = [make_tree((f, 0.5, -0.25, 0.25), "single", (f,)) for f in (1, 2, 3)]
     a1, a2, b1 = _pair_tree(1, 2, 0.5), _pair_tree(1, 2, 1.0), _pair_tree(1, 3, 2.0)
-    good = IlmartModel(num_features=3, main_trees=main, main_features=[1, 2, 3],
-                       interaction_trees=[a1, a2, b1], interaction_pairs=[(1, 2), (1, 3)])
-    good.validate()
+    model = IlmartModel.from_trees(3, main, [a1, b1, a2])
+    assert model.interaction_pairs == [(1, 2), (1, 3)]
     X = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
-    assert [s.tolist() for s in good.scores_by_pair_rank(X)] == [
+    assert [s.tolist() for s in model.scores_by_pair_rank(X)] == [
         [-0.75, 0.25, 0.75], [-0.75, 1.75, 2.25], [-0.75, 1.75, 4.25]]
-    for trees, pairs in (([a1, b1, a2], [(1, 2), (1, 3)]),    # pair (1, 2) split in two runs
-                         ([a1, a2, b1], [(1, 3), (1, 2)])):   # runs out of K_set order
-        with pytest.raises(ModelError, match="grouped by pair in K_set order"):
-            replace(good, interaction_trees=trees, interaction_pairs=pairs).validate()
 
 
 def test_failed_save_leaves_the_old_file(tmp_path, planted_run):

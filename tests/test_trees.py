@@ -262,22 +262,9 @@ def test_leaf_output_clamp_binds_on_degenerate_hessians():
     assert values == [-10.0, 10.0]
 
 
-def test_serialization_round_trip():
-    rng = np.random.default_rng(13)
-    X = rng.random((300, 4))
-    grad = rng.normal(size=300)
-    bins = make_bins(X)
-    regime = ConstraintRegime.single_feature([1, 2, 3, 4], 10, min_data_in_leaf=5)
-    tree = fit_tree(bins, grad, np.ones(300), regime, 0.1)
-    clone = DecisionTree.from_dict(tree.to_dict())
-    assert clone.to_dict() == tree.to_dict()
-    np.testing.assert_array_equal(clone.predict_batch(X), tree.predict_batch(X))
-
-
 def test_stump_predicts_its_value():
     tree = make_tree(0.0, "single", ())
     assert tree.predict_batch(np.array([[1.0, 2.0]])).tolist() == [0.0]
-    assert DecisionTree.from_dict(tree.to_dict()) == tree
 
 
 def test_manual_two_leaf_routing():
@@ -460,7 +447,7 @@ def test_fit_tree_matches_per_leaf_oracle_node_for_node():
         want = oracle_fit_tree(bins, grad, hess, regime, lr, lambda_l2=l2,
                                scored_sizes=sizes)
         got = fit_tree(bins, grad, hess, regime, lr, lambda_l2=l2)
-        assert got.to_dict() == want.to_dict(), f"seed {seed}"
+        assert got == want, f"seed {seed}"
         offsets += [s - 2 * regime.min_data_in_leaf for s in sizes[1:]]
         splits += len(want.split_feature)
         both_pair_features += regime.kind == "pair" and len(want.used_features) == 2
@@ -480,5 +467,5 @@ def test_root_just_below_and_at_twice_min_data(extra):
     regime = ConstraintRegime.single_feature([1], 4, min_data_in_leaf=min_data)
     tree = fit_tree(bins, grad, np.ones(n), regime, 0.1)
     want = oracle_fit_tree(bins, grad, np.ones(n), regime, 0.1)
-    assert tree.to_dict() == want.to_dict()
+    assert tree == want
     assert tree.num_leaves == (1 if extra < 0 else 2)
