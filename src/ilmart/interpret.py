@@ -14,7 +14,7 @@ import csv
 import itertools
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
@@ -55,6 +55,17 @@ def _numbers(data, ndim: int, what: str) -> np.ndarray:
         return np.array(data, dtype=np.float64)
     except OverflowError:
         raise ModelError(f"{what} must be finite") from None
+
+
+def _known_keys(data, keys, what: str) -> dict:
+    """``data`` if it is a JSON object with no key outside ``keys`` (a
+    missing key is left to the caller's lookup)."""
+    if not isinstance(data, dict):
+        raise ModelError(f"{what} must be an object")
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise ModelError(f"unknown {what} key(s) {unknown}")
+    return data
 
 
 class _Table:
@@ -100,6 +111,7 @@ class ShapeFunction(_Table):
     @classmethod
     def from_json(cls, data: dict) -> "ShapeFunction":
         """The checked table of a ``{feature, breakpoints, values}`` object."""
+        _known_keys(data, [f.name for f in fields(cls)], "main effect")
         feature = _feature_id(data["feature"], "main effect feature")
         shape = cls(feature, _numbers(data["breakpoints"], 1, f"main_{feature}: breakpoints"),
                     _numbers(data["values"], 1, f"main_{feature}: values"))
@@ -140,6 +152,7 @@ class InteractionSurface(_Table):
     @classmethod
     def from_json(cls, data: dict) -> "InteractionSurface":
         """The checked table of a ``{pair, breakpoints_i, breakpoints_j, values}`` object."""
+        _known_keys(data, [f.name for f in fields(cls)], "pair effect")
         pair = data["pair"]
         if not isinstance(pair, list) or len(pair) != 2:
             raise ModelError(f"pair effect pair must be two feature ids, got {pair!r}")

@@ -10,15 +10,16 @@ pairs. The model is one table per main feature and per pair, each summed
 from its trees, and its prediction is the plain sum of their lookups with no
 intercept: an exact additive decomposition over features and feature pairs.
 
-Early stopping in stages 1 and 3 monitors validation NDCG at a configured
-cutoff and rolls the stage back to its best round.
-
-No stage scores the training rows tree by tree: each round adds the new
-tree's leaf values through the row partition :func:`fit_tree` reports, and
-:func:`train_ilmart` hands stage 1's best-round scores to stages 2 and 3.
-Both sum the same leaf values in the same order as the trees' own
-``predict_batch``, so training is the same whether the scores are carried
-or computed.
+The stages are one LambdaMART booster under three constraint regimes and
+share one round (:meth:`_Booster.round`): lambdas of the training scores, a
+tree fitted under the stage's regime and :class:`TrainConfig`, its leaf
+values added to the training scores through the row partition
+:func:`fit_tree` reports and its output to the validation scores, and the
+validation NDCG logged; a stump ends the stage. Stages 1 and 3 wrap the
+round in early stopping with rollback to the best round
+(:func:`_boost_stage`), stage 2 in pair nomination. Stage 1 starts from
+zero and hands its best-round scores to stages 2 and 3, so no stage scores
+the training rows tree by tree.
 """
 from __future__ import annotations
 
@@ -32,7 +33,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .dataset import BinMapper, Dataset, build_bins, DEFAULT_MAX_BINS
-from .interpret import InteractionSurface, ModelError, ShapeFunction, effect_from_trees
+from .interpret import (InteractionSurface, ModelError, ShapeFunction, _known_keys, _numbers,
+                        effect_from_trees)
 from .lambdas import LambdaPlan, compute_lambdas
 from .metrics import QueryEvaluator
 from .trees import ConstraintRegime, DecisionTree, fit_tree
@@ -63,6 +65,10 @@ class TrainConfig:
     lambda_l2: float = 0.0
     min_data_in_leaf: int = 20
     min_gain: float = 0.0
+    # Children below this hessian mass are rejected, and the Newton step
+    # G/(H + l2) is clamped to +-max_leaf_output before learning-rate
+    # scaling. Both keep leaves bounded when pairwise sigmoids saturate and
+    # the hessian collapses while the gradient does not.
     min_child_hessian: float = 1e-3
     max_leaf_output: float = 10.0
     max_bins: int = DEFAULT_MAX_BINS
@@ -119,8 +125,8 @@ class IlmartModel:
     stage 2 nominated the pairs, which is their importance ranking).
 
     ``main_trees`` and ``interaction_trees`` are the trees the tables were
-    summed from: a training artifact that stages 2 and 3 continue from. A
-    loaded model has none.
+    summed from: a training artifact, which a loaded model does not have.
+    Stages 2 and 3 continue from stage 1's scores, not from its trees.
     """
 
     num_features: int
@@ -225,101 +231,103 @@ def _tables(trees) -> list:
     return [effect_from_trees(tag, group) for tag, group in groups.items()]
 
 
-def _boost_stage(stage, regime, train, bins, valid, cfg, learning_rate,
-                 scores_train, scores_valid, log):
-    """Boost until early stopping, then roll back to the best round.
+class _Booster:
+    """One stage's boosting state, carried from round to round.
 
-    Mutates the score vectors in place and returns the kept trees together
-    with the snapshots of both score vectors at the best round.
+    It holds the training and validation scores, which every round updates
+    in place, the stage's log, and what every round reuses: the lambda plan,
+    the NDCG evaluator and the row-to-leaf buffer. Rounds are numbered
+    through the whole stage, across stage 3's pairs.
     """
-    evaluator = QueryEvaluator(valid, cfg.ndcg_cutoff)
-    plan = LambdaPlan(train, cfg.truncation)
-    leaf_of_row = np.empty(train.num_rows, dtype=np.intp)
-    trees: list[DecisionTree] = []
-    best_ndcg = evaluator.mean(scores_valid)
-    best_len = 0
-    best_train = scores_train.copy()
-    best_valid = scores_valid.copy()
-    since_best = 0
-    for rnd in range(1, cfg.max_rounds_per_stage + 1):
-        grads = compute_lambdas(scores_train, train, cfg.sigma, cfg.truncation,
-                                cfg.lambdarank_norm, plan=plan)
-        tree = fit_tree(bins, -grads.gradient, grads.hessian, regime,
-                        learning_rate, cfg.lambda_l2, leaf_of_row)
+
+    def __init__(self, stage, train, bins, valid, cfg, scores):
+        self.stage, self.train, self.bins, self.valid, self.cfg = stage, train, bins, valid, cfg
+        self.scores_train = scores["train"].copy()
+        self.scores_valid = scores["valid"].copy()
+        self.log: list[tuple[int, int, float]] = []
+        self.plan = LambdaPlan(train, cfg.truncation)
+        self.evaluator = QueryEvaluator(valid, cfg.ndcg_cutoff)
+        self.leaf_of_row = np.empty(train.num_rows, dtype=np.intp)
+
+    def round(self, regime: ConstraintRegime) -> DecisionTree | None:
+        """Fit a tree to the lambdas of the current scores, add its leaf
+        values to both score vectors and log the validation NDCG. Returns
+        the tree, or None, changing nothing, when it is a stump."""
+        cfg = self.cfg
+        grads = compute_lambdas(self.scores_train, self.train, cfg.sigma, cfg.truncation,
+                                cfg.lambdarank_norm, plan=self.plan)
+        tree = fit_tree(self.bins, -grads.gradient, grads.hessian, regime, cfg, self.leaf_of_row)
+        rnd = len(self.log) + 1
         if tree.is_stump:
-            logger.info("stage %d: stopping at round %d (no split has positive gain)", stage, rnd)
+            logger.info("stage %d: stopping at round %d (no split has positive gain)",
+                        self.stage, rnd)
+            return None
+        self.scores_train += np.asarray(tree.leaf_value)[self.leaf_of_row]
+        self.scores_valid += tree.predict_batch(self.valid.features)
+        self.log.append((self.stage, rnd, self.evaluator.mean(self.scores_valid)))
+        return tree
+
+
+def _boost_stage(booster: _Booster, regime: ConstraintRegime):
+    """Boost until early stopping, then roll the scores back to the best round.
+
+    Returns the kept trees and the best validation NDCG.
+    """
+    cfg = booster.cfg
+    trees: list[DecisionTree] = []
+    best_ndcg = booster.evaluator.mean(booster.scores_valid)
+    best_len = since_best = 0
+    best_train = booster.scores_train.copy()
+    best_valid = booster.scores_valid.copy()
+    for _ in range(cfg.max_rounds_per_stage):
+        tree = booster.round(regime)
+        if tree is None:
             break
-        scores_train += np.asarray(tree.leaf_value)[leaf_of_row]
-        scores_valid += tree.predict_batch(valid.features)
         trees.append(tree)
-        ndcg = evaluator.mean(scores_valid)
-        log.append((stage, rnd, ndcg))
+        ndcg = booster.log[-1][2]
         if ndcg > best_ndcg + IMPROVEMENT_EPS:
             best_ndcg = ndcg
             best_len = len(trees)
             since_best = 0
-            np.copyto(best_train, scores_train)
-            np.copyto(best_valid, scores_valid)
+            np.copyto(best_train, booster.scores_train)
+            np.copyto(best_valid, booster.scores_valid)
         else:
             since_best += 1
             if since_best >= cfg.early_stopping_rounds:
                 break
+    booster.scores_train, booster.scores_valid = best_train, best_valid
     logger.info("stage %d: kept %d of %d trees, best valid NDCG@%d = %.5f",
-                stage, best_len, len(trees), cfg.ndcg_cutoff, best_ndcg)
-    return trees[:best_len], best_train, best_valid, best_ndcg
+                booster.stage, best_len, len(trees), cfg.ndcg_cutoff, best_ndcg)
+    return trees[:best_len], best_ndcg
 
 
-def train_main_effects(train: Dataset, valid: Dataset, cfg: TrainConfig,
-                       bins: BinMapper | None = None,
+def train_main_effects(train: Dataset, valid: Dataset, cfg: TrainConfig, bins: BinMapper,
                        scores_out: dict | None = None) -> IlmartModel:
     """Stage 1: boost single-feature trees with validation early stopping.
 
-    ``scores_out``, a dict, receives the sums of the returned model's trees
-    on the training and validation rows under ``"train"`` and ``"valid"``:
-    what stages 2 and 3 start from.
+    ``scores_out``, a dict, receives the returned model's scores on the
+    training and validation rows under ``"train"`` and ``"valid"``: what
+    stages 2 and 3 start from.
     """
     cfg.validate()
     if valid is None:
         raise ModelError("a validation dataset is required for early stopping")
     if train.num_features != valid.num_features:
         raise ModelError("train and validation datasets disagree on the number of features")
-    if bins is None:
-        bins = build_bins(train, cfg.max_bins)
-    regime = ConstraintRegime.single_feature(
-        range(1, train.num_features + 1), cfg.num_leaves,
-        cfg.min_data_in_leaf, cfg.min_gain, cfg.min_child_hessian,
-        cfg.max_leaf_output,
-    )
-    log: list[tuple[int, int, float]] = []
-    trees, best_train, best_valid, best = _boost_stage(
-        1, regime, train, bins, valid, cfg, cfg.learning_rate,
-        np.zeros(train.num_rows), np.zeros(valid.num_rows), log,
-    )
+    digest = train.digest()     # hashing copies the features: do it before boosting allocates
+    booster = _Booster(1, train, bins, valid, cfg,
+                       {"train": np.zeros(train.num_rows), "valid": np.zeros(valid.num_rows)})
+    trees, best = _boost_stage(booster, ConstraintRegime("single", range(1, train.num_features + 1)))
     if scores_out is not None:
-        scores_out.update(train=best_train, valid=best_valid)
+        scores_out.update(train=booster.scores_train, valid=booster.scores_valid)
     return IlmartModel.from_trees(train.num_features, trees, config=cfg,
-                                  dataset_digest=train.digest(), training_log=log,
+                                  dataset_digest=digest, training_log=booster.log,
                                   best_valid_ndcg=best)
 
 
-def _start_scores(model: IlmartModel, ds: Dataset, scores: dict | None,
-                  key: str) -> np.ndarray:
-    """A fresh copy of the model's scores on ``ds``, carried or summed tree by tree."""
-    if scores is not None:
-        return scores[key].copy()
-    if not model.main_trees:
-        raise ModelError("stages 2 and 3 start from the trees of a stage-1 model, and this "
-                         "model has none (a loaded model keeps only its tables)")
-    out = np.zeros(ds.num_rows, dtype=np.float64)
-    for tree in model.trees:
-        out += tree.predict_batch(ds.features)
-    return out
-
-
 def select_interactions(model: IlmartModel, train: Dataset, valid: Dataset,
-                        cfg: TrainConfig, bins: BinMapper | None = None,
-                        log: list | None = None,
-                        start_scores: dict | None = None) -> list[tuple[int, int]]:
+                        cfg: TrainConfig, bins: BinMapper, start_scores: dict,
+                        log: list) -> list[tuple[int, int]]:
     """Stage 2: nominate feature pairs with discardable 3-leaf trees.
 
     Boosting continues from the stage-1 scores; every discovery tree that
@@ -327,58 +335,36 @@ def select_interactions(model: IlmartModel, train: Dataset, valid: Dataset,
     appearance. The trees themselves never reach the model. Returns the
     pairs in nomination order, which doubles as their importance ranking.
     ``start_scores`` holds the model's training and validation scores as
-    stage 1's ``scores_out`` leaves them (they are not modified); without
-    it the model's trees score both datasets, so a loaded model, which has
-    no trees, needs it.
+    stage 1's ``scores_out`` leaves them (they are not modified), and
+    ``log`` receives one ``(2, round, valid NDCG)`` entry per round.
     """
     cfg.validate()
     if model.p < 2:
         logger.warning("stage 2 skipped: only %d main effect(s), pairs need two", model.p)
         return []
-    if bins is None:
-        bins = build_bins(train, cfg.max_bins)
     target = min(cfg.max_interactions, math.comb(model.p, 2))
     if target < 1:
         return []
-    evaluator = QueryEvaluator(valid, cfg.ndcg_cutoff) if log is not None else None
-    plan = LambdaPlan(train, cfg.truncation)
-    leaf_of_row = np.empty(train.num_rows, dtype=np.intp)
-    scores_train = _start_scores(model, train, start_scores, "train")
-    scores_valid = _start_scores(model, valid, start_scores, "valid") if log is not None else None
-    regime = ConstraintRegime.pair_discovery(
-        model.main_features, cfg.min_data_in_leaf, cfg.min_gain,
-        cfg.min_child_hessian, cfg.max_leaf_output
-    )
+    booster = _Booster(2, train, bins, valid, cfg, start_scores)
+    regime = ConstraintRegime("discovery", model.main_features)
     pairs: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for rnd in range(1, cfg.stage2_max_rounds + 1):
-        grads = compute_lambdas(scores_train, train, cfg.sigma, cfg.truncation,
-                                cfg.lambdarank_norm, plan=plan)
-        tree = fit_tree(bins, -grads.gradient, grads.hessian, regime,
-                        cfg.learning_rate, cfg.lambda_l2, leaf_of_row)
-        if tree.is_stump:
-            logger.info("stage 2: stopping at round %d (discovery trees degenerated)", rnd)
+    for _ in range(cfg.stage2_max_rounds):
+        tree = booster.round(regime)
+        if tree is None:
             break
-        scores_train += np.asarray(tree.leaf_value)[leaf_of_row]
-        if log is not None:
-            scores_valid += tree.predict_batch(valid.features)
-            log.append((2, rnd, evaluator.mean(scores_valid)))
-        if len(tree.used_features) == 2:
-            pair = tuple(sorted(tree.used_features))
-            if pair not in seen:
-                seen.add(pair)
-                pairs.append(pair)
-                if len(pairs) >= target:
-                    break
+        pair = tuple(sorted(tree.used_features))
+        if len(pair) == 2 and pair not in pairs:
+            pairs.append(pair)
+            if len(pairs) >= target:
+                break
+    log.extend(booster.log)
     logger.info("stage 2: selected %d pair(s) out of a target of %d", len(pairs), target)
     return pairs
 
 
 def train_interaction_effects(model: IlmartModel, pairs, train: Dataset,
-                              valid: Dataset, cfg: TrainConfig,
-                              bins: BinMapper | None = None,
-                              stage2_log=(),
-                              start_scores: dict | None = None) -> IlmartModel:
+                              valid: Dataset, cfg: TrainConfig, bins: BinMapper,
+                              start_scores: dict, stage2_log=()) -> IlmartModel:
     """Stage 3: boost pair-constrained trees on top of the stage-1 model.
 
     Scores restart from the stage-1 model output (discovery trees left no
@@ -399,35 +385,15 @@ def train_interaction_effects(model: IlmartModel, pairs, train: Dataset,
     for i, j in pairs:
         if i == j or i not in j_set or j not in j_set:
             raise ModelError(f"pair ({i}, {j}) breaks the heredity requirement")
-    if bins is None:
-        bins = build_bins(train, cfg.max_bins)
-    cfg3 = cfg.for_stage3()
-    cfg3.validate()
-
-    log3: list[tuple[int, int, float]] = []
+    booster = _Booster(3, train, bins, valid, cfg.for_stage3(), start_scores)
     trees: list[DecisionTree] = []
-    scores_train = _start_scores(model, train, start_scores, "train")
-    scores_valid = _start_scores(model, valid, start_scores, "valid")
-    best = None
-    round_base = 0
     for pair in pairs:
-        regime = ConstraintRegime.feature_pair(
-            pair, cfg3.num_leaves, cfg3.min_data_in_leaf, cfg3.min_gain,
-            cfg3.min_child_hessian, cfg3.max_leaf_output
-        )
-        phase_log: list[tuple[int, int, float]] = []
-        phase_trees, scores_train, scores_valid, best = _boost_stage(
-            3, regime, train, bins, valid, cfg3, cfg3.learning_rate,
-            scores_train, scores_valid, phase_log,
-        )
-        log3.extend((s, round_base + r, v) for s, r, v in phase_log)
-        round_base += len(phase_log)
+        phase_trees, best = _boost_stage(booster, ConstraintRegime("pair", pair))
         for tree in phase_trees:
             tree.constraint_features = pair
         trees.extend(phase_trees)
-
     return replace(model, surfaces=_tables(trees), interaction_trees=trees, config=cfg,
-                   training_log=list(model.training_log) + list(stage2_log) + log3,
+                   training_log=list(model.training_log) + list(stage2_log) + booster.log,
                    best_valid_ndcg=best)
 
 
@@ -438,16 +404,13 @@ def train_ilmart(train: Dataset, valid: Dataset, cfg: TrainConfig,
     if bins is None:
         bins = build_bins(train, cfg.max_bins)
     scores: dict[str, np.ndarray] = {}
-    model = train_main_effects(train, valid, cfg, bins=bins, scores_out=scores)
+    model = train_main_effects(train, valid, cfg, bins, scores_out=scores)
     if cfg.max_interactions > 0 and model.p >= 2:
         stage2_log: list[tuple[int, int, float]] = []
-        pairs = select_interactions(model, train, valid, cfg, bins=bins, log=stage2_log,
-                                    start_scores=scores)
+        pairs = select_interactions(model, train, valid, cfg, bins, scores, stage2_log)
         if pairs:
-            model = train_interaction_effects(
-                model, pairs, train, valid, cfg, bins=bins, stage2_log=stage2_log,
-                start_scores=scores,
-            )
+            model = train_interaction_effects(model, pairs, train, valid, cfg, bins, scores,
+                                              stage2_log)
     return model
 
 
@@ -491,6 +454,17 @@ def save_model(model: IlmartModel, path) -> None:
         fh.write("\n")
 
 
+def _training_log(entries) -> list[tuple[int, int, float]]:
+    """The stored ``[stage, round, NDCG]`` entries; each must be two integers
+    and a finite number (no bools, no strings)."""
+    values = _numbers(entries, 2, "training_log")
+    if entries and (values.shape[1] != 3 or not np.isfinite(values).all()
+                    or any(type(v) is not int for entry in entries for v in entry[:2])):
+        raise ModelError("training_log entries must be [stage, round, NDCG]: "
+                         "two integers and a finite number")
+    return [(s, r, float(v)) for s, r, v in entries]
+
+
 def load_model(path) -> IlmartModel:
     """Load a model file's tables and re-check every invariant.
 
@@ -509,14 +483,21 @@ def load_model(path) -> IlmartModel:
         raise ModelError(f"{path}: unsupported model schema version {version!r}, "
                          f"expected {MODEL_SCHEMA_VERSION}")
     try:
+        _known_keys(data, ("version", "config", "main_effects", "pair_effects", "training_log",
+                           "metadata"), "model file")
+        metadata = _known_keys(data["metadata"],
+                               ("num_features", "dataset_digest", "best_valid_ndcg"), "metadata")
+        best = metadata.get("best_valid_ndcg")
+        if best is not None and not np.isfinite(_numbers([best], 1, "best_valid_ndcg")).all():
+            raise ModelError("best_valid_ndcg must be finite")
         model = IlmartModel(
-            num_features=int(data["metadata"]["num_features"]),
+            num_features=int(metadata["num_features"]),
             shapes=[ShapeFunction.from_json(e) for e in data["main_effects"]],
             surfaces=[InteractionSurface.from_json(e) for e in data["pair_effects"]],
             config=TrainConfig(**data["config"]),
-            dataset_digest=str(data["metadata"].get("dataset_digest", "")),
-            training_log=[(int(s), int(r), float(v)) for s, r, v in data["training_log"]],
-            best_valid_ndcg=data["metadata"].get("best_valid_ndcg"),
+            dataset_digest=str(metadata.get("dataset_digest", "")),
+            training_log=_training_log(data["training_log"]),
+            best_valid_ndcg=best,
         )
         model.validate()
     except KeyError as exc:

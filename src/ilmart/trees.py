@@ -13,6 +13,11 @@ features at a node are restricted by a :class:`ConstraintRegime`:
 * ``discovery`` - at most 3 leaves and 2 splits, the second split must use a
                   feature different from the root's. Used to nominate pairs.
 
+The regime says only which features a split may use; the discovery kind
+also fixes the 3-leaf budget. Every other limit of the tree is the stage's
+:class:`~ilmart.trainer.TrainConfig`, as LightGBM keeps interaction
+constraints apart from its tree parameters.
+
 Split search works on histograms of the feature-major binned matrix (the
 layout of LightGBM, Ke et al. 2017). Each step scores, in one pass, only the
 leaves that need it: the root, then the two children of the last split (the
@@ -31,60 +36,32 @@ split, which is the last interval of every distilled table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dataset import BinMapper
 
+if TYPE_CHECKING:
+    from .trainer import TrainConfig
+
+DISCOVERY_LEAVES = 3
+
 
 @dataclass
 class ConstraintRegime:
-    """Which features a tree may draw its splits from."""
+    """Which features a tree may draw its splits from: a kind and its pool."""
 
     kind: str                                   # "single" | "pair" | "discovery"
     feature_pool: frozenset[int]
-    leaf_budget: int
-    min_data_in_leaf: int = 20
-    min_gain: float = 0.0
-    # Children below this hessian mass are rejected, and the Newton step
-    # G/(H + l2) is clamped to +-max_leaf_output before learning-rate
-    # scaling. Both keep leaves bounded when pairwise sigmoids saturate and
-    # the hessian collapses while the gradient does not.
-    min_child_hessian: float = 1e-3
-    max_leaf_output: float = 10.0
-
-    DISCOVERY_LEAVES = 3
 
     def __post_init__(self):
         if self.kind not in ("single", "pair", "discovery"):
             raise ValueError(f"unknown constraint kind {self.kind!r}")
-        if self.kind == "discovery":
-            self.leaf_budget = self.DISCOVERY_LEAVES
-        if self.leaf_budget < 2:
-            raise ValueError(f"leaf budget must be >= 2, got {self.leaf_budget}")
-
-    @classmethod
-    def single_feature(cls, features, leaf_budget, min_data_in_leaf=20, min_gain=0.0,
-                       min_child_hessian=1e-3, max_leaf_output=10.0):
-        pool = frozenset(int(f) for f in features)
-        return cls("single", pool, leaf_budget, min_data_in_leaf, min_gain,
-                   min_child_hessian, max_leaf_output)
-
-    @classmethod
-    def feature_pair(cls, pair, leaf_budget, min_data_in_leaf=20, min_gain=0.0,
-                     min_child_hessian=1e-3, max_leaf_output=10.0):
-        i, j = pair
-        if i == j:
-            raise ValueError(f"pair members must be distinct, got ({i}, {j})")
-        return cls("pair", frozenset((int(i), int(j))), leaf_budget, min_data_in_leaf,
-                   min_gain, min_child_hessian, max_leaf_output)
-
-    @classmethod
-    def pair_discovery(cls, features, min_data_in_leaf=20, min_gain=0.0,
-                       min_child_hessian=1e-3, max_leaf_output=10.0):
-        pool = frozenset(int(f) for f in features)
-        return cls("discovery", pool, cls.DISCOVERY_LEAVES, min_data_in_leaf,
-                   min_gain, min_child_hessian, max_leaf_output)
+        self.feature_pool = frozenset(int(f) for f in self.feature_pool)
+        if self.kind == "pair" and len(self.feature_pool) != 2:
+            raise ValueError(f"a pair regime needs two distinct features, "
+                             f"got {sorted(self.feature_pool)}")
 
     def candidates(self, root_feature: int | None) -> list[int]:
         """Features a new split may use, given the root split's feature
@@ -259,11 +236,15 @@ def fit_tree(
     gradients: np.ndarray,
     hessians: np.ndarray,
     regime: ConstraintRegime,
-    learning_rate: float,
-    lambda_l2: float = 0.0,
+    cfg: TrainConfig,
     leaf_of_row: np.ndarray | None = None,
 ) -> DecisionTree:
     """Grow one tree on binned data under the given constraint regime.
+
+    The tree's limits are ``cfg``'s: at most ``num_leaves`` leaves (3 for a
+    discovery tree), ``min_data_in_leaf``, ``min_child_hessian`` and
+    ``min_gain`` per split, and leaf values clamped to ``max_leaf_output``
+    with ``lambda_l2`` before ``learning_rate`` scaling.
 
     Returns a single-leaf "stump" when no split clears ``min_gain`` and
     ``min_data_in_leaf`` at the root; the caller decides whether to stop
@@ -277,24 +258,27 @@ def fit_tree(
     hessians = np.asarray(hessians, dtype=np.float64)
     if gradients.shape != (n,) or hessians.shape != (n,):
         raise ValueError("gradients/hessians must align with the binned rows")
-    if learning_rate <= 0:
-        raise ValueError(f"learning rate must be > 0, got {learning_rate}")
+    if cfg.learning_rate <= 0:
+        raise ValueError(f"learning rate must be > 0, got {cfg.learning_rate}")
+    budget = DISCOVERY_LEAVES if regime.kind == "discovery" else cfg.num_leaves
+    if budget < 2:
+        raise ValueError(f"leaf budget must be >= 2, got {budget}")
+    min_data = cfg.min_data_in_leaf
 
     tree = DecisionTree([], [], [], [], [], regime.kind, ())
     open_leaves = [_GrowLeaf(np.arange(n, dtype=np.intp), 0, None)]   # in creation order
     new = open_leaves
 
-    while len(open_leaves) < regime.leaf_budget:
+    while len(open_leaves) < budget:
         # The candidates change only at the root split, when every open leaf
         # is new, so only new leaves are scored. A leaf too small to give
         # both children min_data rows cannot split and is not scored.
         root_feature = tree.split_feature[0] if tree.split_feature else None
         cands = [f for f in regime.candidates(root_feature) if bins.num_bins(f) >= 2]
-        new = [leaf for leaf in new if leaf.rows.size >= 2 * regime.min_data_in_leaf]
+        new = [leaf for leaf in new if leaf.rows.size >= 2 * min_data]
         if new and cands:
-            _score_leaves(bins, new, gradients, hessians, cands,
-                          regime.min_data_in_leaf, regime.min_gain, lambda_l2,
-                          regime.min_child_hessian)
+            _score_leaves(bins, new, gradients, hessians, cands, min_data, cfg.min_gain,
+                          cfg.lambda_l2, cfg.min_child_hessian)
         scored = [leaf for leaf in open_leaves if leaf.best is not None]
         if not scored:
             break
@@ -318,8 +302,8 @@ def fit_tree(
 
     tree.leaf_value = [0.0] * len(open_leaves)
     for leaf in open_leaves:
-        tree.leaf_value[leaf.index] = _leaf_value(leaf.rows, gradients, hessians, lambda_l2,
-                                                  learning_rate, regime.max_leaf_output)
+        tree.leaf_value[leaf.index] = _leaf_value(leaf.rows, gradients, hessians, cfg.lambda_l2,
+                                                  cfg.learning_rate, cfg.max_leaf_output)
         if leaf_of_row is not None:
             leaf_of_row[leaf.rows] = leaf.index
 

@@ -56,12 +56,12 @@ def _train_planted(seed):
     valid = planted_interaction(100, 40, seed=2000 + seed)
     test = planted_interaction(100, 40, seed=3000 + seed)
     cfg = acceptance_config()
-    bins = build_bins(train, cfg.max_bins)
-    stage1 = train_main_effects(train, valid, cfg, bins=bins)
-    pairs = select_interactions(stage1, train, valid, cfg, bins=bins)
+    bins, scores = build_bins(train, cfg.max_bins), {}
+    stage1 = train_main_effects(train, valid, cfg, bins, scores_out=scores)
+    pairs = select_interactions(stage1, train, valid, cfg, bins, scores, [])
     full = stage1
     if pairs:
-        full = train_interaction_effects(stage1, pairs, train, valid, cfg, bins=bins)
+        full = train_interaction_effects(stage1, pairs, train, valid, cfg, bins, scores)
     return dict(stage1=stage1, full=full, pairs=pairs, train=train, valid=valid, test=test)
 
 

@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import ilmart
 from ilmart import load_model, load_svmlight, mean_ndcg, per_query_ndcg
 from ilmart.cli import main
 from ilmart.stats import fisher_randomization
@@ -292,6 +293,16 @@ def _damage(data, damage):
         data["config"]["stage3_overrides"] = {"bogus": 1}
     elif damage == "missing_key":
         del data["pair_effects"]
+    elif damage == "unknown_top_level_key":
+        data["main_trees"] = []
+    elif damage == "unknown_metadata_key":
+        data["metadata"]["extra"] = 1
+    elif damage == "unknown_effect_key":
+        pair["trees"] = []
+    elif damage == "string_log_entry":
+        data["training_log"][0] = ["1", True, "0.5"]
+    elif damage == "string_best_ndcg":
+        data["metadata"]["best_valid_ndcg"] = "high"
     else:
         raise AssertionError(damage)
 
@@ -305,7 +316,9 @@ def _damage(data, damage):
                                     "bool_value", "string_breakpoint", "main_feature_zero",
                                     "main_feature_past_num_features", "bool_main_feature",
                                     "duplicate_main_feature", "pair_outside_j",
-                                    "duplicate_pair", "unsorted_pair"])
+                                    "duplicate_pair", "unsorted_pair", "unknown_top_level_key",
+                                    "unknown_metadata_key", "unknown_effect_key",
+                                    "string_log_entry", "string_best_ndcg"])
 def test_malformed_model_file_exits_2(trained_dir, files, tmp_path, capsys, damage):
     text = (trained_dir / "model.json").read_text()
     if damage == "truncated_json":
@@ -386,9 +399,13 @@ def test_rerun_reproduces_output_byte_for_byte(trained_dir, files, capsys):
 
 
 def test_console_entry_point_runs():
+    # The child finds the package where this process found it, also when
+    # only pytest's own path setting put it there.
+    src = os.path.dirname(os.path.dirname(ilmart.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "ilmart.cli", "eval", "--model", "/missing.json",
          "--data", "/missing.txt"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 2

@@ -44,11 +44,11 @@ def trained():
     cfg = TrainConfig(num_leaves=8, early_stopping_rounds=10, max_rounds_per_stage=50,
                       stage2_max_rounds=30, max_interactions=4, min_data_in_leaf=10,
                       max_bins=32, lambdarank_norm=True)
-    bins = build_bins(train, cfg.max_bins)
-    m1 = train_main_effects(train, valid, cfg, bins=bins)
-    pairs = select_interactions(m1, train, valid, cfg, bins=bins)
+    bins, scores = build_bins(train, cfg.max_bins), {}
+    m1 = train_main_effects(train, valid, cfg, bins, scores_out=scores)
+    pairs = select_interactions(m1, train, valid, cfg, bins, scores, [])
     if pairs:
-        return train_interaction_effects(m1, pairs, train, valid, cfg, bins=bins)
+        return train_interaction_effects(m1, pairs, train, valid, cfg, bins, scores)
     return m1
 
 
@@ -345,6 +345,7 @@ def test_json_export_matches_the_model_file_tables(trained, tmp_path):
     (lambda e: e["breakpoints"].reverse(), "strictly increasing"),
     (lambda e: e["values"].__setitem__(0, "0.5"), "JSON numbers only"),
     (lambda e: e.__setitem__("feature", 0), "feature id"),
+    (lambda e: e.__setitem__("trees", []), r"unknown main effect key\(s\) \['trees'\]"),
 ])
 def test_import_shapes_refuses_a_damaged_export(trained, tmp_path, damage, message):
     export_shapes(*distill_shapes(trained), tmp_path, fmt="json")

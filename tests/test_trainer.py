@@ -50,19 +50,26 @@ def planted_run():
     valid = planted_interaction(40, 25, seed=51)
     cfg = small_cfg()
     bins = build_bins(train, cfg.max_bins)
-    stage1 = train_main_effects(train, valid, cfg, bins=bins)
+    scores = {}
+    stage1 = train_main_effects(train, valid, cfg, bins, scores_out=scores)
     stage2_log = []
-    pairs = select_interactions(stage1, train, valid, cfg, bins=bins, log=stage2_log)
-    full = train_interaction_effects(stage1, pairs, train, valid, cfg, bins=bins,
-                                     stage2_log=stage2_log)
-    return dict(train=train, valid=valid, cfg=cfg, bins=bins,
+    pairs = select_interactions(stage1, train, valid, cfg, bins, scores, stage2_log)
+    full = train_interaction_effects(stage1, pairs, train, valid, cfg, bins, scores, stage2_log)
+    return dict(train=train, valid=valid, cfg=cfg, bins=bins, scores=scores,
                 stage1=stage1, pairs=pairs, full=full)
+
+
+def stages_1_and_2(train, valid, cfg):
+    """The stage-1 model and the pairs stage 2 nominates on top of it."""
+    bins, scores = build_bins(train, cfg.max_bins), {}
+    model = train_main_effects(train, valid, cfg, bins, scores_out=scores)
+    return model, select_interactions(model, train, valid, cfg, bins, scores, [])
 
 
 def test_single_feature_dataset_uses_only_that_feature():
     train = single_signal(60, 15, seed=1, num_features=1)
     valid = single_signal(20, 15, seed=2, num_features=1)
-    model = train_main_effects(train, valid, small_cfg())
+    model = train_main_effects(train, valid, small_cfg(), build_bins(train, 32))
     assert model.main_features == [1]
     assert all(t.constraint_features == (1,) for t in model.main_trees)
     assert model.p == 1
@@ -73,7 +80,7 @@ def test_signal_feature_dominates_leaf_mass():
     # feature 1 must be picked up and carry the largest total |leaf| mass.
     train = single_signal(150, 20, seed=3)
     valid = single_signal(50, 20, seed=4)
-    model = train_main_effects(train, valid, small_cfg())
+    model = train_main_effects(train, valid, small_cfg(), build_bins(train, 32))
     assert 1 in model.main_features
     mass = {f: 0.0 for f in model.main_features}
     for tree in model.main_trees:
@@ -103,8 +110,8 @@ def test_selection_returns_hereditary_pairs_in_order(planted_run):
 def test_selection_with_single_main_effect_returns_empty():
     train = single_signal(60, 15, seed=5, num_features=1)
     valid = single_signal(20, 15, seed=6, num_features=1)
-    model = train_main_effects(train, valid, small_cfg())
-    assert select_interactions(model, train, valid, small_cfg()) == []
+    model, pairs = stages_1_and_2(train, valid, small_cfg())
+    assert model.p == 1 and pairs == []
 
 
 def test_p2_selection_bounded_by_one_pair():
@@ -118,18 +125,16 @@ def test_p2_selection_bounded_by_one_pair():
 
     train = two_feature(80, 20, seed=7)
     valid = two_feature(30, 20, seed=8)
-    cfg = small_cfg()
-    model = train_main_effects(train, valid, cfg)
+    model, pairs = stages_1_and_2(train, valid, small_cfg())
     assert model.p == 2
-    pairs = select_interactions(model, train, valid, cfg)
     assert pairs in ([], [(1, 2)])
 
 
 def test_selection_does_not_touch_the_model(planted_run):
     model = planted_run["stage1"]
     before = copy.deepcopy(model)
-    select_interactions(model, planted_run["train"], planted_run["valid"],
-                        planted_run["cfg"], bins=planted_run["bins"])
+    select_interactions(model, planted_run["train"], planted_run["valid"], planted_run["cfg"],
+                        planted_run["bins"], planted_run["scores"], [])
     assert model.main_trees == before.main_trees
     assert all(np.array_equal(a.values, b.values) for a, b in zip(model.shapes, before.shapes))
     assert model.interaction_trees == [] and model.surfaces == []
@@ -186,10 +191,12 @@ def test_training_log_has_all_three_stages(planted_run):
 
 
 def test_empty_model_predicts_zero():
+    train = single_signal(30, 10, seed=9)
     model = train_main_effects(
-        single_signal(30, 10, seed=9),
+        train,
         single_signal(10, 10, seed=10),
         small_cfg(max_rounds_per_stage=1, early_stopping_rounds=1),
+        build_bins(train, 32),
     )
     probe = np.zeros((1, 6))
     if not model.main_trees:  # nothing improved in one round
@@ -223,16 +230,30 @@ def test_good_stage3_overrides_pass_validate(overrides, leaves):
 
 
 def test_stage3_requires_pairs(planted_run):
+    args = [planted_run[k] for k in ("train", "valid", "cfg", "bins", "scores")]
     with pytest.raises(ModelError, match="pair"):
-        train_interaction_effects(planted_run["stage1"], [], planted_run["train"],
-                                  planted_run["valid"], planted_run["cfg"])
+        train_interaction_effects(planted_run["stage1"], [], *args)
 
 
 def test_stage3_rejects_non_hereditary_pairs(planted_run):
     bad = (97, 98)
+    args = [planted_run[k] for k in ("train", "valid", "cfg", "bins", "scores")]
     with pytest.raises(ModelError, match="heredity"):
-        train_interaction_effects(planted_run["stage1"], [bad], planted_run["train"],
-                                  planted_run["valid"], planted_run["cfg"])
+        train_interaction_effects(planted_run["stage1"], [bad], *args)
+
+
+def test_stage3_overrides_reach_stage_3():
+    train = planted_interaction(100, 25, seed=64)
+    valid = planted_interaction(40, 25, seed=65)
+    cfg = small_cfg(stage3_overrides={"num_leaves": 3, "max_leaf_output": 0.5})
+    model = train_ilmart(train, valid, cfg)
+    assert model.interaction_trees, "stage 3 kept no trees"
+    for tree in model.interaction_trees:
+        assert tree.num_leaves <= 3
+        assert max(abs(v) for v in tree.leaf_value) <= 0.5 * cfg.learning_rate
+    # stage 1 keeps the top-level limits
+    assert max(t.num_leaves for t in model.main_trees) > 3
+    assert max(abs(v) for t in model.main_trees for v in t.leaf_value) > 0.5 * cfg.learning_rate
 
 
 def test_save_load_round_trip(tmp_path, planted_run):
@@ -282,21 +303,29 @@ def test_load_model_validates_stored_config(tmp_path, planted_run, change, messa
     assert str(info.value) == f"{path}: invalid config: {message}"
 
 
-def test_stages_2_and_3_refuse_a_model_without_trees(tmp_path, planted_run):
+def test_a_loaded_stage_1_model_continues_like_the_trained_one(tmp_path, planted_run):
+    # Stages 2 and 3 start from stage 1's carried scores, so the model's
+    # tables are all they need of it.
     path = tmp_path / "stage1.json"
     save_model(planted_run["stage1"], path)
     loaded = load_model(path)
-    args = planted_run["train"], planted_run["valid"], planted_run["cfg"]
-    with pytest.raises(ModelError, match="has none"):
-        select_interactions(loaded, *args)
-    with pytest.raises(ModelError, match="has none"):
-        train_interaction_effects(loaded, planted_run["pairs"], *args)
+    assert loaded.trees == []
+    args = [planted_run[k] for k in ("train", "valid", "cfg", "bins", "scores")]
+    log = []
+    pairs = select_interactions(loaded, *args, log)
+    assert pairs == planted_run["pairs"]
+    full = train_interaction_effects(loaded, pairs, *args, log)
+    want = planted_run["full"]
+    assert full.interaction_trees == want.interaction_trees
+    assert full.training_log == want.training_log
+    for got, exp in zip(full.surfaces, want.surfaces):
+        assert got.pair == exp.pair and np.array_equal(got.values, exp.values)
 
 
 def test_selection_on_a_model_without_main_effects_is_empty(planted_run):
     empty = IlmartModel.from_trees(planted_run["train"].num_features, [])
-    assert select_interactions(empty, planted_run["train"], planted_run["valid"],
-                               planted_run["cfg"]) == []
+    args = [planted_run[k] for k in ("train", "valid", "cfg", "bins", "scores")]
+    assert select_interactions(empty, *args, []) == []
 
 
 def draw_tree(data, features, kind, tag, depth=3):
@@ -387,6 +416,52 @@ def test_tampered_model_rejected(tmp_path, planted_run):
         load_model(path)
 
 
+@pytest.mark.parametrize("damage, message", [
+    (lambda d: d.update(J=[9]), "unknown model file key(s) ['J']"),
+    (lambda d: d.update(main_trees=[]), "unknown model file key(s) ['main_trees']"),
+    (lambda d: d["metadata"].update(extra=1), "unknown metadata key(s) ['extra']"),
+    (lambda d: d["main_effects"][0].update(trees=[]), "unknown main effect key(s) ['trees']"),
+    (lambda d: d["pair_effects"][0].update(trees=[]), "unknown pair effect key(s) ['trees']"),
+    # a file that still carries what earlier schema versions stored
+    (lambda d: (d.update(J=[9], main_trees=[]), d["metadata"].update(extra=1),
+                d["main_effects"][0].update(trees=[])),
+     "unknown model file key(s) ['J', 'main_trees']"),
+], ids=["J", "main_trees", "metadata", "main_effect", "pair_effect", "stale_v3_keys"])
+def test_load_model_refuses_unknown_keys(tmp_path, planted_run, damage, message):
+    path = tmp_path / "model.json"
+    save_model(planted_run["full"], path)
+    data = json.loads(path.read_text())
+    damage(data)
+    path.write_text(json.dumps(data))
+    with pytest.raises(ModelError) as info:
+        load_model(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("entry", [["1", True, "0.5"], [1, True, 0.5], [1.0, 2, 0.5],
+                                   [1, 2, "0.5"], [1, 2], [1, 2, 0.5, 0], [1, 2, float("inf")],
+                                   [1, 2, None]])
+def test_load_model_refuses_a_malformed_log_entry(tmp_path, planted_run, entry):
+    path = tmp_path / "model.json"
+    save_model(planted_run["stage1"], path)
+    data = json.loads(path.read_text())
+    data["training_log"][0] = entry
+    path.write_text(json.dumps(data))
+    with pytest.raises(ModelError, match="training_log"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("value", ["high", True, [0.5], float("nan")])
+def test_load_model_refuses_a_best_ndcg_that_is_not_a_number(tmp_path, planted_run, value):
+    path = tmp_path / "model.json"
+    save_model(planted_run["stage1"], path)
+    data = json.loads(path.read_text())
+    data["metadata"]["best_valid_ndcg"] = value
+    path.write_text(json.dumps(data))
+    with pytest.raises(ModelError, match="best_valid_ndcg"):
+        load_model(path)
+
+
 def test_schema_version_checked(tmp_path, planted_run):
     path = tmp_path / "model.json"
     save_model(planted_run["stage1"], path)
@@ -401,22 +476,14 @@ def test_schema_version_checked(tmp_path, planted_run):
 def test_stage_1_scores_carry_into_stages_2_and_3(planted_run):
     train, valid, cfg, bins = (planted_run[k] for k in ("train", "valid", "cfg", "bins"))
     scores = {}
-    stage1 = train_main_effects(train, valid, cfg, bins=bins, scores_out=scores)
+    stage1 = train_main_effects(train, valid, cfg, bins, scores_out=scores)
     for key, ds in (("train", train), ("valid", valid)):
         assert np.array_equal(scores[key], sum(t.predict_batch(ds.features) for t in stage1.trees))
         np.testing.assert_allclose(scores[key], stage1.predict_dataset(ds), rtol=0, atol=1e-12)
     kept = {k: v.copy() for k, v in scores.items()}
-    carried_log, computed_log = [], []
-    pairs = select_interactions(stage1, train, valid, cfg, bins=bins, log=carried_log,
-                                start_scores=scores)
+    pairs = select_interactions(stage1, train, valid, cfg, bins, scores, [])
     assert pairs == planted_run["pairs"]
-    select_interactions(stage1, train, valid, cfg, bins=bins, log=computed_log)
-    assert carried_log == computed_log
-    full = train_interaction_effects(stage1, pairs, train, valid, cfg, bins=bins,
-                                     start_scores=scores)
-    want = train_interaction_effects(stage1, pairs, train, valid, cfg, bins=bins)
-    assert full.trees == want.trees
-    assert full.training_log == want.training_log
+    train_interaction_effects(stage1, pairs, train, valid, cfg, bins, scores)
     assert all(np.array_equal(scores[k], kept[k]) for k in kept)     # read, not modified
 
 
@@ -429,10 +496,11 @@ def test_carried_scores_equal_model_scores_after_every_stage(monkeypatch):
     calls = []
     boost = trainer._boost_stage
 
-    def recording(*args):
-        trees, best_train, best_valid, best = boost(*args)
-        calls.append((list(trees), best_train.copy(), best_valid.copy()))
-        return trees, best_train, best_valid, best
+    def recording(booster, regime):
+        trees, best = boost(booster, regime)
+        # the scores are rolled back to the best round
+        calls.append((list(trees), booster.scores_train.copy(), booster.scores_valid.copy()))
+        return trees, best
 
     monkeypatch.setattr(trainer, "_boost_stage", recording)
     train = planted_interaction(100, 25, seed=64)
@@ -477,7 +545,7 @@ def test_mismatched_dimensions_rejected():
     train = single_signal(30, 10, seed=1, num_features=4)
     valid = single_signal(10, 10, seed=2, num_features=5)
     with pytest.raises(ModelError, match="number of features"):
-        train_main_effects(train, valid, small_cfg())
+        train_main_effects(train, valid, small_cfg(), build_bins(train, 32))
 
 
 def test_predict_requires_enough_features(planted_run):

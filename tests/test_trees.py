@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ilmart import Dataset, build_bins
+from ilmart import Dataset, TrainConfig, build_bins
 from ilmart.trees import ConstraintRegime, DecisionTree, fit_tree
 
 from synthdata import random_queries
@@ -54,8 +54,8 @@ def test_single_regime_uses_one_feature_everywhere():
     grad = X[:, 2] - 0.5 + 0.1 * rng.normal(size=300)
     hess = np.full(300, 0.25)
     bins = make_bins(X)
-    regime = ConstraintRegime.single_feature([1, 2, 3, 4], 16, min_data_in_leaf=5)
-    tree = fit_tree(bins, grad, hess, regime, 0.1)
+    regime = ConstraintRegime("single", [1, 2, 3, 4])
+    tree = fit_tree(bins, grad, hess, regime, TrainConfig(num_leaves=16, min_data_in_leaf=5))
     assert tree.used_features == (3,)
     assert set(tree.split_feature) == {3}
     assert tree.constraint_kind == "single"
@@ -68,8 +68,8 @@ def test_pair_regime_locks_to_one_pair():
     grad = (X[:, 0] - 0.5) * (X[:, 1] - 0.5) * 4 + 0.05 * rng.normal(size=400)
     hess = np.full(400, 0.25)
     bins = make_bins(X)
-    regime = ConstraintRegime.feature_pair((1, 2), 12, min_data_in_leaf=5)
-    tree = fit_tree(bins, grad, hess, regime, 0.1)
+    regime = ConstraintRegime("pair", (1, 2))
+    tree = fit_tree(bins, grad, hess, regime, TrainConfig(num_leaves=12, min_data_in_leaf=5))
     assert set(tree.used_features) <= {1, 2}
     assert tree.num_leaves <= 12
 
@@ -82,12 +82,15 @@ def test_discovery_tree_caps_leaves_and_requires_distinct_features():
     grad += 0.2 * (X[:, 0] > 0.5)
     hess = np.ones(500)
     bins = make_bins(X)
-    regime = ConstraintRegime.pair_discovery([1, 2, 3], min_data_in_leaf=5)
-    tree = fit_tree(bins, grad, hess, regime, 0.1)
-    assert tree.num_leaves <= 3
-    feats = tree.split_feature
-    assert len(feats) == len(set(feats)), "the two discovery splits must differ"
-    assert set(tree.used_features) == {1, 2}
+    regime = ConstraintRegime("discovery", [1, 2, 3])
+    # The 3-leaf budget follows from the kind, whatever num_leaves the config holds.
+    for num_leaves in (2, 64):
+        tree = fit_tree(bins, grad, hess, regime,
+                        TrainConfig(num_leaves=num_leaves, min_data_in_leaf=5))
+        assert tree.num_leaves <= 3 and len(tree.split_feature) <= 2
+        feats = tree.split_feature
+        assert len(feats) == len(set(feats)), "the two discovery splits must differ"
+        assert set(tree.used_features) == {1, 2}
 
 
 def test_discovery_with_single_informative_feature_stays_two_leaves():
@@ -96,8 +99,8 @@ def test_discovery_with_single_informative_feature_stays_two_leaves():
     grad = np.where(X[:, 0] > 0.5, 1.0, -1.0)
     hess = np.ones(400)
     bins = make_bins(X)
-    regime = ConstraintRegime.pair_discovery([1, 2, 3], min_data_in_leaf=5, min_gain=0.5)
-    tree = fit_tree(bins, grad, hess, regime, 0.1)
+    regime = ConstraintRegime("discovery", [1, 2, 3])
+    tree = fit_tree(bins, grad, hess, regime, TrainConfig(min_data_in_leaf=5, min_gain=0.5))
     assert tree.used_features == (1,)
     assert tree.num_leaves == 2
 
@@ -110,8 +113,8 @@ def test_root_split_matches_exhaustive_oracle():
         hess = rng.uniform(0.1, 1.0, 150)
         bins = make_bins(X, max_bins=16)
         oracle = exhaustive_root_split(bins, grad, hess, [1, 2, 3, 4, 5], min_data=5)
-        regime = ConstraintRegime.single_feature([1, 2, 3, 4, 5], 2, min_data_in_leaf=5)
-        tree = fit_tree(bins, grad, hess, regime, 0.1)
+        regime = ConstraintRegime("single", [1, 2, 3, 4, 5])
+        tree = fit_tree(bins, grad, hess, regime, TrainConfig(num_leaves=2, min_data_in_leaf=5))
         assert oracle is not None
         _, fid, t = oracle
         assert (tree.split_feature[0], tree.threshold[0]) == (fid, bins.boundaries[fid - 1][t])
@@ -125,8 +128,8 @@ def test_pair_root_split_matches_constrained_oracle():
     bins = make_bins(X, max_bins=8)
     allowed = [1, 3]
     oracle = exhaustive_root_split(bins, grad, hess, allowed, min_data=10)
-    regime = ConstraintRegime.feature_pair((1, 3), 2, min_data_in_leaf=10)
-    tree = fit_tree(bins, grad, hess, regime, 0.1)
+    regime = ConstraintRegime("pair", (1, 3))
+    tree = fit_tree(bins, grad, hess, regime, TrainConfig(num_leaves=2, min_data_in_leaf=10))
     _, fid, t = oracle
     assert (tree.split_feature[0], tree.threshold[0]) == (fid, bins.boundaries[fid - 1][t])
 
@@ -138,9 +141,10 @@ def test_leaf_values_are_newton_steps():
         grad = rng.normal(size=300)
         hess = rng.uniform(0.2, 1.0, 300)
         bins = make_bins(X)
-        regime = ConstraintRegime.single_feature([1, 2, 3], 8, min_data_in_leaf=10)
+        regime = ConstraintRegime("single", [1, 2, 3])
         lr = 0.3
-        tree = fit_tree(bins, grad, hess, regime, lr, lambda_l2=l2)
+        cfg = TrainConfig(num_leaves=8, min_data_in_leaf=10, learning_rate=lr, lambda_l2=l2)
+        tree = fit_tree(bins, grad, hess, regime, cfg)
         assert not tree.is_stump
         for value, rows in leaf_rows(tree, X):
             rows = np.asarray(rows)
@@ -155,8 +159,8 @@ def test_leaf_budget_respected():
     hess = np.ones(500)
     bins = make_bins(X)
     for budget in (2, 4, 9):
-        regime = ConstraintRegime.single_feature([1, 2], budget, min_data_in_leaf=2)
-        tree = fit_tree(bins, grad, hess, regime, 0.1)
+        regime = ConstraintRegime("single", [1, 2])
+        tree = fit_tree(bins, grad, hess, regime, TrainConfig(num_leaves=budget, min_data_in_leaf=2))
         assert 2 <= tree.num_leaves <= budget
 
 
@@ -166,8 +170,8 @@ def test_min_data_in_leaf_enforced():
     grad = rng.normal(size=100)
     hess = np.ones(100)
     bins = make_bins(X)
-    regime = ConstraintRegime.single_feature([1, 2], 32, min_data_in_leaf=25)
-    tree = fit_tree(bins, grad, hess, regime, 0.1)
+    regime = ConstraintRegime("single", [1, 2])
+    tree = fit_tree(bins, grad, hess, regime, TrainConfig(num_leaves=32, min_data_in_leaf=25))
     for _, rows in leaf_rows(tree, X):
         assert len(rows) >= 25
 
@@ -177,8 +181,8 @@ def test_stump_when_no_positive_gain():
     grad = np.full(50, 0.3)  # constant gradient: every split has zero gain
     hess = np.ones(50)
     bins = make_bins(X)
-    regime = ConstraintRegime.single_feature([1], 8, min_data_in_leaf=1)
-    tree = fit_tree(bins, grad, hess, regime, 0.1)
+    regime = ConstraintRegime("single", [1])
+    tree = fit_tree(bins, grad, hess, regime, TrainConfig(num_leaves=8, min_data_in_leaf=1))
     assert tree.is_stump
     assert tree.used_features == ()
 
@@ -189,8 +193,8 @@ def test_raw_threshold_routing_matches_bin_routing():
     grad = rng.normal(size=1000)
     hess = rng.uniform(0.3, 1.0, 1000)
     bins = make_bins(X, max_bins=24)
-    regime = ConstraintRegime.single_feature([1, 2, 3], 16, min_data_in_leaf=5)
-    tree = fit_tree(bins, grad, hess, regime, 0.1)
+    regime = ConstraintRegime("single", [1, 2, 3])
+    tree = fit_tree(bins, grad, hess, regime, TrainConfig(num_leaves=16, min_data_in_leaf=5))
 
     def predict_by_bins(r):
         # A threshold is the boundary that closes bin t on the right.
@@ -207,18 +211,18 @@ def test_raw_threshold_routing_matches_bin_routing():
     np.testing.assert_array_equal(raw, binned)
 
 
-@pytest.mark.parametrize("regime", [
-    ConstraintRegime.single_feature([1, 2, 3, 4], 16, min_data_in_leaf=5),
-    ConstraintRegime.feature_pair((2, 4), 16, min_data_in_leaf=5),
-    ConstraintRegime.pair_discovery([1, 2, 3, 4], min_data_in_leaf=5),
-    ConstraintRegime.single_feature([1], 8, min_data_in_leaf=600),       # a stump
+@pytest.mark.parametrize("regime, cfg", [
+    (ConstraintRegime("single", [1, 2, 3, 4]), TrainConfig(num_leaves=16, min_data_in_leaf=5)),
+    (ConstraintRegime("pair", (2, 4)), TrainConfig(num_leaves=16, min_data_in_leaf=5)),
+    (ConstraintRegime("discovery", [1, 2, 3, 4]), TrainConfig(min_data_in_leaf=5)),
+    (ConstraintRegime("single", [1]), TrainConfig(num_leaves=8, min_data_in_leaf=600)),  # a stump
 ], ids=["single", "pair", "discovery", "stump"])
-def test_leaf_of_row_is_the_predict_batch_routing(regime):
+def test_leaf_of_row_is_the_predict_batch_routing(regime, cfg):
     rng = np.random.default_rng(11)
     X = np.round(rng.random((1000, 4)) * 40) / 40          # ties at the thresholds
     bins = make_bins(X, max_bins=24)
     leaf_of_row = np.full(1000, -1, dtype=np.intp)
-    tree = fit_tree(bins, rng.normal(size=1000), rng.uniform(0.3, 1.0, 1000), regime, 0.1,
+    tree = fit_tree(bins, rng.normal(size=1000), rng.uniform(0.3, 1.0, 1000), regime, cfg,
                     leaf_of_row=leaf_of_row)
     numbered = replace(tree, leaf_value=[float(i) for i in range(tree.num_leaves)])
     np.testing.assert_array_equal(leaf_of_row, numbered.predict_batch(X).astype(np.intp))
@@ -233,8 +237,8 @@ def test_tie_break_prefers_lowest_feature():
     grad = np.where(col > 0.5, -1.0, 1.0)
     hess = np.ones(200)
     bins = make_bins(X)
-    regime = ConstraintRegime.single_feature([1, 2, 3], 4, min_data_in_leaf=5)
-    tree = fit_tree(bins, grad, hess, regime, 0.1)
+    regime = ConstraintRegime("single", [1, 2, 3])
+    tree = fit_tree(bins, grad, hess, regime, TrainConfig(num_leaves=4, min_data_in_leaf=5))
     assert tree.used_features == (2,)
 
 
@@ -244,8 +248,8 @@ def test_gain_tie_between_leaves_goes_to_the_oldest_leaf():
     x1, x2 = np.repeat([0.0, 1.0], 20), np.tile(np.repeat([0.0, 1.0], 10), 2)
     grad = 6.0 * (x1 - 0.5) + 2.0 * (x2 - 0.5)
     bins = make_bins(np.column_stack([x1, x2]))
-    regime = ConstraintRegime.feature_pair((1, 2), 3, min_data_in_leaf=1)
-    tree = fit_tree(bins, grad, np.ones(40), regime, 0.1)
+    regime = ConstraintRegime("pair", (1, 2))
+    tree = fit_tree(bins, grad, np.ones(40), regime, TrainConfig(num_leaves=3, min_data_in_leaf=1))
     assert tree.split_feature == [1, 2]
     assert tree.left_child[0] == 1
 
@@ -255,9 +259,8 @@ def test_leaf_output_clamp_binds_on_degenerate_hessians():
     grad = np.where(X[:, 0] > 0.5, -5.0, 5.0)
     hess = np.full(50, 1e-3)  # exactly at the floor: ratio would be 5000
     bins = make_bins(X)
-    regime = ConstraintRegime.single_feature([1], 2, min_data_in_leaf=1,
-                                             max_leaf_output=10.0)
-    tree = fit_tree(bins, grad, hess, regime, 1.0)
+    cfg = TrainConfig(num_leaves=2, min_data_in_leaf=1, max_leaf_output=10.0, learning_rate=1.0)
+    tree = fit_tree(bins, grad, hess, ConstraintRegime("single", [1]), cfg)
     values = sorted(tree.leaf_value)
     assert values == [-10.0, 10.0]
 
@@ -277,15 +280,16 @@ def test_manual_two_leaf_routing():
 def test_input_validation():
     ds = random_queries(5, 4, seed=1)
     bins = build_bins(ds, 8)
-    regime = ConstraintRegime.single_feature([1], 4)
+    regime = ConstraintRegime("single", [1])
+    zeros = np.zeros(ds.num_rows)
     with pytest.raises(ValueError):
-        fit_tree(bins, np.zeros(3), np.zeros(3), regime, 0.1)
+        fit_tree(bins, np.zeros(3), np.zeros(3), regime, TrainConfig(num_leaves=4))
     with pytest.raises(ValueError):
-        fit_tree(bins, np.zeros(ds.num_rows), np.zeros(ds.num_rows), regime, 0.0)
+        fit_tree(bins, zeros, zeros, regime, TrainConfig(num_leaves=4, learning_rate=0.0))
     with pytest.raises(ValueError):
-        ConstraintRegime.single_feature([1], 1)
+        fit_tree(bins, zeros, zeros, regime, TrainConfig(num_leaves=1))
     with pytest.raises(ValueError):
-        ConstraintRegime.feature_pair((2, 2), 4)
+        ConstraintRegime("pair", (2, 2))
 
 
 # -- Whole-tree oracle: the plain per-leaf, per-feature split search ---------
@@ -326,25 +330,25 @@ def oracle_best_split(bins, rows, gradients, hessians, cands, min_data, min_gain
     return best
 
 
-def oracle_fit_tree(bins, gradients, hessians, regime, learning_rate, lambda_l2=0.0,
-                    scored_sizes=None):
+def oracle_fit_tree(bins, gradients, hessians, regime, cfg, scored_sizes=None):
     """Leaf-wise growth that re-scores every open leaf, whatever its size,
     each time the features used so far change. ``scored_sizes`` collects
     the row count of every leaf scored. The left child of split ``s`` keeps
     its parent's leaf number and the right child takes number ``s + 1``."""
+    budget = 3 if regime.kind == "discovery" else cfg.num_leaves
     tree = DecisionTree([], [], [], [], [], regime.kind, ())
     root = {"rows": np.arange(bins.num_rows), "order": 0, "version": -1, "index": 0,
             "slot": None}
     open_leaves = [root]
     used, root_feature, version, next_order = [], None, 0, 1
-    while len(open_leaves) < regime.leaf_budget:
+    while len(open_leaves) < budget:
         chosen = None
         for pos, leaf in enumerate(open_leaves):
             if leaf["version"] != version:
                 cands = regime.candidates(root_feature)
                 leaf["best"] = oracle_best_split(
-                    bins, leaf["rows"], gradients, hessians, cands, regime.min_data_in_leaf,
-                    regime.min_gain, lambda_l2, regime.min_child_hessian)
+                    bins, leaf["rows"], gradients, hessians, cands, cfg.min_data_in_leaf,
+                    cfg.min_gain, cfg.lambda_l2, cfg.min_child_hessian)
                 leaf["version"] = version
                 if scored_sizes is not None:
                     scored_sizes.append(leaf["rows"].size)
@@ -380,13 +384,13 @@ def oracle_fit_tree(bins, gradients, hessians, regime, learning_rate, lambda_l2=
             version += 1
 
     def value(rows):
-        denom = hessians[rows].sum() + lambda_l2
+        denom = hessians[rows].sum() + cfg.lambda_l2
         if denom <= 0:
             return 0.0
         step = -(gradients[rows].sum()) / denom
-        if regime.max_leaf_output > 0:
-            step = min(max(step, -regime.max_leaf_output), regime.max_leaf_output)
-        return float(step * learning_rate)
+        if cfg.max_leaf_output > 0:
+            step = min(max(step, -cfg.max_leaf_output), cfg.max_leaf_output)
+        return float(step * cfg.learning_rate)
 
     tree.leaf_value = [0.0] * len(open_leaves)
     for leaf in open_leaves:
@@ -425,30 +429,26 @@ def oracle_case(seed):
         max_leaf_output=float(rng.choice([0.0, 10.0, 0.05])),   # 0.05 binds
     )
     kind = ("single", "pair", "discovery")[seed % 3]
-    budget = int(rng.integers(2, 33))
-    if kind == "single":
-        regime = ConstraintRegime.single_feature(range(1, 7), budget, **limits)
-    elif kind == "pair":
-        pair = (1, 2) if rng.random() < 0.5 else (5, 6)
-        regime = ConstraintRegime.feature_pair(pair, budget, **limits)
-    else:
-        regime = ConstraintRegime.pair_discovery(range(1, 7), **limits)
+    budget = int(rng.integers(2, 33))       # a discovery tree ignores it
+    pool = range(1, 7)
+    if kind == "pair":
+        pool = (1, 2) if rng.random() < 0.5 else (5, 6)
     l2 = float(rng.choice([0.0, 0.5, 3.0]))
     lr = float(rng.choice([0.1, 1.0]))
-    return bins, grad, hess, regime, lr, l2
+    cfg = TrainConfig(num_leaves=budget, learning_rate=lr, lambda_l2=l2, **limits)
+    return bins, grad, hess, ConstraintRegime(kind, pool), cfg
 
 
 def test_fit_tree_matches_per_leaf_oracle_node_for_node():
     offsets = []        # leaf size minus 2 * min_data_in_leaf, per oracle scoring
     splits = both_pair_features = 0
     for seed in range(1500):
-        bins, grad, hess, regime, lr, l2 = oracle_case(seed)
+        bins, grad, hess, regime, cfg = oracle_case(seed)
         sizes = []
-        want = oracle_fit_tree(bins, grad, hess, regime, lr, lambda_l2=l2,
-                               scored_sizes=sizes)
-        got = fit_tree(bins, grad, hess, regime, lr, lambda_l2=l2)
+        want = oracle_fit_tree(bins, grad, hess, regime, cfg, scored_sizes=sizes)
+        got = fit_tree(bins, grad, hess, regime, cfg)
         assert got == want, f"seed {seed}"
-        offsets += [s - 2 * regime.min_data_in_leaf for s in sizes[1:]]
+        offsets += [s - 2 * cfg.min_data_in_leaf for s in sizes[1:]]
         splits += len(want.split_feature)
         both_pair_features += regime.kind == "pair" and len(want.used_features) == 2
     # the cases reach leaves just below and exactly at the splittable size,
@@ -464,8 +464,9 @@ def test_root_just_below_and_at_twice_min_data(extra):
     X = np.arange(n, dtype=float).reshape(-1, 1)
     grad = np.where(np.arange(n) < min_data, -1.0, 1.0)
     bins = make_bins(X)
-    regime = ConstraintRegime.single_feature([1], 4, min_data_in_leaf=min_data)
-    tree = fit_tree(bins, grad, np.ones(n), regime, 0.1)
-    want = oracle_fit_tree(bins, grad, np.ones(n), regime, 0.1)
+    regime = ConstraintRegime("single", [1])
+    cfg = TrainConfig(num_leaves=4, min_data_in_leaf=min_data)
+    tree = fit_tree(bins, grad, np.ones(n), regime, cfg)
+    want = oracle_fit_tree(bins, grad, np.ones(n), regime, cfg)
     assert tree == want
     assert tree.num_leaves == (1 if extra < 0 else 2)
