@@ -3,7 +3,6 @@ additive model over single features and a bounded set of feature pairs."""
 
 from .dataset import BinMapper, Dataset, DatasetError, build_bins, load_svmlight
 from .interpret import (
-    EffectImportance,
     InteractionSurface,
     ShapeFunction,
     additive_score,
@@ -36,7 +35,6 @@ __all__ = [
     "Dataset",
     "DatasetError",
     "DecisionTree",
-    "EffectImportance",
     "IlmartModel",
     "InteractionSurface",
     "LambdaGrad",

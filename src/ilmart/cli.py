@@ -14,11 +14,9 @@ import os
 import sys
 from dataclasses import asdict, fields
 
-import numpy as np
-
 from .dataset import Dataset, DatasetError, load_svmlight
-from .interpret import distill_shapes, effect_importance, export_shapes
-from .metrics import DEFAULT_CUTOFFS, mean_ndcg, per_query_ndcg
+from .interpret import _known_keys, distill_shapes, effect_importance, export_shapes
+from .metrics import DEFAULT_CUTOFFS, mean_ndcg
 from .stats import DEFAULT_PERMUTATIONS, fisher_randomization
 from .trainer import (
     IlmartModel,
@@ -59,8 +57,6 @@ def _output_lock(out_dir):
 
 
 def _require_file(path, what: str) -> str:
-    if path is None:
-        raise UsageError(f"missing required {what} path")
     if not os.path.exists(path):
         raise UsageError(f"{what} file not found: {path}")
     return path
@@ -76,20 +72,18 @@ def _parse_cutoffs(text: str) -> tuple[int, ...]:
     return cutoffs
 
 
-def _resolve_train_config(args) -> tuple[TrainConfig, dict]:
-    """Merge defaults < config file < CLI flags, returning (config, file extras)."""
-    file_values: dict = {}
+def _resolve_train_config(args) -> TrainConfig:
+    """Merge defaults < config file (``TrainConfig`` fields only) < CLI flags."""
+    merged: dict = {}
     if args.config:
         try:
             with open(_require_file(args.config, "config"), encoding="utf-8") as fh:
-                file_values = json.load(fh)
+                merged = json.load(fh)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise UsageError(f"config file {args.config} is not valid JSON ({exc})") from None
-        if not isinstance(file_values, dict):
+        if not isinstance(merged, dict):
             raise UsageError(f"config file {args.config} must hold a JSON object")
-    config_fields = {f.name for f in fields(TrainConfig)}
-    merged = {k: v for k, v in file_values.items() if k in config_fields}
-    extras = {k: v for k, v in file_values.items() if k not in config_fields}
+        _known_keys(merged, [f.name for f in fields(TrainConfig)], "config")
     overrides = {
         "num_leaves": args.num_leaves,
         "learning_rate": args.learning_rate,
@@ -99,26 +93,20 @@ def _resolve_train_config(args) -> tuple[TrainConfig, dict]:
         "min_data_in_leaf": args.min_data_in_leaf,
     }
     merged.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        cfg = TrainConfig(**merged)
-        cfg.validate()
-    except TypeError as exc:
-        raise UsageError(f"bad config: {exc}") from None
-    return cfg, extras
+    cfg = TrainConfig(**merged)
+    cfg.validate()
+    return cfg
 
 
-def _load_for_model(path, model: IlmartModel, num_features) -> Dataset:
-    d = num_features if num_features is not None else model.num_features
-    ds = load_svmlight(path, num_features=d)
-    if ds.num_features < model.num_features:
-        raise UsageError(
-            f"dataset {path} has {ds.num_features} features, model needs {model.num_features}"
-        )
-    return ds
-
-
-def _config_comment(cfg: TrainConfig) -> str:
-    return "# config: " + json.dumps(asdict(cfg), sort_keys=True)
+def _load(args, *models: tuple[str, str]) -> tuple[list[IlmartModel], Dataset]:
+    """Load the ``(what, path)`` model files, then ``--data`` at the widest
+    model's width, or at ``--num-features``."""
+    loaded = [load_model(_require_file(path, what)) for what, path in models]
+    width = max(m.num_features for m in loaded)
+    num_features = width if args.num_features is None else args.num_features
+    if num_features < width:
+        raise UsageError(f"--num-features {num_features} is below the model width {width}")
+    return loaded, load_svmlight(_require_file(args.data, "dataset"), num_features=num_features)
 
 
 def _open_out(path):
@@ -126,23 +114,20 @@ def _open_out(path):
 
 
 def cmd_train(args) -> int:
-    cfg, extras = _resolve_train_config(args)
-    train_path = args.train or extras.get("train")
-    valid_path = args.valid or extras.get("valid")
-    out_dir = args.out or extras.get("out") or "."
-    _require_file(train_path, "training data")
-    _require_file(valid_path, "validation data")
+    cfg = _resolve_train_config(args)
+    _require_file(args.train, "training data")
+    _require_file(args.valid, "validation data")
 
-    train = load_svmlight(train_path, num_features=args.num_features)
-    valid = load_svmlight(valid_path, num_features=train.num_features)
-    os.makedirs(out_dir, exist_ok=True)
-    with _output_lock(out_dir):
+    train = load_svmlight(args.train, num_features=args.num_features)
+    valid = load_svmlight(args.valid, num_features=train.num_features)
+    os.makedirs(args.out, exist_ok=True)
+    with _output_lock(args.out):
         model = train_ilmart(train, valid, cfg)
-        model_path = os.path.join(out_dir, "model.json")
+        model_path = os.path.join(args.out, "model.json")
         save_model(model, model_path)
-        log_path = os.path.join(out_dir, "training_log.csv")
+        log_path = os.path.join(args.out, "training_log.csv")
         with write_atomically(log_path) as fh:
-            fh.write(_config_comment(cfg) + "\n")
+            fh.write("# config: " + json.dumps(asdict(cfg), sort_keys=True) + "\n")
             fh.write("round,stage,valid_ndcg\n")
             for stage, rnd, ndcg in model.training_log:
                 fh.write(f"{rnd},{stage},{ndcg!r}\n")
@@ -155,8 +140,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = load_model(_require_file(args.model, "model"))
-    ds = _load_for_model(_require_file(args.data, "dataset"), model, args.num_features)
+    [model], ds = _load(args, ("model", args.model))
     cutoffs = _parse_cutoffs(args.cutoffs)
     report = mean_ndcg(model.predict_dataset(ds), ds, cutoffs)
     out = sys.stdout
@@ -166,8 +150,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model = load_model(_require_file(args.model, "model"))
-    ds = _load_for_model(_require_file(args.data, "dataset"), model, args.num_features)
+    [model], ds = _load(args, ("model", args.model))
     scores = model.predict_dataset(ds)
     with _open_out(args.out) as fh:
         fh.write("row_index,qid,score\n")
@@ -179,8 +162,7 @@ def cmd_predict(args) -> int:
 def cmd_export_shapes(args) -> int:
     if args.top is not None and args.top < 1:
         raise UsageError(f"--top must be >= 1, got {args.top}")
-    model = load_model(_require_file(args.model, "model"))
-    ds = _load_for_model(_require_file(args.data, "dataset"), model, args.num_features)
+    [model], ds = _load(args, ("model", args.model))
     shapes, surfaces = distill_shapes(model)
     importance = effect_importance(model, ds)
     os.makedirs(args.out, exist_ok=True)
@@ -195,32 +177,25 @@ def cmd_compare(args) -> int:
     if args.permutations < 1 or args.seed < 0:
         raise UsageError(f"--permutations must be >= 1 and --seed >= 0, "
                          f"got {args.permutations} and {args.seed}")
-    model_a = load_model(_require_file(args.model_a, "model A"))
-    model_b = load_model(_require_file(args.model_b, "model B"))
-    ds = _load_for_model(_require_file(args.data, "dataset"), model_a, args.num_features)
-    if ds.num_features < model_b.num_features:
-        raise UsageError("dataset is too narrow for model B")
+    (model_a, model_b), ds = _load(args, ("model A", args.model_a), ("model B", args.model_b))
     cutoffs = _parse_cutoffs(args.cutoffs)
-    scores_a = model_a.predict_dataset(ds)
-    scores_b = model_b.predict_dataset(ds)
+    report_a = mean_ndcg(model_a.predict_dataset(ds), ds, cutoffs)
+    report_b = mean_ndcg(model_b.predict_dataset(ds), ds, cutoffs)
     out = sys.stdout
     out.write(f"# compare: A={args.model_a} B={args.model_b} "
               f"permutations={args.permutations} seed={args.seed}\n")
     out.write("cutoff,mean_ndcg_a,mean_ndcg_b,diff,p_value,significant\n")
     for k in cutoffs:
-        pq_a = per_query_ndcg(scores_a, ds, k)
-        pq_b = per_query_ndcg(scores_b, ds, k)
-        result = fisher_randomization(pq_a, pq_b, num_permutations=args.permutations,
-                                      seed=args.seed)
+        result = fisher_randomization(report_a.per_query[k], report_b.per_query[k],
+                                      num_permutations=args.permutations, seed=args.seed)
         marker = "*" if result.p_value < 0.05 else ""
-        out.write(f"{k},{float(np.mean(pq_a))!r},{float(np.mean(pq_b))!r},"
+        out.write(f"{k},{report_a.mean[k]!r},{report_b.mean[k]!r},"
                   f"{result.mean_difference!r},{result.p_value!r},{marker}\n")
     return EXIT_OK
 
 
 def cmd_sweep_interactions(args) -> int:
-    model = load_model(_require_file(args.model, "model"))
-    ds = _load_for_model(_require_file(args.data, "dataset"), model, args.num_features)
+    [model], ds = _load(args, ("model", args.model))
     cutoffs = _parse_cutoffs(args.cutoffs)
     if args.step < 1:
         raise UsageError(f"step must be >= 1, got {args.step}")
@@ -249,9 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="force the feature dimensionality")
 
     p_train = sub.add_parser("train", help="run the training pipeline")
-    p_train.add_argument("--train", help="training data (LETOR/SVMLight)")
-    p_train.add_argument("--valid", help="validation data for early stopping")
-    p_train.add_argument("--out", help="output directory (default .)")
+    p_train.add_argument("--train", required=True, help="training data (LETOR/SVMLight)")
+    p_train.add_argument("--valid", required=True, help="validation data for early stopping")
+    p_train.add_argument("--out", default=".", help="output directory (default .)")
     p_train.add_argument("--config", help="JSON config file; flags override it")
     p_train.add_argument("--interactions", type=int, default=None,
                          help="maximum interaction pairs (0 disables stages 2 and 3)")

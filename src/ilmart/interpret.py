@@ -193,14 +193,6 @@ class EffectScore:
     rank: int
 
 
-@dataclass
-class EffectImportance:
-    effects: list[EffectScore]
-
-    def by_rank(self) -> list[EffectScore]:
-        return sorted(self.effects, key=lambda e: e.rank)
-
-
 def _effect_table(trees, features) -> tuple[list[np.ndarray], np.ndarray]:
     """Sum the trees of one effect into a table over its features' intervals.
 
@@ -253,8 +245,9 @@ def additive_score(shapes, surfaces, features: np.ndarray) -> float:
     return float(total)
 
 
-def effect_importance(model: IlmartModel, reference: Dataset) -> EffectImportance:
-    """Mean absolute contribution of each effect over a reference dataset.
+def effect_importance(model: IlmartModel, reference: Dataset) -> list[EffectScore]:
+    """Mean absolute contribution of each effect over a reference dataset,
+    in rank order.
 
     Ranks start at 1 for the largest importance; exact ties resolve by
     effect kind then feature ids, so the ordering is reproducible.
@@ -266,17 +259,17 @@ def effect_importance(model: IlmartModel, reference: Dataset) -> EffectImportanc
         contrib = effect.contribution(reference.features)
         raw.append((effect.kind, effect.features, float(np.mean(np.abs(contrib)))))
     raw.sort(key=lambda e: (-e[2], e[0] != "main", e[1]))
-    effects = [EffectScore(kind, feats, imp, rank) for rank, (kind, feats, imp) in enumerate(raw, 1)]
-    return EffectImportance(effects)
+    return [EffectScore(kind, feats, imp, rank) for rank, (kind, feats, imp) in enumerate(raw, 1)]
 
 
 def export_shapes(shapes, surfaces, out_dir, fmt: str = "csv",
-                  importance: EffectImportance | None = None,
+                  importance: list[EffectScore] | None = None,
                   top: int | None = None) -> list[str]:
     """Write one file per effect plus an index listing importance ranks.
 
-    With ``top``, only the ``top`` highest-ranked effects are exported
-    (requires ``importance``). Returns the written file paths.
+    With ``top``, only the first ``top`` effects of ``importance`` (as
+    :func:`effect_importance` returns it, in rank order) are exported.
+    Returns the written file paths.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {fmt!r}")
@@ -288,10 +281,10 @@ def export_shapes(shapes, surfaces, out_dir, fmt: str = "csv",
 
     ranked = {}
     if importance is not None:
-        ranked = {(e.kind, e.features): e for e in importance.effects}
+        ranked = {(e.kind, e.features): e for e in importance}
     keep = None
     if top is not None:
-        keep = {(e.kind, e.features) for e in importance.by_rank()[:top]}
+        keep = {(e.kind, e.features) for e in importance[:top]}
 
     written = []
     index = []

@@ -27,6 +27,7 @@ import contextlib
 import json
 import logging
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -46,6 +47,18 @@ MODEL_SCHEMA_VERSION = 4
 # A round counts as an improvement only if it beats the best by more than
 # this, so float noise cannot keep a stage alive.
 IMPROVEMENT_EPS = 1e-7
+
+# What each annotation of a TrainConfig field accepts. Integers and reals
+# include numpy scalars; a bool counts as neither.
+_FIELD_TYPES = {
+    "int": (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer"),
+    "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool), "a number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+}
+
+# Fields stage 3 never reads: bins are built once, before stage 1, and the
+# pairs are chosen by stage 2.
+STAGE3_INERT = ("max_bins", "max_interactions", "stage2_max_rounds")
 
 
 @dataclass
@@ -75,6 +88,11 @@ class TrainConfig:
     stage3_overrides: dict | None = None
 
     def validate(self) -> None:
+        for f in fields(self):
+            accepts, kind = _FIELD_TYPES.get(f.type, (None, None))
+            value = getattr(self, f.name)
+            if accepts and not accepts(value):
+                raise ModelError(f"invalid config: {f.name} must be {kind}, got {value!r}")
         checks = [
             (self.num_leaves >= 2, "num_leaves must be >= 2"),
             (self.learning_rate > 0, "learning_rate must be > 0"),
@@ -104,6 +122,10 @@ class TrainConfig:
         unknown = sorted(set(overrides) - names)
         if unknown:
             raise ModelError(f"invalid config: unknown stage3_overrides key(s) {unknown}")
+        inert = [k for k in STAGE3_INERT if k in overrides]
+        if inert:
+            raise ModelError(f"invalid config: {inert[0]} has no effect in stage 3 "
+                             "(in stage3_overrides)")
         try:
             replace(self, **overrides, stage3_overrides=None).validate()
         except ModelError as exc:
@@ -490,12 +512,18 @@ def load_model(path) -> IlmartModel:
         best = metadata.get("best_valid_ndcg")
         if best is not None and not np.isfinite(_numbers([best], 1, "best_valid_ndcg")).all():
             raise ModelError("best_valid_ndcg must be finite")
+        num_features = metadata["num_features"]
+        if type(num_features) is not int or num_features < 0:
+            raise ModelError(f"num_features must be a non-negative integer, got {num_features!r}")
+        digest = metadata.get("dataset_digest", "")
+        if not isinstance(digest, str):
+            raise ModelError(f"dataset_digest must be a string, got {digest!r}")
         model = IlmartModel(
-            num_features=int(metadata["num_features"]),
+            num_features=num_features,
             shapes=[ShapeFunction.from_json(e) for e in data["main_effects"]],
             surfaces=[InteractionSurface.from_json(e) for e in data["pair_effects"]],
             config=TrainConfig(**data["config"]),
-            dataset_digest=str(metadata.get("dataset_digest", "")),
+            dataset_digest=digest,
             training_log=_training_log(data["training_log"]),
             best_valid_ndcg=best,
         )

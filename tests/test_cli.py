@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -11,7 +12,7 @@ import pytest
 
 import ilmart
 from ilmart import load_model, load_svmlight, mean_ndcg, per_query_ndcg
-from ilmart.cli import main
+from ilmart.cli import build_parser, main
 from ilmart.stats import fisher_randomization
 
 from synthdata import planted_interaction, single_signal
@@ -223,6 +224,72 @@ def test_compare_p_value_matches_library(trained_dir, files, capsys):
     assert float(line[4]) == want.p_value
 
 
+@pytest.fixture(scope="module")
+def narrow_model(files):
+    """A stage-1 model trained on two features, narrower than ``trained_dir``'s."""
+    root = files["root"] / "narrow"
+    root.mkdir()
+    for name, seed in (("train", 90), ("valid", 91)):
+        single_signal(30, 10, seed=seed, num_features=2).save_svmlight(root / f"{name}.txt")
+    assert main(["train", "--train", str(root / "train.txt"), "--valid", str(root / "valid.txt"),
+                 "--out", str(root), "--interactions", "0", "--num-leaves", "4",
+                 "--min-data-in-leaf", "5", "--early-stopping", "5"]) == 0
+    return str(root / "model.json")
+
+
+def test_compare_with_narrower_model_a_scores_both(trained_dir, files, narrow_model, capsys):
+    wide_path = str(trained_dir / "model.json")
+    capsys.readouterr()
+    code = main(["compare", "--model-a", narrow_model, "--model-b", wide_path,
+                 "--data", files["test"], "--cutoffs", "5,10", "--permutations", "100"])
+    assert code == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
+    narrow, wide = load_model(narrow_model), load_model(wide_path)
+    assert narrow.num_features < wide.num_features
+    ds = load_svmlight(files["test"], num_features=wide.num_features)
+    report_a = mean_ndcg(narrow.predict_dataset(ds), ds, (5, 10))
+    report_b = mean_ndcg(wide.predict_dataset(ds), ds, (5, 10))
+    assert [(float(r[1]), float(r[2])) for r in rows] == \
+        [(report_a.mean[k], report_b.mean[k]) for k in (5, 10)]
+
+
+@pytest.mark.parametrize("command", ["eval", "compare"])
+def test_num_features_below_model_width_exits_2(trained_dir, files, narrow_model, capsys,
+                                                command):
+    wide_path = str(trained_dir / "model.json")
+    models = (["--model", wide_path] if command == "eval"
+              else ["--model-a", narrow_model, "--model-b", wide_path])
+    width = load_model(wide_path).num_features
+    capsys.readouterr()
+    code = main([command, *models, "--data", files["test"], "--num-features", "2"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --num-features 2 is below the model width {width}\n"
+
+
+def _readme_commands():
+    """Every ``ilmart ...`` command of README's ``sh`` blocks, continuations joined."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as fh:
+        readme = fh.read()
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, flags=re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("ilmart "):
+                commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
+    assert {argv[0] for argv in commands} == {"train", "eval", "predict", "export-shapes",
+                                              "compare", "sweep-interactions"}
+
+
 def test_output_lock_blocks_concurrent_use(files, tmp_path, capsys):
     out = tmp_path / "locked"
     out.mkdir()
@@ -289,6 +356,12 @@ def _damage(data, damage):
         data["config"]["no_such_option"] = 1
     elif damage == "negative_learning_rate":
         data["config"]["learning_rate"] = -1
+    elif damage == "float_num_leaves":
+        data["config"]["num_leaves"] = 8.5
+    elif damage == "string_lambdarank_norm":
+        data["config"]["lambdarank_norm"] = "false"
+    elif damage == "inert_stage3_override":
+        data["config"]["stage3_overrides"] = {"max_bins": 4}
     elif damage == "unknown_stage3_override":
         data["config"]["stage3_overrides"] = {"bogus": 1}
     elif damage == "missing_key":
@@ -318,7 +391,9 @@ def _damage(data, damage):
                                     "duplicate_main_feature", "pair_outside_j",
                                     "duplicate_pair", "unsorted_pair", "unknown_top_level_key",
                                     "unknown_metadata_key", "unknown_effect_key",
-                                    "string_log_entry", "string_best_ndcg"])
+                                    "string_log_entry", "string_best_ndcg",
+                                    "float_num_leaves", "string_lambdarank_norm",
+                                    "inert_stage3_override"])
 def test_malformed_model_file_exits_2(trained_dir, files, tmp_path, capsys, damage):
     text = (trained_dir / "model.json").read_text()
     if damage == "truncated_json":
@@ -362,6 +437,47 @@ def test_bad_config_value_exits_2(files, capsys):
     assert "learning_rate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, kind", [
+    ("lambdarank_norm", "false", "true or false"),
+    ("num_leaves", 8.5, "an integer"),
+    ("max_bins", 16.5, "an integer"),
+    ("early_stopping_rounds", 2.5, "an integer"),
+    ("learning_rate", True, "a number"),
+])
+def test_wrong_type_config_value_exits_2(files, tmp_path, capsys, field, value, kind):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({field: value}))
+    out = tmp_path / "run"
+    code = main(["train", "--train", files["train"], "--valid", files["valid"],
+                 "--out", str(out), "--config", str(config)])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        f"error: invalid config: {field} must be {kind}, got {value!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["num_leaf", "train", "valid", "out"])
+def test_unknown_config_file_key_exits_2(files, tmp_path, capsys, key):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: files["train"]}))
+    out = tmp_path / "run"
+    code = main(["train", "--train", files["train"], "--valid", files["valid"],
+                 "--out", str(out), "--config", str(config)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: unknown config key(s) [{key!r}]\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("missing", ["--train", "--valid"])
+def test_train_without_train_or_valid_is_a_usage_error(files, capsys, missing):
+    argv = ["train", "--train", files["train"], "--valid", files["valid"]]
+    del argv[argv.index(missing):argv.index(missing) + 2]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert f"the following arguments are required: {missing}" in capsys.readouterr().err
+
+
 def test_config_that_is_not_json_exits_2(files, tmp_path, capsys):
     config = tmp_path / "broken.json"
     config.write_text('{"max_bins": 3')
@@ -376,6 +492,10 @@ def test_config_that_is_not_json_exits_2(files, tmp_path, capsys):
 @pytest.mark.parametrize("overrides, message", [
     ({"bogus": 1}, "unknown stage3_overrides key(s) ['bogus']"),
     ({"num_leaves": 1}, "num_leaves must be >= 2 (in stage3_overrides)"),
+    ({"max_bins": 4}, "max_bins has no effect in stage 3 (in stage3_overrides)"),
+    ({"max_interactions": 1}, "max_interactions has no effect in stage 3 (in stage3_overrides)"),
+    ({"stage2_max_rounds": 1},
+     "stage2_max_rounds has no effect in stage 3 (in stage3_overrides)"),
 ])
 def test_bad_stage3_overrides_exit_2_before_training(files, tmp_path, capsys,
                                                       overrides, message):

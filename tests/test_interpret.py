@@ -203,14 +203,14 @@ def reference_rows(n, d, seed=3):
 def test_importance_single_effect_ranks_first():
     model = IlmartModel.from_trees(1, [two_leaf(1, 0.5, -0.1, 0.2)])
     imp = effect_importance(model, reference_rows(50, 1))
-    assert len(imp.effects) == 1
-    assert imp.effects[0].rank == 1
+    assert len(imp) == 1
+    assert imp[0].rank == 1
 
 
 def test_importance_zero_shape_scores_zero():
     model = IlmartModel.from_trees(1, [two_leaf(1, 0.5, 0.0, 0.0)])
     imp = effect_importance(model, reference_rows(50, 1))
-    assert imp.effects[0].importance == 0.0
+    assert imp[0].importance == 0.0
 
 
 def test_importance_orders_by_mean_absolute_contribution():
@@ -220,7 +220,7 @@ def test_importance_orders_by_mean_absolute_contribution():
     from ilmart import Dataset
     ref = Dataset.from_rows([0] * 50, ["q"] * 50, rng.random((50, 2)))
     imp = effect_importance(model, ref)
-    scores = {e.features: (e.importance, e.rank) for e in imp.effects}
+    scores = {e.features: (e.importance, e.rank) for e in imp}
     assert scores[(1,)] == (1.0, 1)
     assert scores[(2,)][0] == pytest.approx(0.1)
     assert scores[(2,)][1] == 2

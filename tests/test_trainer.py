@@ -210,11 +210,37 @@ def test_learning_rate_zero_rejected():
         small_cfg(learning_rate=0.0).validate()
 
 
+@pytest.mark.parametrize("field, value, kind", [
+    ("lambdarank_norm", "false", "true or false"),
+    ("lambdarank_norm", 1, "true or false"),
+    ("num_leaves", 8.5, "an integer"),
+    ("num_leaves", True, "an integer"),
+    ("max_bins", 16.5, "an integer"),
+    ("early_stopping_rounds", 2.5, "an integer"),
+    ("learning_rate", True, "a number"),
+    ("lambda_l2", "0", "a number"),
+])
+def test_wrong_type_config_value_rejected_by_validate(field, value, kind):
+    with pytest.raises(ModelError) as info:
+        small_cfg(**{field: value}).validate()
+    assert str(info.value) == f"invalid config: {field} must be {kind}, got {value!r}"
+
+
+def test_numpy_scalar_config_values_pass_validate():
+    small_cfg(num_leaves=np.int64(8), learning_rate=np.float32(0.1), lambda_l2=np.int32(0),
+              max_bins=np.uint16(32)).validate()
+
+
 @pytest.mark.parametrize("overrides, message", [
     ({"bogus": 1}, "unknown stage3_overrides key"),
     ({"stage3_overrides": {}}, "unknown stage3_overrides key"),
     ({"num_leaves": 1}, "num_leaves must be >= 2 (in stage3_overrides)"),
     ([["num_leaves", 8]], "stage3_overrides must be an object"),
+    ({"max_bins": 4}, "max_bins has no effect in stage 3 (in stage3_overrides)"),
+    ({"max_interactions": 1}, "max_interactions has no effect in stage 3 (in stage3_overrides)"),
+    ({"stage2_max_rounds": 1},
+     "stage2_max_rounds has no effect in stage 3 (in stage3_overrides)"),
+    ({"num_leaves": 4.0}, "num_leaves must be an integer, got 4.0 (in stage3_overrides)"),
 ])
 def test_bad_stage3_overrides_rejected_by_validate(overrides, message):
     with pytest.raises(ModelError) as info:
@@ -222,7 +248,10 @@ def test_bad_stage3_overrides_rejected_by_validate(overrides, message):
     assert message in str(info.value)
 
 
-@pytest.mark.parametrize("overrides, leaves", [({}, 8), ({"num_leaves": 4}, 4)])
+@pytest.mark.parametrize("overrides, leaves", [
+    ({}, 8), ({"num_leaves": 4}, 4),
+    ({"early_stopping_rounds": 6, "max_rounds_per_stage": 6}, 8),
+])
 def test_good_stage3_overrides_pass_validate(overrides, leaves):
     cfg = small_cfg(stage3_overrides=overrides)
     cfg.validate()
@@ -291,6 +320,8 @@ def test_stage1_model_round_trips_with_no_interactions(tmp_path, planted_run):
     ({"learning_rate": -1}, "learning_rate must be > 0"),
     ({"stage3_overrides": {"bogus": 1}}, "unknown stage3_overrides key(s) ['bogus']"),
     ({"stage3_overrides": {"num_leaves": 1}}, "num_leaves must be >= 2 (in stage3_overrides)"),
+    ({"num_leaves": 8.5}, "num_leaves must be an integer, got 8.5"),
+    ({"lambdarank_norm": "false"}, "lambdarank_norm must be true or false, got 'false'"),
 ])
 def test_load_model_validates_stored_config(tmp_path, planted_run, change, message):
     path = tmp_path / "model.json"
@@ -460,6 +491,24 @@ def test_load_model_refuses_a_best_ndcg_that_is_not_a_number(tmp_path, planted_r
     path.write_text(json.dumps(data))
     with pytest.raises(ModelError, match="best_valid_ndcg"):
         load_model(path)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("num_features", "10", "num_features must be a non-negative integer, got '10'"),
+    ("num_features", 10.7, "num_features must be a non-negative integer, got 10.7"),
+    ("num_features", True, "num_features must be a non-negative integer, got True"),
+    ("dataset_digest", 12345, "dataset_digest must be a string, got 12345"),
+    ("dataset_digest", None, "dataset_digest must be a string, got None"),
+])
+def test_load_model_refuses_malformed_metadata(tmp_path, planted_run, key, value, message):
+    path = tmp_path / "model.json"
+    save_model(planted_run["stage1"], path)
+    data = json.loads(path.read_text())
+    data["metadata"][key] = value
+    path.write_text(json.dumps(data))
+    with pytest.raises(ModelError) as info:
+        load_model(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_schema_version_checked(tmp_path, planted_run):
