@@ -140,8 +140,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    [model], ds = _load(args, ("model", args.model))
     cutoffs = _parse_cutoffs(args.cutoffs)
+    [model], ds = _load(args, ("model", args.model))
     report = mean_ndcg(model.predict_dataset(ds), ds, cutoffs)
     out = sys.stdout
     out.write(f"# model: {args.model} p={model.p} K={model.num_interactions}\n")
@@ -177,8 +177,8 @@ def cmd_compare(args) -> int:
     if args.permutations < 1 or args.seed < 0:
         raise UsageError(f"--permutations must be >= 1 and --seed >= 0, "
                          f"got {args.permutations} and {args.seed}")
-    (model_a, model_b), ds = _load(args, ("model A", args.model_a), ("model B", args.model_b))
     cutoffs = _parse_cutoffs(args.cutoffs)
+    (model_a, model_b), ds = _load(args, ("model A", args.model_a), ("model B", args.model_b))
     report_a = mean_ndcg(model_a.predict_dataset(ds), ds, cutoffs)
     report_b = mean_ndcg(model_b.predict_dataset(ds), ds, cutoffs)
     out = sys.stdout
@@ -195,10 +195,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep_interactions(args) -> int:
-    [model], ds = _load(args, ("model", args.model))
     cutoffs = _parse_cutoffs(args.cutoffs)
     if args.step < 1:
         raise UsageError(f"step must be >= 1, got {args.step}")
+    [model], ds = _load(args, ("model", args.model))
     total = model.num_interactions
     with _open_out(args.out) as fh:
         fh.write(f"# model: {args.model} K={total}\n")

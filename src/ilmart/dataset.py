@@ -9,10 +9,22 @@ feature ids default to 0. Feature values must be finite: NaN and +-inf are
 rejected. Rows are grouped by query id in order of first appearance.
 Histogram boundaries for tree learning are computed once on the training
 split and reused everywhere else.
+
+The loader reads a file in blocks of lines and parses each block's numbers
+with one ``np.loadtxt`` call. A block goes line by line through
+:func:`_parse_line`, which defines the grammar and words every error, when
+any of its lines is not plain ASCII ``<label> qid:<qid> <fid>:<value> ...``
+with single spaces between tokens and numbers that ``int()``/``float()`` and
+numpy read alike, or breaks a rule of the format (a label outside
+``[0, MAX_LABEL]``, a feature id below 1, a repeated id in a line). That
+covers bad lines, so the first one in the file is the one reported, and odd
+but valid ones: tabs or runs of spaces, ``1_0``, non-ASCII digits.
 """
 from __future__ import annotations
 
 import hashlib
+import itertools
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -136,6 +148,124 @@ def _parse_label(token: str, where: str) -> int:
     return label
 
 
+def _parse_line(tokens: list[str], where: str):
+    """``(label, qid, fids, values)`` of one line's whitespace-split tokens.
+
+    This is the grammar's definition: every line the bulk parser refuses is
+    read here, and every error message comes from here.
+    """
+    if len(tokens) < 2 or not tokens[1].startswith("qid:"):
+        raise DatasetError(f"{where}: expected '<label> qid:<qid> ...'")
+    qid = tokens[1][4:]
+    if not qid:
+        raise DatasetError(f"{where}: empty query id")
+    label = _parse_label(tokens[0], where)
+
+    fids: list[int] = []
+    vals: list[float] = []
+    seen: set[int] = set()
+    for tok in tokens[2:]:
+        fid_s, sep, val_s = tok.partition(":")
+        if not sep:
+            raise DatasetError(f"{where}: malformed feature token {tok!r}")
+        try:
+            fid = int(fid_s)
+        except ValueError:
+            raise DatasetError(f"{where}: non-integer feature id {fid_s!r}") from None
+        if fid <= 0:
+            raise DatasetError(f"{where}: feature id must be >= 1, got {fid}")
+        if fid in seen:
+            raise DatasetError(f"{where}: duplicate feature id {fid}")
+        seen.add(fid)
+        try:
+            val = float(val_s)
+        except ValueError:
+            raise DatasetError(f"{where}: bad feature value {val_s!r}") from None
+        fids.append(fid)
+        vals.append(val)
+    return label, qid, np.asarray(fids, dtype=np.intp), np.asarray(vals)
+
+
+# Lines parsed per bulk call. It bounds the loader's working memory beside
+# the rows it keeps: the block's text, its copies and numpy's parse buffers.
+_BLOCK_LINES = 512
+
+# Bytes a line's separator signature drops: all but " ", ":" and the control
+# characters, so that a tab or any other control byte spoils the signature.
+_NOT_SEPARATOR = bytes(b for b in range(32, 256) if b not in b" :")
+
+
+def _parse_block(lines: list[str]):
+    """Parse stripped, non-empty lines with one ``np.loadtxt`` call, or return None.
+
+    Returns ``(labels, qids, fids, values)``: row ``r`` of the ``(rows,
+    width)`` arrays holds line ``r``'s tokens in file order, padded with
+    feature id 0 and value 0.0 to the widest line. The fields are float64
+    labels and values and int64 feature ids; numpy reads floats with the
+    routine ``float()`` uses, so every number it accepts reads as
+    :func:`_parse_line` reads it. None means the block is for
+    :func:`_parse_line` (see the module docstring).
+    """
+    qids, texts = [], []
+    for line in lines:
+        parts = line.split(None, 2)
+        if len(parts) < 2 or not parts[1].startswith("qid:") or parts[1] == "qid:":
+            return None
+        qids.append(parts.pop(1)[4:])
+        texts.append(" ".join(parts))
+    try:
+        signatures = "\n".join(texts).encode("ascii").translate(None, _NOT_SEPARATOR)
+    except UnicodeEncodeError:
+        return None
+    # Each line's signature must be " :" once per token: this refuses a token
+    # with no colon or two, a run of spaces, and tabs or other control bytes.
+    if signatures.replace(b" :", b"") != b"\n" * (len(lines) - 1):
+        return None
+    counts = np.fromiter(map(len, signatures.split(b"\n")), np.intp, len(lines)) // 2
+    width = int(counts.max())
+    texts = [text + " 0:0" * (width - c) for text, c in zip(texts, counts.tolist())]
+    dtype = np.dtype({"names": [f"f{k}" for k in range(2 * width + 1)],
+                      "formats": ["f8"] + ["i8", "f8"] * width})
+    try:
+        # Older numpy reads "1.0" into an int64 field and only warns.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt("\n".join(texts).replace(":", " ").split("\n"), dtype=dtype,
+                               delimiter=" ", comments=None, ndmin=1)
+    except (ValueError, DeprecationWarning):
+        return None
+    table = table.view(np.int64).reshape(len(lines), 2 * width + 1)
+    labels = table[:, 0].view(np.float64)
+    fids = table[:, 1::2]
+    # The padding ids are 0, so every real id is >= 1 when counts.sum() ids are.
+    if not (np.all((labels >= 0) & (labels <= MAX_LABEL) & (labels == np.floor(labels)))
+            and np.count_nonzero(fids > 0) == counts.sum() and _distinct_per_row(fids)):
+        return None
+    return labels.astype(np.int32), qids, fids, table[:, 2::2].view(np.float64)
+
+
+def _distinct_per_row(fids: np.ndarray) -> bool:
+    """Whether no row of ``fids`` repeats a positive id, given that each row's
+    zeros follow its positive ids. Rows are sorted only if some row is not
+    already increasing."""
+    def increasing(a):
+        return bool(np.all((a[:, 1:] > a[:, :-1]) | (a[:, 1:] == 0)))
+    return increasing(fids) or increasing(np.sort(fids, axis=1))
+
+
+def _parse_lines(rows: list[tuple[int, str]], path):
+    """:func:`_parse_block`'s result for ``(lineno, line)`` pairs, read one
+    line at a time by :func:`_parse_line`; raises on the first bad line."""
+    parsed = [_parse_line(line.split(), f"{path}:{lineno}") for lineno, line in rows]
+    width = max(fids.size for _, _, fids, _ in parsed)
+    fids = np.zeros((len(parsed), width), dtype=np.intp)
+    values = np.zeros((len(parsed), width), dtype=np.float64)
+    for r, (_, _, row_fids, row_values) in enumerate(parsed):
+        fids[r, :row_fids.size] = row_fids
+        values[r, :row_values.size] = row_values
+    return np.array([p[0] for p in parsed], dtype=np.int32), [p[1] for p in parsed], fids, values
+
+
 def load_svmlight(path, num_features: int | None = None) -> Dataset:
     """Parse a LETOR/SVMLight ranking file into a :class:`Dataset`.
 
@@ -143,55 +273,34 @@ def load_svmlight(path, num_features: int | None = None) -> Dataset:
     feature id seen in the file) so that train/validation/test splits agree
     even when one split never uses the last feature.
     """
-    labels: list[int] = []
+    labels: list[np.ndarray] = []
     qids: list[str] = []
     linenos: list[int] = []
-    parsed_rows: list[tuple[np.ndarray, np.ndarray]] = []
+    blocks: list[np.ndarray] = []
     max_fid = 0
 
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+        numbered = enumerate(fh, start=1)
+        while chunk := list(itertools.islice(numbered, _BLOCK_LINES)):
+            rows = [(lineno, line) for lineno, raw in chunk
+                    if (line := raw.split("#", 1)[0].strip())]
+            if not rows:
                 continue
-            where = f"{path}:{lineno}"
-            tokens = line.split()
-            if len(tokens) < 2 or not tokens[1].startswith("qid:"):
-                raise DatasetError(f"{where}: expected '<label> qid:<qid> ...'")
-            qid = tokens[1][4:]
-            if not qid:
-                raise DatasetError(f"{where}: empty query id")
-            label = _parse_label(tokens[0], where)
+            block_labels, block_qids, fids, values = (
+                _parse_block([line for _, line in rows]) or _parse_lines(rows, path))
+            width = int(fids.max(initial=0))
+            max_fid = max(max_fid, width)
+            labels.append(block_labels)
+            qids.extend(block_qids)
+            linenos.extend(lineno for lineno, _ in rows)
+            # A block wider than --num-features fails below; it is not stored.
+            if num_features is None or width <= num_features:
+                # Column 0 takes the padding (feature id 0) and is dropped.
+                dense = np.zeros((len(rows), width + 1), dtype=np.float64)
+                dense[np.arange(len(rows))[:, None], fids] = values
+                blocks.append(dense[:, 1:])
 
-            fids: list[int] = []
-            vals: list[float] = []
-            seen: set[int] = set()
-            for tok in tokens[2:]:
-                fid_s, sep, val_s = tok.partition(":")
-                if not sep:
-                    raise DatasetError(f"{where}: malformed feature token {tok!r}")
-                try:
-                    fid = int(fid_s)
-                except ValueError:
-                    raise DatasetError(f"{where}: non-integer feature id {fid_s!r}") from None
-                if fid <= 0:
-                    raise DatasetError(f"{where}: feature id must be >= 1, got {fid}")
-                if fid in seen:
-                    raise DatasetError(f"{where}: duplicate feature id {fid}")
-                seen.add(fid)
-                try:
-                    val = float(val_s)
-                except ValueError:
-                    raise DatasetError(f"{where}: bad feature value {val_s!r}") from None
-                fids.append(fid)
-                vals.append(val)
-            max_fid = max(max_fid, max(fids, default=0))
-            labels.append(label)
-            qids.append(qid)
-            linenos.append(lineno)
-            parsed_rows.append((np.asarray(fids, dtype=np.intp), np.asarray(vals)))
-
-    if not parsed_rows:
+    if not qids:
         raise DatasetError(f"{path}: empty file")
 
     d = max_fid if num_features is None else int(num_features)
@@ -199,11 +308,13 @@ def load_svmlight(path, num_features: int | None = None) -> Dataset:
         raise DatasetError(
             f"{path}: feature id {max_fid} exceeds --num-features {d}"
         )
-    features = np.zeros((len(parsed_rows), d), dtype=np.float64)
-    for r, (fids, vals) in enumerate(parsed_rows):
-        if fids.size:
-            features[r, fids - 1] = vals
-    return Dataset.from_rows(labels, qids, features, where=lambda r: f"{path}:{linenos[r]}")
+    features = np.zeros((len(qids), d), dtype=np.float64)
+    start = 0
+    for dense in blocks:
+        features[start:start + dense.shape[0], :dense.shape[1]] = dense
+        start += dense.shape[0]
+    return Dataset.from_rows(np.concatenate(labels), qids, features,
+                             where=lambda r: f"{path}:{linenos[r]}")
 
 
 @dataclass

@@ -522,7 +522,8 @@ def load_model(path) -> IlmartModel:
             num_features=num_features,
             shapes=[ShapeFunction.from_json(e) for e in data["main_effects"]],
             surfaces=[InteractionSurface.from_json(e) for e in data["pair_effects"]],
-            config=TrainConfig(**data["config"]),
+            config=TrainConfig(**_known_keys(data["config"],
+                                             [f.name for f in fields(TrainConfig)], "config")),
             dataset_digest=digest,
             training_log=_training_log(data["training_log"]),
             best_valid_ndcg=best,

@@ -192,6 +192,23 @@ def test_compare_refuses_bad_permutations_or_seed(trained_dir, files, capsys, fl
         and len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command, flags, message", [
+    ("eval", ["--cutoffs", "0"], "cutoffs must be positive integers, got '0'"),
+    ("compare", ["--cutoffs", "x"], "bad cutoff list 'x'"),
+    ("sweep-interactions", ["--cutoffs", "5,-1"], "cutoffs must be positive integers, got '5,-1'"),
+    ("sweep-interactions", ["--step", "0"], "step must be >= 1, got 0"),
+])
+def test_bad_flags_exit_2_before_reading_data(trained_dir, tmp_path, capsys, command, flags,
+                                              message):
+    # The --data path does not exist: the flag is refused before any file is read.
+    model_path = str(trained_dir / "model.json")
+    models = (["--model-a", model_path, "--model-b", model_path] if command == "compare"
+              else ["--model", model_path])
+    code = main([command, *models, "--data", str(tmp_path / "missing.txt"), *flags])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("top", ["0", "-1"])
 def test_export_shapes_refuses_top_below_one(trained_dir, files, tmp_path, capsys, top):
     out = tmp_path / "shapes"

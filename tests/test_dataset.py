@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ilmart import Dataset, DatasetError, build_bins, load_svmlight
+from ilmart import Dataset, DatasetError, build_bins, dataset, load_svmlight
+from ilmart.dataset import MAX_LABEL
 
 from synthdata import random_queries
 
@@ -253,3 +254,229 @@ def test_svmlight_text_round_trips_exactly(data):
     assert back.labels.tolist() == labels
     assert back.qids == qids
     assert [g.tolist() for g in back.query_groups] == [g.tolist() for g in ds.query_groups]
+
+
+# -- the loader against its per-token reference ------------------------------
+
+def _oracle_parse_label(token, where):
+    try:
+        value = float(token)
+    except ValueError:
+        raise DatasetError(f"{where}: non-integer label {token!r}") from None
+    if not value.is_integer():
+        raise DatasetError(f"{where}: non-integer label {token!r}")
+    label = int(value)
+    if label < 0:
+        raise DatasetError(f"{where}: label must be >= 0, got {label}")
+    if label > MAX_LABEL:
+        raise DatasetError(f"{where}: label {label} exceeds the maximum of {MAX_LABEL}")
+    return label
+
+
+def oracle_load_svmlight(path, num_features=None):
+    """The loader as it was before bulk parsing: one Python step per token."""
+    labels, qids, linenos, parsed_rows = [], [], [], []
+    max_fid = 0
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            where = f"{path}:{lineno}"
+            tokens = line.split()
+            if len(tokens) < 2 or not tokens[1].startswith("qid:"):
+                raise DatasetError(f"{where}: expected '<label> qid:<qid> ...'")
+            qid = tokens[1][4:]
+            if not qid:
+                raise DatasetError(f"{where}: empty query id")
+            label = _oracle_parse_label(tokens[0], where)
+            fids, vals, seen = [], [], set()
+            for tok in tokens[2:]:
+                fid_s, sep, val_s = tok.partition(":")
+                if not sep:
+                    raise DatasetError(f"{where}: malformed feature token {tok!r}")
+                try:
+                    fid = int(fid_s)
+                except ValueError:
+                    raise DatasetError(f"{where}: non-integer feature id {fid_s!r}") from None
+                if fid <= 0:
+                    raise DatasetError(f"{where}: feature id must be >= 1, got {fid}")
+                if fid in seen:
+                    raise DatasetError(f"{where}: duplicate feature id {fid}")
+                seen.add(fid)
+                try:
+                    val = float(val_s)
+                except ValueError:
+                    raise DatasetError(f"{where}: bad feature value {val_s!r}") from None
+                fids.append(fid)
+                vals.append(val)
+            max_fid = max(max_fid, max(fids, default=0))
+            labels.append(label)
+            qids.append(qid)
+            linenos.append(lineno)
+            parsed_rows.append((np.asarray(fids, dtype=np.intp), np.asarray(vals)))
+    if not parsed_rows:
+        raise DatasetError(f"{path}: empty file")
+    d = max_fid if num_features is None else int(num_features)
+    if num_features is not None and max_fid > d:
+        raise DatasetError(f"{path}: feature id {max_fid} exceeds --num-features {d}")
+    features = np.zeros((len(parsed_rows), d), dtype=np.float64)
+    for r, (fids, vals) in enumerate(parsed_rows):
+        if fids.size:
+            features[r, fids - 1] = vals
+    return Dataset.from_rows(labels, qids, features, where=lambda r: f"{path}:{linenos[r]}")
+
+
+def _outcome(load, path, num_features):
+    """What ``load`` makes of ``path``: the dataset's exact content, or the error."""
+    try:
+        ds = load(path, num_features=num_features)
+    except (DatasetError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+    return (ds.features.shape, ds.features.tobytes(), ds.labels.dtype, ds.labels.tolist(),
+            ds.qids, [g.tolist() for g in ds.query_groups])
+
+
+def assert_loads_like_oracle(path, num_features=None):
+    assert _outcome(load_svmlight, path, num_features) == \
+        _outcome(oracle_load_svmlight, path, num_features)
+
+
+# Pieces of LETOR text. A line is plain, or has one odd piece that the
+# grammar accepts (signs, leading zeros, underscores, other whitespace), or
+# one bad piece that it refuses.
+PLAIN = {
+    "label": st.integers(0, 4).map(str),
+    "qid": st.sampled_from(["qid:1", "qid:2", "qid:a", "qid:é"]),
+    "value": FINITE.map(repr),
+    "space": st.just(" "),
+}
+ODD = {
+    "label": st.sampled_from(["2.0", "1e1", "+3", "-0", "1_0", "31"]),
+    "fid": st.sampled_from(["+10", "010", "1_0"]),
+    "value": st.sampled_from(["5.", ".5", "1E5", "1e-320", "-0.0", "1_0", "+inf", "nan"]),
+    "space": st.sampled_from(["  ", "\t", " \t", "\xa0", "\u2003", "\x1f"]),
+}
+BAD = {
+    "label": st.sampled_from(["32", "-1", "1.5", "nan", "inf", "x", "0x1", "1:2", "٣"]),
+    "qid": st.sampled_from(["qid:", "qi:1", "1:1", ""]),
+    "fid": st.sampled_from(["0", "-1", "1.0", "1e0", "", "a", "٣", "99999999999999999999"]),
+    "value": st.sampled_from(["", "abc", "0x10", "1:2", "1e400", "٣"]),
+    "token": st.sampled_from(["7", "::", "1::2", "3:4:5", ":", "1:\t2", "1\x1f:2", "1:\x0b2"]),
+}
+
+
+@st.composite
+def letor_lines(draw):
+    kind = draw(st.sampled_from(["plain"] * 5 + ["odd"] * 3 + ["bad", "blank", "comment"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "   ", "\t"]))
+    if kind == "comment":
+        return "# " + draw(st.text("ab 1:2", max_size=6))
+    fids = draw(st.lists(st.integers(1, 9), max_size=9, unique=True))
+    pieces = {"label": draw(PLAIN["label"]), "qid": draw(PLAIN["qid"]),
+              "fids": [str(f) for f in fids], "values": [draw(PLAIN["value"]) for _ in fids],
+              "spaces": [" "] * (len(fids) + 1), "extra": []}
+    if kind != "plain":
+        table = ODD if kind == "odd" else BAD
+        part = draw(st.sampled_from(sorted(table) + (["duplicate"] if kind == "bad" else [])))
+        if part in ("label", "qid"):
+            pieces[part] = draw(table[part])
+        elif part == "space":
+            pieces["spaces"][draw(st.integers(0, len(fids)))] = draw(table[part])
+        elif part == "token":
+            pieces["extra"] = [draw(table[part])]
+        elif part == "duplicate":
+            pieces["extra"] = [f"{draw(st.sampled_from(fids or [3]))}:1.0"] * (1 if fids else 2)
+        else:
+            pieces["extra"] = [f"{draw(table['fid']) if part == 'fid' else 10}:"
+                               f"{draw(table['value']) if part == 'value' else '1.0'}"]
+    tokens = [f"{f}:{v}" for f, v in zip(pieces["fids"], pieces["values"])] + pieces["extra"]
+    if tokens:
+        tokens.insert(draw(st.integers(0, len(tokens) - 1)), tokens.pop())
+    line = pieces["label"] + pieces["spaces"][0] + pieces["qid"]
+    for space, token in zip(pieces["spaces"][1:] + [" "], tokens):
+        line += space + token
+    if draw(st.booleans()):
+        line += draw(st.sampled_from([" ", "", " \t"])) + "# " + draw(st.text("ab 1:#", max_size=5))
+    return line
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(lines=st.lists(letor_lines(), max_size=12),
+       newline=st.sampled_from(["\n", "\r\n", "\r"]),
+       num_features=st.sampled_from([None, None, 7, 12]))
+def test_loader_matches_per_token_oracle(lines, newline, num_features):
+    # Mixed widths, odd syntax and bad lines: equal datasets or equal errors.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.txt")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(newline.join(lines) + newline)
+        assert_loads_like_oracle(path, num_features)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_wide_sparse_rows_round_trip_exactly(data):
+    # 136 features with the zeros left out of some rows, so that rows differ
+    # in width within one block of lines.
+    rows = data.draw(st.integers(1, 40))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    features = np.round(rng.normal(size=(rows, 136)), 3)
+    features[rng.random((rows, 136)) < data.draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+    features[features == 0] = 0.0  # no -0.0, which a left-out zero cannot keep
+    omit = rng.random(rows) < 0.5
+    labels = rng.integers(0, 5, rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            for r in range(rows):
+                tokens = [f"{k + 1}:{float(features[r, k])!r}" for k in range(136)
+                          if not (omit[r] and features[r, k] == 0.0)]
+                fh.write(" ".join([f"{labels[r]}", f"qid:{r // 7}", *tokens]) + "\n")
+        back = load_svmlight(path, num_features=136)
+        assert_loads_like_oracle(path, 136)
+        assert_loads_like_oracle(path)
+    assert back.features.view(np.uint64).tolist() == features.view(np.uint64).tolist()
+    assert back.labels.tolist() == labels.tolist()
+
+
+def test_first_bad_line_is_reported(tmp_path):
+    # A duplicate id (a bulk check) on line 2 comes before a bad value on
+    # line 3 and a non-finite value on line 1, which is checked last.
+    text = "1 qid:1 1:nan\n1 qid:1 2:1 2:3\n0 qid:1 1:x\n"
+    with pytest.raises(DatasetError, match=r":2: duplicate feature id 2"):
+        load_svmlight(write(tmp_path, text))
+
+
+@pytest.mark.parametrize("line", [
+    "1 qid:1 1:2.5 3:-1e-3 10:7",
+    "31 qid:abc 2:0 1:1",
+    "0 qid:é",
+], ids=["increasing", "unordered", "no_features"])
+def test_plain_lines_parse_in_bulk(line):
+    labels, qids, fids, values = dataset._parse_block([line, line])
+    label, qid, want_fids, want_values = dataset._parse_line(line.split(), "line")
+    assert labels.tolist() == [label, label] and qids == [qid, qid]
+    for r in range(2):
+        assert fids[r].tolist() == want_fids.tolist() + [0] * (fids.shape[1] - want_fids.size)
+        assert values[r, :want_values.size].tolist() == want_values.tolist()
+
+
+@pytest.mark.parametrize("line", [
+    "1 qid:1 1:2\t3:4",      # a tab
+    "1 qid:1 1:\x0b2",       # other whitespace, which numpy would skip
+    "1 qid:1 1:2  3:4",      # a run of spaces
+    "1 qid:1 1:2:3 4",       # a token with two colons, then one with none
+    "1 qid:1 1:1_0",
+    "1 qid:1 1.0:2",
+    "1 qid:1 1:٣",
+    "1 qid:1 0:2",
+    "1 qid:1 2:1 2:3",
+    "1.5 qid:1 1:2",
+    "32 qid:1 1:2",
+    "1 qid: 1:2",
+], ids=["tab", "vertical_tab", "space_run", "two_colons", "underscore", "float_fid", "arabic_digit",
+        "fid_0", "duplicate", "float_label", "label_32", "empty_qid"])
+def test_odd_lines_are_left_to_the_line_parser(line):
+    assert dataset._parse_block(["1 qid:1 1:2", line]) is None

@@ -457,7 +457,9 @@ def test_tampered_model_rejected(tmp_path, planted_run):
     (lambda d: (d.update(J=[9], main_trees=[]), d["metadata"].update(extra=1),
                 d["main_effects"][0].update(trees=[])),
      "unknown model file key(s) ['J', 'main_trees']"),
-], ids=["J", "main_trees", "metadata", "main_effect", "pair_effect", "stale_v3_keys"])
+    # the message a --config file with this key gets
+    (lambda d: d["config"].update(bogus=1), "unknown config key(s) ['bogus']"),
+], ids=["J", "main_trees", "metadata", "main_effect", "pair_effect", "stale_v3_keys", "config"])
 def test_load_model_refuses_unknown_keys(tmp_path, planted_run, damage, message):
     path = tmp_path / "model.json"
     save_model(planted_run["full"], path)
