@@ -18,7 +18,8 @@ with single spaces between tokens and numbers that ``int()``/``float()`` and
 numpy read alike, or breaks a rule of the format (a label outside
 ``[0, MAX_LABEL]``, a feature id below 1, a repeated id in a line). That
 covers bad lines, so the first one in the file is the one reported, and odd
-but valid ones: tabs or runs of spaces, ``1_0``, non-ASCII digits.
+but valid ones: tabs or runs of spaces, ``1_0``, non-ASCII digits. Each
+parsed block goes straight into its rows of the final matrix.
 """
 from __future__ import annotations
 
@@ -72,12 +73,15 @@ class Dataset:
             raise DatasetError("dataset has no rows")
         if labels.min() < 0 or labels.max() > MAX_LABEL:
             raise DatasetError(f"labels must be integers in [0, {MAX_LABEL}]")
-        finite = np.isfinite(features)
-        if not finite.all():
-            r, k = np.argwhere(~finite)[0].tolist()
-            at = where(r) if where else f"row {r}"
-            raise DatasetError(f"{at}: non-finite value {float(features[r, k])!r} "
-                               f"for feature {k + 1}")
+        # In blocks of rows, so that the check holds one block's mask at a time.
+        for start in range(0, n, _BLOCK_LINES):
+            finite = np.isfinite(features[start:start + _BLOCK_LINES])
+            if not finite.all():
+                r, k = np.argwhere(~finite)[0].tolist()
+                r += start
+                at = where(r) if where else f"row {r}"
+                raise DatasetError(f"{at}: non-finite value {float(features[r, k])!r} "
+                                   f"for feature {k + 1}")
         groups: dict[str, list[int]] = {}
         for i, q in enumerate(qids):
             groups.setdefault(q, []).append(i)
@@ -114,23 +118,57 @@ class Dataset:
         return index
 
     def digest(self) -> str:
-        """Content hash recorded in trained model metadata."""
+        """Content hash recorded in trained model metadata.
+
+        The arrays' buffers go to the hash as they are, and the query ids a
+        block at a time, so hashing copies nothing the size of the dataset
+        (an array that is not C-contiguous is copied first).
+        """
         h = hashlib.sha256()
         h.update(np.asarray(self.features.shape, dtype=np.int64).tobytes())
-        h.update(self.labels.tobytes())
-        h.update(self.features.tobytes())
-        h.update("\x00".join(self.qids).encode("utf-8"))
+        h.update(np.ascontiguousarray(self.labels))
+        h.update(np.ascontiguousarray(self.features))
+        # The ids joined by "\x00", as one string would join them.
+        for start in range(0, len(self.qids), _BLOCK_LINES):
+            if start:
+                h.update(b"\x00")
+            h.update("\x00".join(self.qids[start:start + _BLOCK_LINES]).encode("utf-8"))
         return h.hexdigest()
 
     def save_svmlight(self, path) -> None:
-        """Write all rows back out in LETOR text form (all features explicit)."""
+        """Write all rows back out in LETOR text form (all features explicit).
+
+        Each value is written as ``repr`` writes it, the shortest text that
+        reads back to the same float, so a file read back holds the same bits
+        (``-0.0`` included). Rows go out a block of ``_BLOCK_LINES`` at a
+        time: each distinct value of a block is formatted once and each line
+        with one template. A query id that would not read back as written
+        (empty, or holding whitespace or ``#``) is refused before the file is
+        opened.
+        """
+        _check_writable(self.qids)
+        line = "{} qid:{}" + "".join(f" {k}:{{}}" for k in range(1, self.num_features + 1)) + "\n"
         with open(path, "w", encoding="utf-8") as fh:
-            for r in range(self.num_rows):
-                feats = " ".join(
-                    f"{k + 1}:{float(self.features[r, k])!r}" for k in range(self.num_features)
-                )
-                line = f"{self.labels[r]} qid:{self.qids[r]}"
-                fh.write(line + (" " + feats if feats else "") + "\n")
+            for start in range(0, self.num_rows, _BLOCK_LINES):
+                stop = start + _BLOCK_LINES
+                block = np.ascontiguousarray(self.features[start:stop], dtype=np.float64)
+                # Distinct bit patterns, so that -0.0 and 0.0 keep their own text.
+                bits, inverse = np.unique(block.view(np.int64).ravel(), return_inverse=True)
+                text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+                cells = text[inverse.reshape(block.shape)].tolist()
+                fh.write("".join([line.format(label, qid, *row) for label, qid, row in
+                                  zip(self.labels[start:stop].tolist(), self.qids[start:stop],
+                                      cells)]))
+
+
+def _check_writable(qids) -> None:
+    """Refuse the first query id that would not read back as written: the
+    loader splits a line at whitespace and drops what follows ``#``."""
+    for qid in dict.fromkeys(qids):
+        text = str(qid)
+        if text.split() != [text] or "#" in text:
+            raise DatasetError(f"row {qids.index(qid)}: query id {text!r} cannot be written: "
+                               "a query id must be non-empty, with no whitespace and no '#'")
 
 
 def _parse_label(token: str, where: str) -> int:
@@ -186,8 +224,10 @@ def _parse_line(tokens: list[str], where: str):
     return label, qid, np.asarray(fids, dtype=np.intp), np.asarray(vals)
 
 
-# Lines parsed per bulk call. It bounds the loader's working memory beside
-# the rows it keeps: the block's text, its copies and numpy's parse buffers.
+# Rows per block of the whole-dataset passes: lines parsed per bulk call and
+# lines formatted per write, rows per finiteness check and query ids per
+# hash update. It bounds each pass's working memory beside the matrix: the
+# block's text, its copies and numpy's parse buffers.
 _BLOCK_LINES = 512
 
 # Bytes a line's separator signature drops: all but " ", ":" and the control
@@ -223,15 +263,15 @@ def _parse_block(lines: list[str]):
         return None
     counts = np.fromiter(map(len, signatures.split(b"\n")), np.intp, len(lines)) // 2
     width = int(counts.max())
-    texts = [text + " 0:0" * (width - c) for text, c in zip(texts, counts.tolist())]
+    texts = [text.replace(":", " ") + " 0 0" * (width - c)
+             for text, c in zip(texts, counts.tolist())]
     dtype = np.dtype({"names": [f"f{k}" for k in range(2 * width + 1)],
                       "formats": ["f8"] + ["i8", "f8"] * width})
     try:
         # Older numpy reads "1.0" into an int64 field and only warns.
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            table = np.loadtxt("\n".join(texts).replace(":", " ").split("\n"), dtype=dtype,
-                               delimiter=" ", comments=None, ndmin=1)
+            table = np.loadtxt(texts, dtype=dtype, delimiter=" ", comments=None, ndmin=1)
     except (ValueError, DeprecationWarning):
         return None
     table = table.view(np.int64).reshape(len(lines), 2 * width + 1)
@@ -266,54 +306,85 @@ def _parse_lines(rows: list[tuple[int, str]], path):
     return np.array([p[0] for p in parsed], dtype=np.int32), [p[1] for p in parsed], fids, values
 
 
+def _widen(features: np.ndarray, rows: int, width: int) -> None:
+    """Give ``features`` ``width`` columns in place, keeping its first ``rows``
+    rows; the new cells are 0. Rows move a block at a time, last block first,
+    so that no row is overwritten before it has moved."""
+    capacity, old = features.shape
+    features.resize((capacity, width), refcheck=False)
+    flat = features.reshape(-1)
+    for stop in range(rows, 0, -_BLOCK_LINES):
+        start = max(stop - _BLOCK_LINES, 0)
+        features[start:stop, :old] = flat[start * old:stop * old].reshape(stop - start, old).copy()
+        features[start:stop, old:] = 0.0
+
+
+def _scatter(rows: np.ndarray, fids: np.ndarray, values: np.ndarray) -> None:
+    """``rows[r, fid - 1] = value`` for each real (non-zero) id of ``fids``."""
+    real = fids > 0
+    rows[real.nonzero()[0], fids[real] - 1] = values[real]
+
+
 def load_svmlight(path, num_features: int | None = None) -> Dataset:
     """Parse a LETOR/SVMLight ranking file into a :class:`Dataset`.
 
     ``num_features`` overrides the inferred dimensionality (the maximum
     feature id seen in the file) so that train/validation/test splits agree
     even when one split never uses the last feature.
+
+    Each block of lines is parsed and copied straight into its rows of the
+    final matrix. The matrix grows its rows in place, by a sixteenth at a time,
+    and is cut to the rows read at the end; without ``num_features``, a block
+    wider than the matrix widens it in place.
     """
-    labels: list[np.ndarray] = []
+    d = None if num_features is None else int(num_features)
+    capacity = _BLOCK_LINES
+    features = None                 # made at the first block, when the width is known
+    labels = np.zeros(capacity, dtype=np.int32)
+    linenos = np.zeros(capacity, dtype=np.int64)
     qids: list[str] = []
-    linenos: list[int] = []
-    blocks: list[np.ndarray] = []
-    max_fid = 0
+    names: dict[str, str] = {}      # one string per query id, shared by its rows
+    rows = max_fid = 0
 
     with open(path, encoding="utf-8") as fh:
         numbered = enumerate(fh, start=1)
         while chunk := list(itertools.islice(numbered, _BLOCK_LINES)):
-            rows = [(lineno, line) for lineno, raw in chunk
+            kept = [(lineno, line) for lineno, raw in chunk
                     if (line := raw.split("#", 1)[0].strip())]
-            if not rows:
+            del chunk                   # the raw lines; the stripped ones are kept
+            if not kept:
                 continue
             block_labels, block_qids, fids, values = (
-                _parse_block([line for _, line in rows]) or _parse_lines(rows, path))
+                _parse_block([line for _, line in kept]) or _parse_lines(kept, path))
             width = int(fids.max(initial=0))
             max_fid = max(max_fid, width)
-            labels.append(block_labels)
-            qids.extend(block_qids)
-            linenos.extend(lineno for lineno, _ in rows)
+            if features is None:
+                features = np.zeros((capacity, max(width if d is None else d, 0)))
+            stop = rows + len(kept)
+            if stop > capacity:
+                capacity = stop + stop // 16
+                features.resize((capacity, features.shape[1]), refcheck=False)
+                labels.resize(capacity, refcheck=False)
+                linenos.resize(capacity, refcheck=False)
+            if d is None and width > features.shape[1]:
+                _widen(features, rows, width)
+            labels[rows:stop] = block_labels
+            linenos[rows:stop] = [lineno for lineno, _ in kept]
+            qids.extend([names.setdefault(q, q) for q in block_qids])
             # A block wider than --num-features fails below; it is not stored.
-            if num_features is None or width <= num_features:
-                # Column 0 takes the padding (feature id 0) and is dropped.
-                dense = np.zeros((len(rows), width + 1), dtype=np.float64)
-                dense[np.arange(len(rows))[:, None], fids] = values
-                blocks.append(dense[:, 1:])
+            if d is None or width <= d:
+                _scatter(features[rows:stop], fids, values)
+            rows = stop
 
-    if not qids:
+    if not rows:
         raise DatasetError(f"{path}: empty file")
-
-    d = max_fid if num_features is None else int(num_features)
-    if num_features is not None and max_fid > d:
+    if d is not None and max_fid > d:
         raise DatasetError(
             f"{path}: feature id {max_fid} exceeds --num-features {d}"
         )
-    features = np.zeros((len(qids), d), dtype=np.float64)
-    start = 0
-    for dense in blocks:
-        features[start:start + dense.shape[0], :dense.shape[1]] = dense
-        start += dense.shape[0]
-    return Dataset.from_rows(np.concatenate(labels), qids, features,
+    features.resize((rows, features.shape[1]), refcheck=False)
+    labels.resize(rows, refcheck=False)
+    return Dataset.from_rows(labels, qids, features,
                              where=lambda r: f"{path}:{linenos[r]}")
 
 

@@ -336,7 +336,7 @@ def train_main_effects(train: Dataset, valid: Dataset, cfg: TrainConfig, bins: B
         raise ModelError("a validation dataset is required for early stopping")
     if train.num_features != valid.num_features:
         raise ModelError("train and validation datasets disagree on the number of features")
-    digest = train.digest()     # hashing copies the features: do it before boosting allocates
+    digest = train.digest()     # hashes the arrays in place: no copy of the features
     booster = _Booster(1, train, bins, valid, cfg,
                        {"train": np.zeros(train.num_rows), "valid": np.zeros(valid.num_rows)})
     trees, best = _boost_stage(booster, ConstraintRegime("single", range(1, train.num_features + 1)))

@@ -1,12 +1,14 @@
+import hashlib
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ilmart import Dataset, DatasetError, build_bins, dataset, load_svmlight
-from ilmart.dataset import MAX_LABEL
+from ilmart.dataset import _BLOCK_LINES, MAX_LABEL
 
 from synthdata import random_queries
 
@@ -227,6 +229,35 @@ def test_digest_changes_with_content():
     assert a.digest() == random_queries(10, 5, seed=1).digest()
 
 
+def oracle_digest(ds):
+    """The digest as it was first written: one ``tobytes()`` copy per array."""
+    h = hashlib.sha256()
+    h.update(np.asarray(ds.features.shape, dtype=np.int64).tobytes())
+    h.update(ds.labels.tobytes())
+    h.update(ds.features.tobytes())
+    h.update("\x00".join(ds.qids).encode("utf-8"))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("queries, docs, seed", [(1, 1, 0), (10, 5, 1), (300, 9, 2), (700, 4, 3)])
+def test_digest_matches_oracle(queries, docs, seed):
+    # The larger ones hold more than one block of query ids.
+    ds = random_queries(queries, docs, seed=seed)
+    assert ds.digest() == oracle_digest(ds)
+
+
+def test_digest_of_non_contiguous_arrays_matches_oracle():
+    rng = np.random.default_rng(4)
+    wide = rng.random((2 * _BLOCK_LINES + 3, 9))
+    labels = rng.integers(0, 5, wide.shape[0]).astype(np.int64)
+    qids = [f"q{r // 7}" for r in range(wide.shape[0])]
+    groups = Dataset.from_rows(labels, qids, wide).query_groups
+    for features in (wide[:, ::2], wide.T.copy().T, wide[::-1]):
+        ds = Dataset(features, labels, qids, groups)
+        assert not ds.features.flags.c_contiguous
+        assert ds.digest() == oracle_digest(ds)
+
+
 FINITE = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308]),
@@ -254,6 +285,57 @@ def test_svmlight_text_round_trips_exactly(data):
     assert back.labels.tolist() == labels
     assert back.qids == qids
     assert [g.tolist() for g in back.query_groups] == [g.tolist() for g in ds.query_groups]
+
+
+def oracle_save_svmlight(ds, path):
+    """The writer as it was before it worked a block at a time: one f-string
+    per cell."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for r in range(ds.num_rows):
+            feats = " ".join(
+                f"{k + 1}:{float(ds.features[r, k])!r}" for k in range(ds.num_features)
+            )
+            line = f"{ds.labels[r]} qid:{ds.qids[r]}"
+            fh.write(line + (" " + feats if feats else "") + "\n")
+
+
+WRITER_VALUES = st.one_of(FINITE, st.sampled_from(
+    [1e16, 1e-05, 123456789012345678.0, -0.0, 5e-324, -1e-310, 2.225073858507201e-308]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(rows=st.integers(_BLOCK_LINES - 2, 2 * _BLOCK_LINES + 2), width=st.integers(0, 5),
+       values=st.lists(WRITER_VALUES, min_size=1, max_size=12),
+       qids=st.lists(st.text("abqQ019_-.:é", min_size=1, max_size=3), min_size=1, max_size=5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_writer_matches_per_cell_oracle(rows, width, values, qids, seed):
+    # Rows that cross a block boundary, each cell one of a few drawn values.
+    rng = np.random.default_rng(seed)
+    features = np.array(values)[rng.integers(0, len(values), (rows, width))]
+    labels = rng.integers(0, MAX_LABEL + 1, rows)
+    ds = Dataset.from_rows(labels, np.array(qids)[rng.integers(0, len(qids), rows)], features)
+    with tempfile.TemporaryDirectory() as tmp:
+        ds.save_svmlight(os.path.join(tmp, "new.txt"))
+        oracle_save_svmlight(ds, os.path.join(tmp, "old.txt"))
+        with open(os.path.join(tmp, "new.txt"), "rb") as new, \
+                open(os.path.join(tmp, "old.txt"), "rb") as old:
+            assert new.read() == old.read()
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("x#y", "query id 'x#y'"),
+    ("a b", "query id 'a b'"),
+    ("", "query id ''"),
+    ("a\nb", "query id 'a\\\\nb'"),
+], ids=["hash", "space", "empty", "newline"])
+def test_writer_refuses_qids_it_cannot_read_back(tmp_path, bad, message):
+    qids = ["q1", "q1", bad, "q2", bad]
+    ds = Dataset.from_rows([0] * 5, qids, np.zeros((5, 2)))
+    path = tmp_path / "out.txt"
+    with pytest.raises(DatasetError, match=f"^row 2: {message} cannot be written") as info:
+        ds.save_svmlight(path)
+    assert "\n" not in str(info.value)
+    assert not path.exists()
 
 
 # -- the loader against its per-token reference ------------------------------
@@ -480,3 +562,79 @@ def test_plain_lines_parse_in_bulk(line):
         "fid_0", "duplicate", "float_label", "label_32", "empty_qid"])
 def test_odd_lines_are_left_to_the_line_parser(line):
     assert dataset._parse_block(["1 qid:1 1:2", line]) is None
+
+
+# -- files longer than one block of lines --------------------------------------
+
+def _plain_lines(count, max_fid, seed):
+    """``count`` well-formed lines, each listing a random subset of ids
+    1..max_fid in increasing order, nine rows per query."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for r in range(count):
+        fids = np.sort(rng.choice(max_fid, rng.integers(0, max_fid + 1), replace=False)) + 1
+        values = np.round(rng.normal(size=fids.size), 3)
+        tokens = [f"{f}:{v!r}" for f, v in zip(fids.tolist(), values.tolist())]
+        lines.append(" ".join([str(rng.integers(0, 5)), f"qid:{seed}_{r // 9}", *tokens]))
+    return lines
+
+
+def _write_lines(tmp_path, lines, newline="\n"):
+    path = tmp_path / "data.txt"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(newline.join(lines) + newline)
+    return str(path)
+
+
+def _long_file(case):
+    lines = _plain_lines(3 * _BLOCK_LINES, 6, 1)
+    if case == "bad_late":
+        lines[2 * _BLOCK_LINES + 7] = "1 qid:1 4:x"
+    elif case == "non_finite_late":
+        lines[2 * _BLOCK_LINES + 7] += " 7:inf"
+    elif case == "too_wide_late":
+        lines[2 * _BLOCK_LINES + 7] += " 9:1.5"
+    # A run of blank and comment lines longer than a block, and short runs.
+    lines[700:700] = ["", "# comment 1:2", "   \t"] * _BLOCK_LINES
+    lines[100:100] = ["#", ""] * 20
+    return lines
+
+
+@pytest.mark.parametrize("case", ["plain", "bad_late", "non_finite_late", "too_wide_late"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_loader_matches_oracle_across_blocks(tmp_path, case, newline):
+    path = _write_lines(tmp_path, _long_file(case), newline)
+    for num_features in (None, 6, 7):
+        assert_loads_like_oracle(path, num_features)
+
+
+def test_later_wider_block_widens_the_matrix(tmp_path):
+    # The first block lists no feature at all, the second ids up to 3, the
+    # third ids up to 9, so the matrix is widened twice, in place.
+    lines = (["1 qid:a"] * (_BLOCK_LINES + 5) + _plain_lines(_BLOCK_LINES, 3, 2)
+             + _plain_lines(_BLOCK_LINES, 9, 3))
+    path = _write_lines(tmp_path, lines)
+    ds = load_svmlight(path)
+    assert ds.num_features == 9 and ds.num_rows == len(lines)
+    assert not ds.features[:_BLOCK_LINES + 5].any()
+    assert_loads_like_oracle(path)
+
+
+def test_loader_peak_stays_near_its_matrix(tmp_path):
+    # The loader holds one block of lines beside the matrix it fills.
+    rows, width = 20_000, 136
+    rng = np.random.default_rng(5)
+    features = np.round(rng.lognormal(size=(rows, width)), 2)
+    ds = Dataset.from_rows(rng.integers(0, 5, rows), [f"q{r // 100}" for r in range(rows)],
+                           features)
+    path = tmp_path / "big.txt"
+    ds.save_svmlight(path)
+    del ds
+    tracemalloc.start()
+    try:
+        back = load_svmlight(str(path), num_features=width)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.features.view(np.uint64), features.view(np.uint64))
+    assert peak < 1.5 * features.nbytes, f"peak {peak / features.nbytes:.2f}x the matrix"
