@@ -5,14 +5,13 @@ from .dataset import BinMapper, Dataset, DatasetError, build_bins, load_svmlight
 from .interpret import (
     InteractionSurface,
     ShapeFunction,
-    additive_score,
     distill_shapes,
     effect_importance,
     export_shapes,
     import_shapes,
 )
-from .lambdas import LambdaGrad, compute_lambdas, ndcg_swap_deltas
-from .metrics import NdcgReport, mean_ndcg, ndcg_at, per_query_ndcg
+from .lambdas import compute_lambdas
+from .metrics import NdcgReport, mean_ndcg
 from .stats import SignificanceResult, fisher_randomization
 from .trainer import (
     IlmartModel,
@@ -37,13 +36,11 @@ __all__ = [
     "DecisionTree",
     "IlmartModel",
     "InteractionSurface",
-    "LambdaGrad",
     "ModelError",
     "NdcgReport",
     "ShapeFunction",
     "SignificanceResult",
     "TrainConfig",
-    "additive_score",
     "build_bins",
     "compute_lambdas",
     "distill_shapes",
@@ -55,9 +52,6 @@ __all__ = [
     "load_model",
     "load_svmlight",
     "mean_ndcg",
-    "ndcg_at",
-    "ndcg_swap_deltas",
-    "per_query_ndcg",
     "save_model",
     "select_interactions",
     "train_ilmart",

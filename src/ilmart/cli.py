@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import json
 import logging
 import os
@@ -43,7 +44,11 @@ class UsageError(ValueError):
 
 @contextlib.contextmanager
 def _output_lock(out_dir):
-    """Sentinel-file lock so concurrent runs cannot share an output dir."""
+    """Create ``out_dir`` if needed and lock it with a sentinel file against concurrent runs."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {out_dir}: {exc.strerror}") from None
     path = os.path.join(out_dir, LOCK_NAME)
     try:
         fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -110,7 +115,12 @@ def _load(args, *models: tuple[str, str]) -> tuple[list[IlmartModel], Dataset]:
 
 
 def _open_out(path):
-    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def cmd_train(args) -> int:
@@ -120,7 +130,6 @@ def cmd_train(args) -> int:
 
     train = load_svmlight(args.train, num_features=args.num_features)
     valid = load_svmlight(args.valid, num_features=train.num_features)
-    os.makedirs(args.out, exist_ok=True)
     with _output_lock(args.out):
         model = train_ilmart(train, valid, cfg)
         model_path = os.path.join(args.out, "model.json")
@@ -142,7 +151,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cutoffs = _parse_cutoffs(args.cutoffs)
     [model], ds = _load(args, ("model", args.model))
-    report = mean_ndcg(model.predict_dataset(ds), ds, cutoffs)
+    report = mean_ndcg(model.predict_batch(ds.features), ds, cutoffs)
     out = sys.stdout
     out.write(f"# model: {args.model} p={model.p} K={model.num_interactions}\n")
     out.write(report.to_csv())
@@ -151,11 +160,12 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     [model], ds = _load(args, ("model", args.model))
-    scores = model.predict_dataset(ds)
+    scores = model.predict_batch(ds.features)
     with _open_out(args.out) as fh:
-        fh.write("row_index,qid,score\n")
-        for i, (qid, score) in enumerate(zip(ds.qids, scores)):
-            fh.write(f"{i},{qid},{float(score)!r}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["row_index", "qid", "score"])
+        writer.writerows([i, qid, repr(float(score))] for i, (qid, score) in
+                         enumerate(zip(ds.qids, scores)))
     return EXIT_OK
 
 
@@ -165,7 +175,6 @@ def cmd_export_shapes(args) -> int:
     [model], ds = _load(args, ("model", args.model))
     shapes, surfaces = distill_shapes(model)
     importance = effect_importance(model, ds)
-    os.makedirs(args.out, exist_ok=True)
     with _output_lock(args.out):
         written = export_shapes(shapes, surfaces, args.out, fmt=args.format,
                                 importance=importance, top=args.top)
@@ -179,8 +188,8 @@ def cmd_compare(args) -> int:
                          f"got {args.permutations} and {args.seed}")
     cutoffs = _parse_cutoffs(args.cutoffs)
     (model_a, model_b), ds = _load(args, ("model A", args.model_a), ("model B", args.model_b))
-    report_a = mean_ndcg(model_a.predict_dataset(ds), ds, cutoffs)
-    report_b = mean_ndcg(model_b.predict_dataset(ds), ds, cutoffs)
+    report_a = mean_ndcg(model_a.predict_batch(ds.features), ds, cutoffs)
+    report_b = mean_ndcg(model_b.predict_batch(ds.features), ds, cutoffs)
     out = sys.stdout
     out.write(f"# compare: A={args.model_a} B={args.model_b} "
               f"permutations={args.permutations} seed={args.seed}\n")

@@ -62,7 +62,8 @@ class Dataset:
         ``where(r)`` names row ``r`` in the error message (default "row r").
         """
         features = np.ascontiguousarray(features, dtype=np.float64)
-        labels = np.asarray(labels, dtype=np.int32)
+        # Checked as floats: the int32 cast would truncate a fraction and wrap a wide integer.
+        labels = np.asarray(labels, dtype=np.float64)
         qids = [str(q) for q in qids]
         if features.ndim != 2:
             raise DatasetError("features must be a 2-d matrix")
@@ -71,8 +72,9 @@ class Dataset:
             raise DatasetError("labels, qids and features must have equal length")
         if n == 0:
             raise DatasetError("dataset has no rows")
-        if labels.min() < 0 or labels.max() > MAX_LABEL:
+        if not np.all((labels >= 0) & (labels <= MAX_LABEL) & (labels == np.floor(labels))):
             raise DatasetError(f"labels must be integers in [0, {MAX_LABEL}]")
+        labels = labels.astype(np.int32)
         # In blocks of rows, so that the check holds one block's mask at a time.
         for start in range(0, n, _BLOCK_LINES):
             finite = np.isfinite(features[start:start + _BLOCK_LINES])
@@ -99,10 +101,6 @@ class Dataset:
     @property
     def num_queries(self) -> int:
         return len(self.query_groups)
-
-    @property
-    def group_qids(self) -> list[str]:
-        return [self.qids[g[0]] for g in self.query_groups]
 
     @cached_property
     def query_sizes(self) -> np.ndarray:
@@ -410,10 +408,6 @@ class BinMapper:
     def __post_init__(self):
         self.counts = [np.bincount(self.binned[:, k], minlength=b.size + 1)
                        for k, b in enumerate(self.boundaries)]
-
-    @property
-    def num_features(self) -> int:
-        return len(self.boundaries)
 
     @property
     def num_rows(self) -> int:

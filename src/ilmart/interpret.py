@@ -126,9 +126,6 @@ class ShapeFunction(_Table):
         return {"feature": self.feature, "breakpoints": self.breakpoints.tolist(),
                 "values": self.values.tolist()}
 
-    def lookup(self, x: float) -> float:
-        return float(self.lookup_batch(x))
-
     def lookup_batch(self, x: np.ndarray) -> np.ndarray:
         return self.values[_interval_index(self.breakpoints, x)]
 
@@ -171,9 +168,6 @@ class InteractionSurface(_Table):
     def to_json(self) -> dict:
         return {"pair": list(self.pair), "breakpoints_i": self.breakpoints_i.tolist(),
                 "breakpoints_j": self.breakpoints_j.tolist(), "values": self.values.tolist()}
-
-    def lookup(self, xi: float, xj: float) -> float:
-        return float(self.lookup_batch(xi, xj))
 
     def lookup_batch(self, xi: np.ndarray, xj: np.ndarray) -> np.ndarray:
         a = _interval_index(self.breakpoints_i, xi)
@@ -235,14 +229,6 @@ def effect_from_trees(features: tuple[int, ...], trees) -> ShapeFunction | Inter
 def distill_shapes(model: IlmartModel) -> tuple[list[ShapeFunction], list[InteractionSurface]]:
     """The model's tables: one shape per main feature and one surface per pair."""
     return list(model.shapes), list(model.surfaces)
-
-
-def additive_score(shapes, surfaces, features: np.ndarray) -> float:
-    """Reassemble a prediction from distilled effects (the exactness oracle)."""
-    features = np.asarray(features, dtype=np.float64)
-    total = sum(s.lookup(features[s.feature - 1]) for s in shapes)
-    total += sum(s.lookup(features[s.pair[0] - 1], features[s.pair[1] - 1]) for s in surfaces)
-    return float(total)
 
 
 def effect_importance(model: IlmartModel, reference: Dataset) -> list[EffectScore]:
@@ -331,21 +317,39 @@ def export_shapes(shapes, surfaces, out_dir, fmt: str = "csv",
     return written
 
 
+def _read_json(path, what: str):
+    """The parsed JSON file at ``path``; :class:`ModelError` if it is not JSON."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested deeper than the json
+        # module can parse, which no file written here has.
+        raise ModelError(f"{path}: not a JSON {what} ({exc})") from None
+
+
 def import_shapes(out_dir) -> tuple[list[ShapeFunction], list[InteractionSurface]]:
     """Read back a JSON export; the inverse of :func:`export_shapes`.
 
     Each effect file goes through the checked conversion that
-    :func:`~ilmart.trainer.load_model` uses, so a damaged file raises
-    :class:`ModelError` here.
+    :func:`~ilmart.trainer.load_model` uses, and the index is checked as
+    strictly, so a damaged export raises :class:`ModelError` here.
     """
-    with open(os.path.join(out_dir, "index.json"), encoding="utf-8") as fh:
-        index = json.load(fh)["effects"]
+    index = _known_keys(_read_json(os.path.join(out_dir, "index.json"), "shape index"),
+                        ("effects",), "shape index")
     shapes, surfaces = [], []
-    for entry in index:
-        with open(os.path.join(out_dir, entry["file"]), encoding="utf-8") as fh:
-            data = json.load(fh)
-        if entry["kind"] == "main":
-            shapes.append(ShapeFunction.from_json(data))
-        else:
-            surfaces.append(InteractionSurface.from_json(data))
+    try:
+        for entry in index["effects"]:
+            _known_keys(entry, ("effect", "kind", "features", "file", "importance", "rank"),
+                        "shape index entry")
+            if entry["kind"] not in ("main", "pair"):
+                raise ModelError(f"shape index entry kind must be main or pair, "
+                                 f"got {entry['kind']!r}")
+            data = _read_json(os.path.join(out_dir, entry["file"]), "effect file")
+            if entry["kind"] == "main":
+                shapes.append(ShapeFunction.from_json(data))
+            else:
+                surfaces.append(InteractionSurface.from_json(data))
+    except KeyError as exc:
+        raise ModelError(f"{out_dir}: malformed shape export, missing key {exc}") from None
     return shapes, surfaces

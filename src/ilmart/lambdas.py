@@ -30,44 +30,15 @@ Bucketing keeps one long query from setting every query's width, so work
 and memory are O(k·n) per query of n documents at truncation k (less than
 twice the query's own share), never O(n²). The sums run in another order
 than a loop over pairs, so results agree with one to rounding, not bit for
-bit.
+bit. A boosting stage builds its plan once and calls :func:`compute_lambdas`
+with it every round.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset
-from .metrics import QueryEvaluator, ideal_dcg, rank_desc_stable
-
-
-@dataclass
-class LambdaGrad:
-    """Per-row gradient/hessian for one round."""
-
-    gradient: np.ndarray
-    hessian: np.ndarray
-
-
-def ndcg_swap_deltas(labels, scores, truncation: int) -> np.ndarray:
-    """Matrix of |NDCG@truncation change| for swapping each document pair.
-
-    Entry (i, j) is the absolute NDCG difference between the current ranking
-    and the one with documents i and j exchanging positions. Zero matrix when
-    the query has no relevant document.
-    """
-    labels = np.asarray(labels)
-    n = labels.size
-    ideal = ideal_dcg(labels, truncation)
-    if ideal == 0.0:
-        return np.zeros((n, n), dtype=np.float64)
-    order = rank_desc_stable(scores)
-    pos = np.empty(n, dtype=np.int64)
-    pos[order] = np.arange(1, n + 1)
-    disc = np.where(pos <= truncation, 1.0 / np.log2(pos + 1.0), 0.0)
-    gains = np.exp2(labels.astype(np.float64)) - 1.0
-    return np.abs((gains[:, None] - gains[None, :]) * (disc[:, None] - disc[None, :])) / ideal
+from .metrics import QueryEvaluator
 
 
 class _Block:
@@ -158,46 +129,33 @@ class LambdaPlan:
         # Gains with the sentinel row's zero appended.
         self.gains = np.append(np.exp2(ds.labels.astype(np.float64)) - 1.0, 0.0)
 
-    def __call__(self, scores: np.ndarray, sigma: float, lambdarank_norm: bool) -> LambdaGrad:
-        n_rows = self.ds.num_rows
-        keys = np.append(-scores, np.inf)
-        values = np.append(scores, 0.0)
-        gradient = np.zeros(n_rows + 1)
-        hessian = np.zeros(n_rows + 1)
-        # A row is in at most one block, so plain assignment scatters.
-        for block in self.blocks:
-            rows, grad, hess = block(keys, values, self.gains, sigma, lambdarank_norm)
-            gradient[rows] = grad
-            hessian[rows] = hess
-        return LambdaGrad(gradient[:n_rows], hessian[:n_rows])
 
-
-def compute_lambdas(
-scores, ds: Dataset, sigma: float = 1.0, truncation: int = 10,
-                    lambdarank_norm: bool = False, *,
-                    plan: LambdaPlan | None = None) -> LambdaGrad:
-    """Accumulate gradients and hessians over all label-discordant pairs.
+def compute_lambdas(plan: LambdaPlan, scores, sigma: float = 1.0,
+                    lambdarank_norm: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row ``(gradient, hessian)`` of ``scores`` over all label-discordant
+    pairs of the plan's dataset, at the plan's truncation.
 
     ``lambdarank_norm`` applies the usual boosting-library damping: each
     pair's |dZ| is divided by (0.01 + |score gap|) and the whole query is
     rescaled by log2(1 + L)/L with L the total absolute pair lambda mass.
     It keeps score magnitudes from running away on confidently ordered data
     at the cost of no longer matching the plain closed-form values.
-
-    ``plan`` is a :class:`LambdaPlan` of ``ds`` at ``truncation`` built by the
-    caller, so a boosting stage builds it once instead of every round.
     """
+    n_rows = plan.ds.num_rows
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != (ds.num_rows,):
+    if scores.shape != (n_rows,):
         raise ValueError("scores must align with dataset rows")
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores contain non-finite values")
     if sigma <= 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
-    if truncation < 1:
-        raise ValueError(f"truncation must be >= 1, got {truncation}")
-    if plan is None:
-        plan = LambdaPlan(ds, truncation)
-    elif plan.ds is not ds or plan.truncation != truncation:
-        raise ValueError("plan was built for another dataset or truncation")
-    return plan(scores, sigma, lambdarank_norm)
+    keys = np.append(-scores, np.inf)
+    values = np.append(scores, 0.0)
+    gradient = np.zeros(n_rows + 1)
+    hessian = np.zeros(n_rows + 1)
+    # A row is in at most one block, so plain assignment scatters.
+    for block in plan.blocks:
+        rows, grad, hess = block(keys, values, plan.gains, sigma, lambdarank_norm)
+        gradient[rows] = grad
+        hessian[rows] = hess
+    return gradient[:n_rows], hessian[:n_rows]

@@ -35,7 +35,7 @@ import numpy as np
 
 from .dataset import BinMapper, Dataset, build_bins, DEFAULT_MAX_BINS
 from .interpret import (InteractionSurface, ModelError, ShapeFunction, _known_keys, _numbers,
-                        effect_from_trees)
+                        _read_json, effect_from_trees)
 from .lambdas import LambdaPlan, compute_lambdas
 from .metrics import QueryEvaluator
 from .trees import ConstraintRegime, DecisionTree, fit_tree
@@ -186,10 +186,6 @@ class IlmartModel:
     def num_interactions(self) -> int:
         return len(self.surfaces)
 
-    @property
-    def trees(self) -> list[DecisionTree]:
-        return list(self.main_trees) + list(self.interaction_trees)
-
     def _check_width(self, features) -> np.ndarray:
         features = np.asarray(features, dtype=np.float64)
         if features.shape[1] < self.num_features:
@@ -220,9 +216,6 @@ class IlmartModel:
         for surface in self.surfaces:
             scores += surface.contribution(features)
             yield scores.copy()
-
-    def predict_dataset(self, ds: Dataset) -> np.ndarray:
-        return self.predict_batch(ds.features)
 
     def validate(self) -> None:
         """Check the config and every table invariant; raises :class:`ModelError`."""
@@ -276,9 +269,9 @@ class _Booster:
         values to both score vectors and log the validation NDCG. Returns
         the tree, or None, changing nothing, when it is a stump."""
         cfg = self.cfg
-        grads = compute_lambdas(self.scores_train, self.train, cfg.sigma, cfg.truncation,
-                                cfg.lambdarank_norm, plan=self.plan)
-        tree = fit_tree(self.bins, -grads.gradient, grads.hessian, regime, cfg, self.leaf_of_row)
+        gradient, hessian = compute_lambdas(self.plan, self.scores_train, cfg.sigma,
+                                            cfg.lambdarank_norm)
+        tree = fit_tree(self.bins, -gradient, hessian, regime, cfg, self.leaf_of_row)
         rnd = len(self.log) + 1
         if tree.is_stump:
             logger.info("stage %d: stopping at round %d (no split has positive gain)",
@@ -493,13 +486,7 @@ def load_model(path) -> IlmartModel:
     Anything that is not a well-formed model file of this schema version
     raises :class:`ModelError`. The loaded model has no trees.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        # RecursionError: arrays or objects nested deeper than the json
-        # module can parse, which no model file does.
-        raise ModelError(f"{path}: not a JSON model file ({exc})") from None
+    data = _read_json(path, "model file")
     version = data.get("version") if isinstance(data, dict) else None
     if version != MODEL_SCHEMA_VERSION:
         raise ModelError(f"{path}: unsupported model schema version {version!r}, "

@@ -108,10 +108,6 @@ class DecisionTree:
         return tuple(dict.fromkeys(self.split_feature))
 
     @property
-    def num_leaves(self) -> int:
-        return len(self.leaf_value)
-
-    @property
     def is_stump(self) -> bool:
         return not self.split_feature
 

@@ -69,3 +69,8 @@ def random_queries(num_queries: int, max_docs: int, seed: int,
             qids.append(f"q{q}")
             rows.append(rng.random(3))
     return Dataset.from_rows(labels, qids, np.asarray(rows))
+
+
+def one_query(labels) -> Dataset:
+    """A dataset of one query with these labels and a single zero feature."""
+    return Dataset.from_rows(labels, ["q"] * len(labels), np.zeros((len(labels), 1)))

@@ -17,22 +17,20 @@ from ilmart import (
     build_bins,
     compute_lambdas,
     distill_shapes,
-    additive_score,
     fisher_randomization,
     load_model,
     load_svmlight,
     mean_ndcg,
-    ndcg_at,
-    ndcg_swap_deltas,
-    per_query_ndcg,
     save_model,
     select_interactions,
     train_ilmart,
     train_interaction_effects,
     train_main_effects,
 )
+from ilmart.lambdas import LambdaPlan
 
-from synthdata import letor_like, planted_interaction, random_queries, single_signal
+from oracles import additive_score, lambda_oracle, tree_sum
+from synthdata import letor_like, one_query, planted_interaction, random_queries, single_signal
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -95,7 +93,7 @@ def test_criterion_1_gam_exactness(model_zoo):
     for model in model_zoo:
         shapes, surfaces = distill_shapes(model)
         X = rng.random((1000, model.num_features)) * 2.0 - 0.5
-        direct = sum(t.predict_batch(X) for t in model.trees)
+        direct = tree_sum(model, X)
         rebuilt = np.array([additive_score(shapes, surfaces, x) for x in X])
         for scores in (rebuilt, model.predict_batch(X)):
             worst = max(worst, float(np.max(np.abs(scores - direct))))
@@ -113,7 +111,8 @@ def test_criterion_2_constraint_soundness(model_zoo, tmp_path):
             assert tree.constraint_kind == "pair"
             assert set(tree.used_features) <= set(tree.constraint_features)
             assert tuple(tree.constraint_features) in set(model.interaction_pairs)
-        assert all(t.constraint_kind != "discovery" for t in model.trees)
+        assert all(t.constraint_kind != "discovery"
+                   for t in model.main_trees + model.interaction_trees)
         path = tmp_path / f"model_{idx}.json"
         save_model(model, path)
         loaded = load_model(path)  # load_model re-checks every invariant
@@ -143,7 +142,7 @@ def test_criterion_3_ndcg_oracle_equivalence():
         labels = rng.integers(0, 5, n).tolist()
         scores = rng.normal(size=n).tolist()
         k = int(rng.integers(1, 11))
-        got = ndcg_at(labels, scores, k)
+        got = float(mean_ndcg(scores, one_query(labels), (k,)).per_query[k][0])
         assert abs(got - oracle(labels, scores, k)) <= 1e-12
         if max(labels) == 0:
             assert got == 1.0
@@ -159,50 +158,34 @@ def test_criterion_4_lambda_correctness():
     ds = random_queries(60, 8, seed=13)
     rng = np.random.default_rng(3)
     scores = rng.normal(size=ds.num_rows)
-    grads = compute_lambdas(scores, ds, sigma=1.0, truncation=10)
-    worst_sum = max(abs(grads.gradient[rows].sum()) for rows in ds.query_groups)
+    gradient, _ = compute_lambdas(LambdaPlan(ds, 10), scores, sigma=1.0)
+    worst_sum = max(abs(gradient[rows].sum()) for rows in ds.query_groups)
     assert worst_sum <= 1e-10
 
-    # |dZ| equals direct swapped-NDCG differences on all pairs of small queries
-    def swap_oracle(labels, scores, truncation):
-        n = len(labels)
-        order = sorted(range(n), key=lambda i: (-scores[i], i))
-
-        def dcg(o):
-            return sum((2 ** labels[d] - 1) / math.log2(r + 2)
-                       for r, d in enumerate(o) if r < truncation)
-
-        ideal = dcg(sorted(range(n), key=lambda i: -labels[i]))
-        out = np.zeros((n, n))
-        if ideal == 0:
-            return out
-        base = dcg(order)
-        for i in range(n):
-            for j in range(n):
-                sw = list(order)
-                pi, pj = sw.index(i), sw.index(j)
-                sw[pi], sw[pj] = sw[pj], sw[pi]
-                out[i, j] = abs(dcg(sw) - base) / ideal
-        return out
-
+    # lambdas equal a loop over all pairs of small queries whose |dZ| are
+    # direct swapped-NDCG differences
     worst_delta = 0.0
     for _ in range(100):
         n = int(rng.integers(2, 6))
         labels = rng.integers(0, 5, n).tolist()
         s = rng.normal(size=n)
         trunc = int(rng.integers(1, 8))
-        diff = np.abs(ndcg_swap_deltas(labels, s, trunc) - swap_oracle(labels, s.tolist(), trunc))
-        worst_delta = max(worst_delta, float(diff.max()))
+        query = one_query(labels)
+        got = compute_lambdas(LambdaPlan(query, trunc), s, sigma=1.0)
+        want = lambda_oracle(query, s, 1.0, trunc, False)
+        for g, w in zip(got, want):
+            worst_delta = max(worst_delta, float(np.abs(g - w).max()))
     assert worst_delta <= 1e-12
 
     # two-document closed form: rho = 1/2, |dZ| = 1 - 1/log2(3), ideal = 1
     two = Dataset.from_rows([1, 0], ["q", "q"], np.zeros((2, 1)))
-    out = compute_lambdas(np.zeros(2), two, sigma=1.0, truncation=2)
+    gradient, _ = compute_lambdas(LambdaPlan(two, 2), np.zeros(2), sigma=1.0)
     expected = 0.5 * (1.0 - 1.0 / math.log2(3))  # = 0.18453512321427128
-    assert abs(out.gradient[0] - expected) <= 1e-5
-    assert abs(out.gradient[1] + expected) <= 1e-5
-    print(f"\n[PASS] criterion 4: lambdas zero-sum (worst {worst_sum:.1e}), swap deltas match "
-          f"direct NDCG (worst {worst_delta:.1e}), closed form +-{expected:.6f} reproduced")
+    assert abs(gradient[0] - expected) <= 1e-5
+    assert abs(gradient[1] + expected) <= 1e-5
+    print(f"\n[PASS] criterion 4: lambdas zero-sum (worst {worst_sum:.1e}), match the "
+          f"pairwise swap-delta oracle (worst {worst_delta:.1e}), closed form "
+          f"+-{expected:.6f} reproduced")
 
 
 def test_criterion_5_planted_interaction_recovery(planted_runs):
@@ -213,9 +196,9 @@ def test_criterion_5_planted_interaction_recovery(planted_runs):
         assert {1, 2, 4, 5} <= j, f"seed {seed}: J = {sorted(j)} misses a planted feature"
         if (4, 5) in run["pairs"][:3]:
             top3_hits += 1
-        nd_stage1 = mean_ndcg(run["stage1"].predict_dataset(run["test"]),
+        nd_stage1 = mean_ndcg(run["stage1"].predict_batch(run["test"].features),
                               run["test"], (10,)).mean[10]
-        nd_full = mean_ndcg(run["full"].predict_dataset(run["test"]),
+        nd_full = mean_ndcg(run["full"].predict_batch(run["test"].features),
                             run["test"], (10,)).mean[10]
         assert nd_full >= nd_stage1, (
             f"seed {seed}: interactions hurt test NDCG@10 ({nd_full:.4f} < {nd_stage1:.4f})"
@@ -288,7 +271,7 @@ def test_criterion_8_web30k_reproduction(tmp_path):
         best = None
         for leaves, lr in grid:
             model = fit(leaves, lr, interactions)
-            score = mean_ndcg(model.predict_dataset(valid), valid, (10,)).mean[10]
+            score = mean_ndcg(model.predict_batch(valid.features), valid, (10,)).mean[10]
             if best is None or score > best[0]:
                 best = (score, model)
         return best[1]
@@ -296,15 +279,15 @@ def test_criterion_8_web30k_reproduction(tmp_path):
     stage1 = best_model(0)
     full = best_model(50)
 
-    nd_stage1 = mean_ndcg(stage1.predict_dataset(test), test, (10,)).mean[10] * 100
-    nd_full = mean_ndcg(full.predict_dataset(test), test, (10,)).mean[10] * 100
+    nd_stage1 = mean_ndcg(stage1.predict_batch(test.features), test, (10,)).mean[10] * 100
+    nd_full = mean_ndcg(full.predict_batch(test.features), test, (10,)).mean[10] * 100
     assert abs(nd_stage1 - 47.05) <= 1.0
     assert abs(nd_full - 49.55) <= 1.0
     assert abs(stage1.p - 79) <= 15
     assert full.num_interactions <= 50
 
-    pq_full = per_query_ndcg(full.predict_dataset(test), test, 10)
-    pq_stage1 = per_query_ndcg(stage1.predict_dataset(test), test, 10)
+    pq_full = mean_ndcg(full.predict_batch(test.features), test, (10,)).per_query[10]
+    pq_stage1 = mean_ndcg(stage1.predict_batch(test.features), test, (10,)).per_query[10]
     result = fisher_randomization(pq_full, pq_stage1, num_permutations=10_000, seed=42)
     assert result.p_value < 0.05
     print(f"\n[PASS] criterion 8: NDCG@10 {nd_stage1:.2f}/{nd_full:.2f}, "

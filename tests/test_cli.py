@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ilmart
-from ilmart import load_model, load_svmlight, mean_ndcg, per_query_ndcg
+from ilmart import load_model, load_svmlight, mean_ndcg
 from ilmart.cli import build_parser, main
 from ilmart.stats import fisher_randomization
 
@@ -96,7 +96,7 @@ def test_eval_matches_in_process(trained_dir, files, capsys):
     out = capsys.readouterr().out
     model = load_model(trained_dir / "model.json")
     ds = load_svmlight(files["test"], num_features=model.num_features)
-    report = mean_ndcg(model.predict_dataset(ds), ds, (1, 5, 10))
+    report = mean_ndcg(model.predict_batch(ds.features), ds, (1, 5, 10))
     lines = out.splitlines()
     assert lines[0] == f"# model: {trained_dir / 'model.json'} p={model.p} K={model.num_interactions}"
     assert "\n".join(lines[1:]) + "\n" == report.to_csv()
@@ -109,7 +109,7 @@ def test_predict_matches_library(trained_dir, files, tmp_path):
     assert code == 0
     model = load_model(trained_dir / "model.json")
     ds = load_svmlight(files["test"], num_features=model.num_features)
-    want = model.predict_dataset(ds)
+    want = model.predict_batch(ds.features)
     rows = out_file.read_text().splitlines()
     assert rows[0] == "row_index,qid,score"
     assert len(rows) == ds.num_rows + 1
@@ -118,6 +118,25 @@ def test_predict_matches_library(trained_dir, files, tmp_path):
         assert int(idx) == i
         assert qid == ds.qids[i]
         assert float(score) == want[i]
+
+
+def test_predict_quotes_qids_that_need_it(trained_dir, tmp_path):
+    data = tmp_path / "odd_qids.txt"
+    data.write_text('2 qid:a,b 1:0.9 2:0.1\n0 qid:a,b 1:0.2\n1 qid:"c" 1:0.5 4:0.7\n'
+                    '0 qid:plain 1:0.3\n')
+    out_file = tmp_path / "scores.csv"
+    code = main(["predict", "--model", str(trained_dir / "model.json"),
+                 "--data", str(data), "--out", str(out_file)])
+    assert code == 0
+    model = load_model(trained_dir / "model.json")
+    want = model.predict_batch(load_svmlight(data, num_features=model.num_features).features)
+    text = out_file.read_text()
+    rows = list(csv.reader(text.splitlines()))
+    assert rows[0] == ["row_index", "qid", "score"]
+    assert [r[:2] for r in rows[1:]] == [["0", "a,b"], ["1", "a,b"], ["2", '"c"'], ["3", "plain"]]
+    assert [float(r[2]) for r in rows[1:]] == want.tolist()
+    # a qid that needs no quoting is written as before, with repr scores
+    assert text.splitlines()[4] == f"3,plain,{float(want[3])!r}"
 
 
 def test_sweep_endpoints_match_trivial_cases(trained_dir, files, tmp_path):
@@ -133,8 +152,8 @@ def test_sweep_endpoints_match_trivial_cases(trained_dir, files, tmp_path):
     assert int(body[0][0]) == 0
     assert int(body[-1][0]) == model.num_interactions
 
-    stage1 = mean_ndcg(replace(model, surfaces=[]).predict_dataset(ds), ds, (1, 5, 10))
-    full = mean_ndcg(model.predict_dataset(ds), ds, (1, 5, 10))
+    stage1 = mean_ndcg(replace(model, surfaces=[]).predict_batch(ds.features), ds, (1, 5, 10))
+    full = mean_ndcg(model.predict_batch(ds.features), ds, (1, 5, 10))
     for col, k in ((1, 1), (2, 5), (3, 10)):
         assert float(body[0][col]) == stage1.mean[k]
         assert float(body[-1][col]) == full.mean[k]
@@ -235,8 +254,8 @@ def test_compare_p_value_matches_library(trained_dir, files, capsys):
     line = capsys.readouterr().out.splitlines()[2].split(",")
     model_a, model_b = load_model(model_path), load_model(other_path)
     ds = load_svmlight(files["test"], num_features=model_a.num_features)
-    pq_a = per_query_ndcg(model_a.predict_dataset(ds), ds, 10)
-    pq_b = per_query_ndcg(model_b.predict_dataset(ds), ds, 10)
+    pq_a = mean_ndcg(model_a.predict_batch(ds.features), ds, (10,)).per_query[10]
+    pq_b = mean_ndcg(model_b.predict_batch(ds.features), ds, (10,)).per_query[10]
     want = fisher_randomization(pq_a, pq_b, num_permutations=500, seed=11)
     assert float(line[4]) == want.p_value
 
@@ -264,8 +283,8 @@ def test_compare_with_narrower_model_a_scores_both(trained_dir, files, narrow_mo
     narrow, wide = load_model(narrow_model), load_model(wide_path)
     assert narrow.num_features < wide.num_features
     ds = load_svmlight(files["test"], num_features=wide.num_features)
-    report_a = mean_ndcg(narrow.predict_dataset(ds), ds, (5, 10))
-    report_b = mean_ndcg(wide.predict_dataset(ds), ds, (5, 10))
+    report_a = mean_ndcg(narrow.predict_batch(ds.features), ds, (5, 10))
+    report_b = mean_ndcg(wide.predict_batch(ds.features), ds, (5, 10))
     assert [(float(r[1]), float(r[2])) for r in rows] == \
         [(report_a.mean[k], report_b.mean[k]) for k in (5, 10)]
 
@@ -307,6 +326,22 @@ def test_readme_commands_parse():
                                               "compare", "sweep-interactions"}
 
 
+def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as fh:
+        readme = fh.read()
+    (block,) = re.findall(r"^## Library\n\n```python\n(.*?)^```", readme, flags=re.S | re.M)
+    planted_interaction(30, 10, seed=83, num_features=5).save_svmlight(tmp_path / "train.txt")
+    planted_interaction(10, 10, seed=84, num_features=5).save_svmlight(tmp_path / "vali.txt")
+    monkeypatch.chdir(tmp_path)
+    names = {}
+    exec(compile(block, "README.md", "exec"), names)
+    model = names["model"]
+    assert names["shapes"] == model.shapes and names["surfaces"] == model.surfaces
+    assert model.p >= 1 and 0.0 < names["report"].mean[10] <= 1.0
+    assert capsys.readouterr().out.startswith(repr(names["report"].mean[10]))
+
+
 def test_output_lock_blocks_concurrent_use(files, tmp_path, capsys):
     out = tmp_path / "locked"
     out.mkdir()
@@ -316,6 +351,30 @@ def test_output_lock_blocks_concurrent_use(files, tmp_path, capsys):
                  "--config", _write_config(tmp_path)])
     assert code == 2
     assert "locked" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "predict", "export-shapes",
+                                     "sweep-interactions"])
+def test_unwritable_output_exits_2(command, trained_dir, files, tmp_path, capsys):
+    # A file where the output directory should be, or a missing parent
+    # directory of an output file.
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    missing = str(tmp_path / "nodir" / "out.csv")
+    model = str(trained_dir / "model.json")
+    argv = {
+        "train": ["train", "--train", files["train"], "--valid", files["valid"],
+                  "--out", str(blocker)],
+        "predict": ["predict", "--model", model, "--data", files["test"], "--out", missing],
+        "export-shapes": ["export-shapes", "--model", model, "--data", files["test"],
+                          "--out", str(blocker)],
+        "sweep-interactions": ["sweep-interactions", "--model", model, "--data", files["test"],
+                               "--out", missing],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot ") and err.count("\n") == 1, err
+    assert blocker.read_text() == ""
 
 
 def test_eval_dimension_mismatch_exits_2(trained_dir, files, tmp_path, capsys):

@@ -30,7 +30,7 @@ def test_parse_basic_line(tmp_path):
 def test_query_grouping_preserves_file_order(tmp_path):
     ds = load_svmlight(write(tmp_path, "1 qid:1 1:1\n0 qid:1 1:2\n2 qid:2 1:3\n"))
     assert [g.tolist() for g in ds.query_groups] == [[0, 1], [2]]
-    assert ds.group_qids == ["1", "2"]
+    assert [ds.qids[g[0]] for g in ds.query_groups] == ["1", "2"]
 
 
 def test_non_contiguous_qids_group_together(tmp_path):
@@ -59,6 +59,21 @@ def test_non_finite_value_reports_line_number(tmp_path, value):
 def test_from_rows_rejects_non_finite():
     with pytest.raises(DatasetError, match="row 1: non-finite value -inf for feature 2"):
         Dataset.from_rows([0, 0], ["q", "q"], [[0.0, 1.0], [2.0, -np.inf]])
+
+
+@pytest.mark.parametrize("labels", [
+    [1.5, 0.7], [0, 2**32 + 1], np.array([0, 2**32 + 1], dtype=np.int64), [0, -1], [0, 32],
+    [0.0, np.nan], [0.0, np.inf],
+], ids=["fractions", "wraps_int32", "wraps_int32_int64", "negative", "above_max", "nan", "inf"])
+def test_from_rows_refuses_labels_instead_of_coercing_them(labels):
+    with pytest.raises(DatasetError, match=r"labels must be integers in \[0, 31\]"):
+        Dataset.from_rows(labels, ["q", "q"], np.zeros((2, 1)))
+
+
+def test_from_rows_accepts_integral_labels_of_any_type():
+    for labels in ([2, 31], [2.0, 31.0], np.array([2, 31], dtype=np.int64)):
+        ds = Dataset.from_rows(labels, ["q", "q"], np.zeros((2, 1)))
+        assert ds.labels.dtype == np.int32 and ds.labels.tolist() == [2, 31]
 
 
 def test_non_integer_label(tmp_path):

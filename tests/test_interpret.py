@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from ilmart import (
     IlmartModel,
     ModelError,
-    additive_score,
     build_bins,
     distill_shapes,
     effect_importance,
@@ -23,6 +22,7 @@ from ilmart import (
     TrainConfig,
 )
 
+from oracles import additive_score, tree_sum
 from synthdata import letor_like, planted_interaction
 from treespec import make_tree
 
@@ -70,14 +70,14 @@ def test_two_trees_merge_breakpoints():
     # probe each interval and compare against direct tree sums
     for probe in (0.4, 0.6, 0.8):
         want = sum(t.predict_batch(np.array([[probe]]))[0] for t in trees)
-        assert shape.lookup(probe) == want
+        assert shape.lookup_batch(probe) == want
 
 
 def test_interval_closed_on_the_right():
     model = IlmartModel.from_trees(1, [two_leaf(1, 0.5, -0.1, 0.2)])
     (shape,), _ = distill_shapes(model)
-    assert shape.lookup(0.5) == -0.1         # threshold itself routes left
-    assert shape.lookup(np.nextafter(0.5, 1)) == 0.2
+    assert shape.lookup_batch(0.5) == -0.1         # threshold itself routes left
+    assert shape.lookup_batch(np.nextafter(0.5, 1)) == 0.2
 
 
 def test_surface_grid_matches_tree_sums():
@@ -88,7 +88,7 @@ def test_surface_grid_matches_tree_sums():
     for xi in (0.1, 0.5, 0.9):
         for xj in (0.1, 0.3, 0.9):
             want = tree.predict_batch(np.array([[xi, xj]]))[0]
-            assert surface.lookup(xi, xj) == want
+            assert surface.lookup_batch(xi, xj) == want
 
 
 def test_nan_goes_right_in_tree_and_table():
@@ -96,7 +96,7 @@ def test_nan_goes_right_in_tree_and_table():
     model = IlmartModel.from_trees(1, [tree])
     (shape,), _ = distill_shapes(model)
     assert tree.predict_batch(np.array([[np.nan]])).tolist() == [0.2]
-    assert shape.lookup(np.nan) == 0.2
+    assert shape.lookup_batch(np.nan) == 0.2
 
 
 def test_leaf_walk_skips_unreachable_branches():
@@ -151,15 +151,14 @@ def test_additive_identity_at_the_edges(edge_model, data):
         table += s.lookup_batch(X[:, s.pair[0] - 1], X[:, s.pair[1] - 1])
     np.testing.assert_array_equal(table, model.predict_batch(X))
     # the independent oracle: the trees the tables were summed from
-    tree_sum = sum(t.predict_batch(X) for t in model.trees)
-    np.testing.assert_allclose(table, tree_sum, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(table, tree_sum(model, X), rtol=0, atol=1e-9)
 
 
 def test_additive_decomposition_on_trained_model(trained):
     shapes, surfaces = distill_shapes(trained)
     rng = np.random.default_rng(1)
     X = rng.random((1000, trained.num_features)) * 2 - 0.5
-    direct = sum(t.predict_batch(X) for t in trained.trees)
+    direct = tree_sum(trained, X)
     rebuilt = np.array([additive_score(shapes, surfaces, x) for x in X])
     np.testing.assert_allclose(rebuilt, direct, atol=1e-9)
 
@@ -255,12 +254,12 @@ def test_export_json_round_trip(trained, tmp_path):
     for s, s2 in zip(shapes, shapes2):
         assert s.feature == s2.feature
         for x in probes:
-            assert s.lookup(x) == s2.lookup(x)
+            assert s.lookup_batch(x) == s2.lookup_batch(x)
     for s, s2 in zip(surfaces, surfaces2):
         assert s.pair == s2.pair
         for x in probes[:10]:
             for y in probes[10:20]:
-                assert s.lookup(x, y) == s2.lookup(x, y)
+                assert s.lookup_batch(x, y) == s2.lookup_batch(x, y)
 
 
 def test_export_top_n(trained, tmp_path):
@@ -310,7 +309,7 @@ def test_5000_deep_chain_round_trips_scores_and_distils(tmp_path):
          chain_tree([2] * depth, cuts, rng.normal(size=depth + 1), "single", (2,))],
         [chain_tree(pair_features, pair_cuts, rng.normal(size=depth + 1), "pair", (1, 2))],
     )
-    assert model.trees[0].num_leaves == depth + 1
+    assert len(model.main_trees[0].leaf_value) == depth + 1
     save_model(model, tmp_path / "model.json")
     back = load_model(tmp_path / "model.json")
 
@@ -320,8 +319,7 @@ def test_5000_deep_chain_round_trips_scores_and_distils(tmp_path):
     np.testing.assert_array_equal(score, model.predict_batch(X))
     shapes, surfaces = distill_shapes(back)
     assert [s.breakpoints.size for s in shapes] == [depth, depth]
-    tree_sum = sum(t.predict_batch(X) for t in model.trees)
-    np.testing.assert_allclose(tree_sum, score, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(tree_sum(model, X), score, rtol=0, atol=1e-9)
 
 
 def test_json_export_matches_the_model_file_tables(trained, tmp_path):
@@ -341,17 +339,29 @@ def test_json_export_matches_the_model_file_tables(trained, tmp_path):
 
 
 @pytest.mark.parametrize("damage, message", [
-    (lambda e: e["values"].pop(), "values have shape"),
-    (lambda e: e["breakpoints"].reverse(), "strictly increasing"),
-    (lambda e: e["values"].__setitem__(0, "0.5"), "JSON numbers only"),
-    (lambda e: e.__setitem__("feature", 0), "feature id"),
-    (lambda e: e.__setitem__("trees", []), r"unknown main effect key\(s\) \['trees'\]"),
+    (lambda e, i: e["values"].pop(), "values have shape"),
+    (lambda e, i: e["breakpoints"].reverse(), "strictly increasing"),
+    (lambda e, i: e["values"].__setitem__(0, "0.5"), "JSON numbers only"),
+    (lambda e, i: e.__setitem__("feature", 0), "feature id"),
+    (lambda e, i: e.__setitem__("trees", []), r"unknown main effect key\(s\) \['trees'\]"),
+    (lambda e, i: e.__delitem__("feature"), "missing key 'feature'"),
+    (lambda e, i: '{"effects": [', "index.json: not a JSON shape index"),
+    (lambda e, i: i.__delitem__("effects"), "missing key 'effects'"),
+    (lambda e, i: i.__setitem__("trees", []), r"unknown shape index key\(s\) \['trees'\]"),
+    (lambda e, i: i["effects"][-1].__setitem__("kind", "triple"), "must be main or pair, got 'triple'"),
+    (lambda e, i: i["effects"][0].__delitem__("file"), "missing key 'file'"),
+    (lambda e, i: i["effects"][0].__setitem__("colour", "red"),
+     r"unknown shape index entry key\(s\) \['colour'\]"),
 ])
 def test_import_shapes_refuses_a_damaged_export(trained, tmp_path, damage, message):
+    # ``damage`` edits the first main effect and the index in place; text it
+    # returns replaces the index file.
     export_shapes(*distill_shapes(trained), tmp_path, fmt="json")
     path = tmp_path / f"main_{trained.main_features[0]}.json"
     effect = json.loads(path.read_text())
-    damage(effect)
+    index = json.loads((tmp_path / "index.json").read_text())
+    text = damage(effect, index)
     path.write_text(json.dumps(effect))
+    (tmp_path / "index.json").write_text(text if isinstance(text, str) else json.dumps(index))
     with pytest.raises(ModelError, match=message):
         import_shapes(tmp_path)

@@ -4,172 +4,98 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ilmart import Dataset, compute_lambdas, ndcg_swap_deltas
+from ilmart import Dataset, compute_lambdas
 from ilmart.lambdas import LambdaPlan
 
-from synthdata import random_queries
+from oracles import lambda_oracle, swap_oracle
+from synthdata import one_query, random_queries
 
 
-def swap_oracle(labels, scores, truncation):
-    """Independent oracle: for every document pair, directly compute the
-    NDCG of the current ranking and of the ranking with the two documents'
-    positions exchanged; the delta is their absolute difference."""
-    n = len(labels)
-    order = sorted(range(n), key=lambda i: (-scores[i], i))
-
-    def dcg(o):
-        return sum(
-            (2 ** labels[d] - 1) / math.log2(r + 2)
-            for r, d in enumerate(o)
-            if r < truncation
-        )
-
-    ideal = dcg(sorted(range(n), key=lambda i: -labels[i]))
-    deltas = np.zeros((n, n))
-    if ideal == 0:
-        return deltas
-    base = dcg(order)
-    for i in range(n):
-        for j in range(n):
-            swapped = list(order)
-            pi, pj = swapped.index(i), swapped.index(j)
-            swapped[pi], swapped[pj] = swapped[pj], swapped[pi]
-            deltas[i, j] = abs(dcg(swapped) - base) / ideal
-    return deltas
-
-
-def two_doc_query(labels, scores):
-    return Dataset.from_rows(labels, ["q"] * len(labels), np.zeros((len(labels), 1)))
+def lambdas(ds, scores, sigma=1.0, truncation=10, lambdarank_norm=False):
+    """``(gradient, hessian)`` through a plan built for this call."""
+    return compute_lambdas(LambdaPlan(ds, truncation), scores, sigma, lambdarank_norm)
 
 
 def test_two_document_closed_form():
     # rho = 1/2 at equal scores; |dZ| = 1 - 1/log2(3); ideal DCG = 1.
-    ds = two_doc_query([1, 0], [0.0, 0.0])
-    out = compute_lambdas(np.array([0.0, 0.0]), ds, sigma=1.0, truncation=2)
+    ds = one_query([1, 0])
+    gradient, hessian = lambdas(ds, np.array([0.0, 0.0]), sigma=1.0, truncation=2)
     expected_grad = 0.5 * (1.0 - 1.0 / math.log2(3))
     expected_hess = 0.25 * (1.0 - 1.0 / math.log2(3))
-    assert out.gradient[0] == pytest.approx(expected_grad, abs=1e-12)
-    assert out.gradient[1] == pytest.approx(-expected_grad, abs=1e-12)
-    assert out.hessian[0] == pytest.approx(expected_hess, abs=1e-12)
-    assert out.hessian[1] == pytest.approx(expected_hess, abs=1e-12)
+    assert gradient[0] == pytest.approx(expected_grad, abs=1e-12)
+    assert gradient[1] == pytest.approx(-expected_grad, abs=1e-12)
+    assert hessian[0] == pytest.approx(expected_hess, abs=1e-12)
+    assert hessian[1] == pytest.approx(expected_hess, abs=1e-12)
 
 
 def test_equal_labels_give_zero_gradients():
-    ds = two_doc_query([2, 2, 2], [0.1, 0.5, -0.3])
-    out = compute_lambdas(np.array([0.1, 0.5, -0.3]), ds)
-    assert np.all(out.gradient == 0)
-    assert np.all(out.hessian == 0)
+    ds = one_query([2, 2, 2])
+    gradient, hessian = lambdas(ds, np.array([0.1, 0.5, -0.3]))
+    assert np.all(gradient == 0)
+    assert np.all(hessian == 0)
 
 
 def test_sigma_scaling_at_equal_scores():
-    ds = two_doc_query([1, 0], [0.0, 0.0])
-    one = compute_lambdas(np.zeros(2), ds, sigma=1.0, truncation=2)
-    two = compute_lambdas(np.zeros(2), ds, sigma=2.0, truncation=2)
-    np.testing.assert_allclose(two.gradient, 2.0 * one.gradient, atol=1e-14)
-    np.testing.assert_allclose(two.hessian, 4.0 * one.hessian, atol=1e-14)
+    plan = LambdaPlan(one_query([1, 0]), 2)
+    grad_one, hess_one = compute_lambdas(plan, np.zeros(2), sigma=1.0)
+    grad_two, hess_two = compute_lambdas(plan, np.zeros(2), sigma=2.0)
+    np.testing.assert_allclose(grad_two, 2.0 * grad_one, atol=1e-14)
+    np.testing.assert_allclose(hess_two, 4.0 * hess_one, atol=1e-14)
 
 
 def test_sign_correctness_for_misordered_pair():
-    ds = two_doc_query([1, 0], [0.0, 0.0])
-    out = compute_lambdas(np.array([-1.0, 1.0]), ds, sigma=1.0, truncation=2)
-    assert out.gradient[0] > 0
-    assert out.gradient[1] < 0
+    gradient, _ = lambdas(one_query([1, 0]), np.array([-1.0, 1.0]), sigma=1.0, truncation=2)
+    assert gradient[0] > 0
+    assert gradient[1] < 0
 
 
 def test_zero_sum_per_query():
     ds = random_queries(50, 8, seed=17)
     rng = np.random.default_rng(4)
     scores = rng.normal(size=ds.num_rows)
-    out = compute_lambdas(scores, ds, sigma=1.3, truncation=5)
+    gradient, hessian = lambdas(ds, scores, sigma=1.3, truncation=5)
     for rows in ds.query_groups:
-        assert abs(out.gradient[rows].sum()) <= 1e-10
-        assert np.all(out.hessian[rows] >= 0)
-
-
-def test_swap_deltas_match_direct_ndcg_differences():
-    rng = np.random.default_rng(23)
-    for _ in range(60):
-        n = int(rng.integers(2, 6))
-        labels = rng.integers(0, 5, n).tolist()
-        scores = rng.normal(size=n)
-        truncation = int(rng.integers(1, 7))
-        got = ndcg_swap_deltas(labels, scores, truncation)
-        want = swap_oracle(labels, scores.tolist(), truncation)
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        assert abs(gradient[rows].sum()) <= 1e-10
+        assert np.all(hessian[rows] >= 0)
 
 
 def test_truncation_limits_contributing_positions():
     # Both documents beyond the cutoff: swapping them cannot change NDCG@1.
     labels = [0, 1, 0]
     scores = np.array([3.0, 1.0, 2.0])
-    ds = Dataset.from_rows(labels, ["q"] * 3, np.zeros((3, 1)))
-    out = compute_lambdas(scores, ds, sigma=1.0, truncation=1)
+    gradient, _ = lambdas(one_query(labels), scores, sigma=1.0, truncation=1)
     # doc1 (label 1, rank 3) vs doc2 (label 0, rank 2): both outside top-1
-    assert ndcg_swap_deltas(labels, scores, 1)[1, 2] == 0.0
+    assert swap_oracle(labels, scores.tolist(), 1)[1, 2] == 0.0
     # but doc1 vs doc0 (rank 1) does matter
-    assert ndcg_swap_deltas(labels, scores, 1)[1, 0] > 0.0
-    assert out.gradient[1] > 0
+    assert swap_oracle(labels, scores.tolist(), 1)[1, 0] > 0.0
+    assert gradient[1] > 0
 
 
 def test_non_finite_scores_rejected():
-    ds = two_doc_query([1, 0], [0.0, 0.0])
+    plan = LambdaPlan(one_query([1, 0]), 10)
     with pytest.raises(ValueError, match="non-finite"):
-        compute_lambdas(np.array([np.nan, 0.0]), ds)
+        compute_lambdas(plan, np.array([np.nan, 0.0]))
     with pytest.raises(ValueError):
-        compute_lambdas(np.array([np.inf, 0.0]), ds)
+        compute_lambdas(plan, np.array([np.inf, 0.0]))
 
 
 def test_parameter_validation():
-    ds = two_doc_query([1, 0], [0.0, 0.0])
+    ds = one_query([1, 0])
+    plan = LambdaPlan(ds, 10)
     with pytest.raises(ValueError):
-        compute_lambdas(np.zeros(2), ds, sigma=0.0)
+        compute_lambdas(plan, np.zeros(2), sigma=0.0)
     with pytest.raises(ValueError):
-        compute_lambdas(np.zeros(2), ds, truncation=0)
+        LambdaPlan(ds, 0)
     with pytest.raises(ValueError):
-        compute_lambdas(np.zeros(3), ds)
+        compute_lambdas(plan, np.zeros(3))
 
 
 def test_saturated_scores_stay_finite():
-    ds = two_doc_query([1, 0], [0.0, 0.0])
-    out = compute_lambdas(np.array([-900.0, 900.0]), ds, sigma=1.0, truncation=2)
-    assert np.all(np.isfinite(out.gradient))
-    assert np.all(np.isfinite(out.hessian))
-    assert out.gradient[0] > 0
-
-
-def lambda_oracle(ds, scores, sigma, truncation, lambdarank_norm):
-    """Independent per-row gradients: a plain double loop over every
-    label-discordant pair of each query, with |dZ| from ``swap_oracle``."""
-    gradient = np.zeros(ds.num_rows)
-    hessian = np.zeros(ds.num_rows)
-    for rows in ds.query_groups:
-        labels = [int(ds.labels[r]) for r in rows]
-        s = [float(scores[r]) for r in rows]
-        deltas = swap_oracle(labels, s, truncation)
-        varied = min(s) != max(s)
-        grad = [0.0] * len(rows)
-        hess = [0.0] * len(rows)
-        mass = 0.0
-        for i in range(len(rows)):
-            for j in range(len(rows)):
-                if labels[i] <= labels[j]:
-                    continue
-                delta = deltas[i, j]
-                if lambdarank_norm and varied:
-                    delta /= 0.01 + abs(s[i] - s[j])
-                rho = 1.0 / (1.0 + math.exp(sigma * (s[i] - s[j])))
-                lam = sigma * rho * delta
-                hes = sigma * sigma * rho * (1.0 - rho) * delta
-                grad[i] += lam
-                grad[j] -= lam
-                hess[i] += hes
-                hess[j] += hes
-                mass += 2.0 * lam
-        factor = math.log2(1.0 + mass) / mass if lambdarank_norm and mass > 0 else 1.0
-        for r, g, h in zip(rows, grad, hess):
-            gradient[r] = g * factor
-            hessian[r] = h * factor
-    return gradient, hessian
+    gradient, hessian = lambdas(one_query([1, 0]), np.array([-900.0, 900.0]),
+                                sigma=1.0, truncation=2)
+    assert np.all(np.isfinite(gradient))
+    assert np.all(np.isfinite(hessian))
+    assert gradient[0] > 0
 
 
 def _mixed_queries():
@@ -215,10 +141,10 @@ def test_lambdas_match_pairwise_oracle(kind, truncation):
     scores = _scores(kind, ds)
     for lambdarank_norm in (False, True):
         for sigma in (0.5, 1.0, 2.0):
-            got = compute_lambdas(scores, ds, sigma, truncation, lambdarank_norm)
+            got_g, got_h = lambdas(ds, scores, sigma, truncation, lambdarank_norm)
             want_g, want_h = lambda_oracle(ds, scores, sigma, truncation, lambdarank_norm)
-            np.testing.assert_allclose(got.gradient, want_g, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(got.hessian, want_h, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got_g, want_g, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got_h, want_h, rtol=0, atol=1e-12)
 
 
 def test_norm_damps_queries_that_vary_only_in_their_last_document():
@@ -229,27 +155,23 @@ def test_norm_damps_queries_that_vary_only_in_their_last_document():
     scores = np.array([1.0, 1.0, 1.0, 0.0, 0.5, 0.0])
     ds = Dataset.from_rows(labels, qids, np.zeros((6, 1)))
     for truncation in (1, 2, 10):
-        got = compute_lambdas(scores, ds, 1.0, truncation, True)
+        got_g, got_h = lambdas(ds, scores, 1.0, truncation, True)
         want_g, want_h = lambda_oracle(ds, scores, 1.0, truncation, True)
-        np.testing.assert_allclose(got.gradient, want_g, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(got.hessian, want_h, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got_g, want_g, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got_h, want_h, rtol=0, atol=1e-12)
 
 
 def test_plan_is_reusable_and_tied_to_its_dataset():
     ds = random_queries(30, 12, seed=8)
     plan = LambdaPlan(ds, 5)
+    assert plan.ds is ds and plan.truncation == 5
     rng = np.random.default_rng(9)
     for _ in range(3):
         scores = rng.normal(size=ds.num_rows)
-        fresh = compute_lambdas(scores, ds, 1.5, 5, True)
-        reused = compute_lambdas(scores, ds, 1.5, 5, True, plan=plan)
-        np.testing.assert_array_equal(reused.gradient, fresh.gradient)
-        np.testing.assert_array_equal(reused.hessian, fresh.hessian)
-    with pytest.raises(ValueError, match="plan"):
-        compute_lambdas(np.zeros(ds.num_rows), ds, 1.0, 10, plan=plan)
-    other = random_queries(30, 12, seed=8)
-    with pytest.raises(ValueError, match="plan"):
-        compute_lambdas(np.zeros(other.num_rows), other, 1.0, 5, plan=plan)
+        fresh = lambdas(ds, scores, 1.5, 5, True)
+        reused = compute_lambdas(plan, scores, 1.5, True)
+        np.testing.assert_array_equal(reused[0], fresh[0])
+        np.testing.assert_array_equal(reused[1], fresh[1])
 
 
 def test_memory_stays_bounded_on_a_long_query():
@@ -260,9 +182,9 @@ def test_memory_stays_bounded_on_a_long_query():
     scores = rng.normal(size=n)
     tracemalloc.start()
     try:
-        out = compute_lambdas(scores, ds, 1.0, 10, True)
+        gradient, _ = lambdas(ds, scores, 1.0, 10, True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
-    assert abs(out.gradient.sum()) <= 1e-10
+    assert abs(gradient.sum()) <= 1e-10

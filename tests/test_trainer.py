@@ -25,6 +25,7 @@ from ilmart import (
     train_main_effects,
 )
 
+from oracles import tree_sum
 from synthdata import planted_interaction, single_signal
 from treespec import make_tree
 
@@ -170,7 +171,7 @@ def test_rollback_matches_best_curve_point(planted_run):
     cfg = planted_run["cfg"]
     stage3 = [v for s, _, v in full.training_log if s == 3]
     assert stage3, "stage 3 never logged a round"
-    got = mean_ndcg(full.predict_dataset(planted_run["valid"]),
+    got = mean_ndcg(full.predict_batch(planted_run["valid"].features),
                     planted_run["valid"], (cfg.ndcg_cutoff,)).mean[cfg.ndcg_cutoff]
     assert got == pytest.approx(max(stage3), abs=1e-12)
     assert got == pytest.approx(full.best_valid_ndcg, abs=1e-12)
@@ -180,7 +181,7 @@ def test_stage1_rollback_matches_best_curve_point(planted_run):
     stage1 = planted_run["stage1"]
     cfg = planted_run["cfg"]
     curve = [v for s, _, v in stage1.training_log if s == 1]
-    got = mean_ndcg(stage1.predict_dataset(planted_run["valid"]),
+    got = mean_ndcg(stage1.predict_batch(planted_run["valid"].features),
                     planted_run["valid"], (cfg.ndcg_cutoff,)).mean[cfg.ndcg_cutoff]
     assert got == pytest.approx(max(curve), abs=1e-12)
 
@@ -278,10 +279,10 @@ def test_stage3_overrides_reach_stage_3():
     model = train_ilmart(train, valid, cfg)
     assert model.interaction_trees, "stage 3 kept no trees"
     for tree in model.interaction_trees:
-        assert tree.num_leaves <= 3
+        assert len(tree.leaf_value) <= 3
         assert max(abs(v) for v in tree.leaf_value) <= 0.5 * cfg.learning_rate
     # stage 1 keeps the top-level limits
-    assert max(t.num_leaves for t in model.main_trees) > 3
+    assert max(len(t.leaf_value) for t in model.main_trees) > 3
     assert max(abs(v) for t in model.main_trees for v in t.leaf_value) > 0.5 * cfg.learning_rate
 
 
@@ -298,7 +299,7 @@ def test_save_load_round_trip(tmp_path, planted_run):
     for got, want in zip(back.shapes + back.surfaces, full.shapes + full.surfaces):
         assert all(np.array_equal(a, b) for a, b in zip(got.axes, want.axes))
         assert np.array_equal(got.values, want.values)
-    assert back.trees == []     # trees are a training artifact, not saved
+    assert back.main_trees == back.interaction_trees == []     # trees are not saved
     # saving the loaded model reproduces the file byte for byte
     path2 = tmp_path / "model2.json"
     save_model(back, path2)
@@ -340,7 +341,7 @@ def test_a_loaded_stage_1_model_continues_like_the_trained_one(tmp_path, planted
     path = tmp_path / "stage1.json"
     save_model(planted_run["stage1"], path)
     loaded = load_model(path)
-    assert loaded.trees == []
+    assert loaded.main_trees == loaded.interaction_trees == []
     args = [planted_run[k] for k in ("train", "valid", "cfg", "bins", "scores")]
     log = []
     pairs = select_interactions(loaded, *args, log)
@@ -529,8 +530,8 @@ def test_stage_1_scores_carry_into_stages_2_and_3(planted_run):
     scores = {}
     stage1 = train_main_effects(train, valid, cfg, bins, scores_out=scores)
     for key, ds in (("train", train), ("valid", valid)):
-        assert np.array_equal(scores[key], sum(t.predict_batch(ds.features) for t in stage1.trees))
-        np.testing.assert_allclose(scores[key], stage1.predict_dataset(ds), rtol=0, atol=1e-12)
+        assert np.array_equal(scores[key], tree_sum(stage1, ds.features))
+        np.testing.assert_allclose(scores[key], stage1.predict_batch(ds.features), rtol=0, atol=1e-12)
     kept = {k: v.copy() for k, v in scores.items()}
     pairs = select_interactions(stage1, train, valid, cfg, bins, scores, [])
     assert pairs == planted_run["pairs"]
@@ -566,10 +567,11 @@ def test_carried_scores_equal_model_scores_after_every_stage(monkeypatch):
             running[1] += tree.predict_batch(valid.features)
         assert np.array_equal(best_train, running[0])
         assert np.array_equal(best_valid, running[1])
-    assert sum(len(trees) for trees, _, _ in calls) == len(model.trees)
+    fitted = sum(len(trees) for trees, _, _ in calls)
+    assert fitted == len(model.main_trees) + len(model.interaction_trees)
     for ds, scores in zip((train, valid), running):
-        assert np.array_equal(scores, sum(t.predict_batch(ds.features) for t in model.trees))
-        np.testing.assert_allclose(scores, model.predict_dataset(ds), rtol=0, atol=1e-12)
+        assert np.array_equal(scores, tree_sum(model, ds.features))
+        np.testing.assert_allclose(scores, model.predict_batch(ds.features), rtol=0, atol=1e-12)
 
 
 def test_training_is_deterministic(tmp_path):

@@ -71,7 +71,7 @@ def test_pair_regime_locks_to_one_pair():
     regime = ConstraintRegime("pair", (1, 2))
     tree = fit_tree(bins, grad, hess, regime, TrainConfig(num_leaves=12, min_data_in_leaf=5))
     assert set(tree.used_features) <= {1, 2}
-    assert tree.num_leaves <= 12
+    assert len(tree.leaf_value) <= 12
 
 
 def test_discovery_tree_caps_leaves_and_requires_distinct_features():
@@ -87,7 +87,7 @@ def test_discovery_tree_caps_leaves_and_requires_distinct_features():
     for num_leaves in (2, 64):
         tree = fit_tree(bins, grad, hess, regime,
                         TrainConfig(num_leaves=num_leaves, min_data_in_leaf=5))
-        assert tree.num_leaves <= 3 and len(tree.split_feature) <= 2
+        assert len(tree.leaf_value) <= 3 and len(tree.split_feature) <= 2
         feats = tree.split_feature
         assert len(feats) == len(set(feats)), "the two discovery splits must differ"
         assert set(tree.used_features) == {1, 2}
@@ -102,7 +102,7 @@ def test_discovery_with_single_informative_feature_stays_two_leaves():
     regime = ConstraintRegime("discovery", [1, 2, 3])
     tree = fit_tree(bins, grad, hess, regime, TrainConfig(min_data_in_leaf=5, min_gain=0.5))
     assert tree.used_features == (1,)
-    assert tree.num_leaves == 2
+    assert len(tree.leaf_value) == 2
 
 
 def test_root_split_matches_exhaustive_oracle():
@@ -161,7 +161,7 @@ def test_leaf_budget_respected():
     for budget in (2, 4, 9):
         regime = ConstraintRegime("single", [1, 2])
         tree = fit_tree(bins, grad, hess, regime, TrainConfig(num_leaves=budget, min_data_in_leaf=2))
-        assert 2 <= tree.num_leaves <= budget
+        assert 2 <= len(tree.leaf_value) <= budget
 
 
 def test_min_data_in_leaf_enforced():
@@ -224,7 +224,7 @@ def test_leaf_of_row_is_the_predict_batch_routing(regime, cfg):
     leaf_of_row = np.full(1000, -1, dtype=np.intp)
     tree = fit_tree(bins, rng.normal(size=1000), rng.uniform(0.3, 1.0, 1000), regime, cfg,
                     leaf_of_row=leaf_of_row)
-    numbered = replace(tree, leaf_value=[float(i) for i in range(tree.num_leaves)])
+    numbered = replace(tree, leaf_value=[float(i) for i in range(len(tree.leaf_value))])
     np.testing.assert_array_equal(leaf_of_row, numbered.predict_batch(X).astype(np.intp))
     np.testing.assert_array_equal(np.asarray(tree.leaf_value)[leaf_of_row],
                                   tree.predict_batch(X))
@@ -469,4 +469,4 @@ def test_root_just_below_and_at_twice_min_data(extra):
     tree = fit_tree(bins, grad, np.ones(n), regime, cfg)
     want = oracle_fit_tree(bins, grad, np.ones(n), regime, cfg)
     assert tree == want
-    assert tree.num_leaves == (1 if extra < 0 else 2)
+    assert len(tree.leaf_value) == (1 if extra < 0 else 2)
