@@ -2,21 +2,12 @@
 additive model over single features and a bounded set of feature pairs."""
 
 from .dataset import BinMapper, Dataset, DatasetError, build_bins, load_svmlight
-from .interpret import (
-    InteractionSurface,
-    ShapeFunction,
-    distill_shapes,
-    effect_importance,
-    export_shapes,
-    import_shapes,
-)
+from .interpret import distill_shapes, effect_importance, export_shapes
 from .lambdas import compute_lambdas
 from .metrics import NdcgReport, mean_ndcg
+from .model import IlmartModel, InteractionSurface, ModelError, ShapeFunction, TrainConfig
 from .stats import SignificanceResult, fisher_randomization
 from .trainer import (
-    IlmartModel,
-    ModelError,
-    TrainConfig,
     load_model,
     save_model,
     select_interactions,
@@ -48,7 +39,6 @@ __all__ = [
     "export_shapes",
     "fisher_randomization",
     "fit_tree",
-    "import_shapes",
     "load_model",
     "load_svmlight",
     "mean_ndcg",

@@ -13,21 +13,14 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 from .dataset import Dataset, DatasetError, load_svmlight
-from .interpret import _known_keys, distill_shapes, effect_importance, export_shapes
+from .interpret import distill_shapes, effect_importance, export_shapes
 from .metrics import DEFAULT_CUTOFFS, mean_ndcg
+from .model import IlmartModel, ModelError, TrainConfig
 from .stats import DEFAULT_PERMUTATIONS, fisher_randomization
-from .trainer import (
-    IlmartModel,
-    ModelError,
-    TrainConfig,
-    load_model,
-    save_model,
-    train_ilmart,
-    write_atomically,
-)
+from .trainer import load_model, save_model, train_ilmart, write_atomically
 
 logger = logging.getLogger(__name__)
 
@@ -62,7 +55,7 @@ def _output_lock(out_dir):
 
 
 def _require_file(path, what: str) -> str:
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise UsageError(f"{what} file not found: {path}")
     return path
 
@@ -88,7 +81,6 @@ def _resolve_train_config(args) -> TrainConfig:
             raise UsageError(f"config file {args.config} is not valid JSON ({exc})") from None
         if not isinstance(merged, dict):
             raise UsageError(f"config file {args.config} must hold a JSON object")
-        _known_keys(merged, [f.name for f in fields(TrainConfig)], "config")
     overrides = {
         "num_leaves": args.num_leaves,
         "learning_rate": args.learning_rate,
@@ -98,9 +90,7 @@ def _resolve_train_config(args) -> TrainConfig:
         "min_data_in_leaf": args.min_data_in_leaf,
     }
     merged.update({k: v for k, v in overrides.items() if v is not None})
-    cfg = TrainConfig(**merged)
-    cfg.validate()
-    return cfg
+    return TrainConfig.from_json(merged)
 
 
 def _load(args, *models: tuple[str, str]) -> tuple[list[IlmartModel], Dataset]:

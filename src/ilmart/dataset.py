@@ -344,35 +344,38 @@ def load_svmlight(path, num_features: int | None = None) -> Dataset:
     names: dict[str, str] = {}      # one string per query id, shared by its rows
     rows = max_fid = 0
 
-    with open(path, encoding="utf-8") as fh:
-        numbered = enumerate(fh, start=1)
-        while chunk := list(itertools.islice(numbered, _BLOCK_LINES)):
-            kept = [(lineno, line) for lineno, raw in chunk
-                    if (line := raw.split("#", 1)[0].strip())]
-            del chunk                   # the raw lines; the stripped ones are kept
-            if not kept:
-                continue
-            block_labels, block_qids, fids, values = (
-                _parse_block([line for _, line in kept]) or _parse_lines(kept, path))
-            width = int(fids.max(initial=0))
-            max_fid = max(max_fid, width)
-            if features is None:
-                features = np.zeros((capacity, max(width if d is None else d, 0)))
-            stop = rows + len(kept)
-            if stop > capacity:
-                capacity = stop + stop // 16
-                features.resize((capacity, features.shape[1]), refcheck=False)
-                labels.resize(capacity, refcheck=False)
-                linenos.resize(capacity, refcheck=False)
-            if d is None and width > features.shape[1]:
-                _widen(features, rows, width)
-            labels[rows:stop] = block_labels
-            linenos[rows:stop] = [lineno for lineno, _ in kept]
-            qids.extend([names.setdefault(q, q) for q in block_qids])
-            # A block wider than --num-features fails below; it is not stored.
-            if d is None or width <= d:
-                _scatter(features[rows:stop], fids, values)
-            rows = stop
+    try:
+        with open(path, encoding="utf-8") as fh:
+            numbered = enumerate(fh, start=1)
+            while chunk := list(itertools.islice(numbered, _BLOCK_LINES)):
+                kept = [(lineno, line) for lineno, raw in chunk
+                        if (line := raw.split("#", 1)[0].strip())]
+                del chunk                   # the raw lines; the stripped ones are kept
+                if not kept:
+                    continue
+                block_labels, block_qids, fids, values = (
+                    _parse_block([line for _, line in kept]) or _parse_lines(kept, path))
+                width = int(fids.max(initial=0))
+                max_fid = max(max_fid, width)
+                if features is None:
+                    features = np.zeros((capacity, max(width if d is None else d, 0)))
+                stop = rows + len(kept)
+                if stop > capacity:
+                    capacity = stop + stop // 16
+                    features.resize((capacity, features.shape[1]), refcheck=False)
+                    labels.resize(capacity, refcheck=False)
+                    linenos.resize(capacity, refcheck=False)
+                if d is None and width > features.shape[1]:
+                    _widen(features, rows, width)
+                labels[rows:stop] = block_labels
+                linenos[rows:stop] = [lineno for lineno, _ in kept]
+                qids.extend([names.setdefault(q, q) for q in block_qids])
+                # A block wider than --num-features fails below; it is not stored.
+                if d is None or width <= d:
+                    _scatter(features[rows:stop], fids, values)
+                rows = stop
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
     if not rows:
         raise DatasetError(f"{path}: empty file")

@@ -15,7 +15,7 @@ features at a node are restricted by a :class:`ConstraintRegime`:
 
 The regime says only which features a split may use; the discovery kind
 also fixes the 3-leaf budget. Every other limit of the tree is the stage's
-:class:`~ilmart.trainer.TrainConfig`, as LightGBM keeps interaction
+:class:`~ilmart.model.TrainConfig`, as LightGBM keeps interaction
 constraints apart from its tree parameters.
 
 Split search works on histograms of the feature-major binned matrix (the
@@ -36,14 +36,11 @@ split, which is the last interval of every distilled table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dataset import BinMapper
-
-if TYPE_CHECKING:
-    from .trainer import TrainConfig
+from .model import TrainConfig
 
 DISCOVERY_LEAVES = 3
 
@@ -84,10 +81,10 @@ class DecisionTree:
     are numbered in growth order, so split 0 is the root; a tree without
     splits is the single leaf 0.
 
-    ``constraint_features`` carries the resolved allowed set: the single
-    feature for main-effect trees and the assigned pair for interaction
-    trees. It may be empty when the tree did not use enough features to pin
-    the set down (the trainer resolves those).
+    ``constraint_features`` is the tree's tag, set from its regime alone:
+    the root's feature for a ``single`` tree (none for a stump), the
+    regime's pair, ascending, for a ``pair`` tree, and empty for a
+    ``discovery`` tree.
     """
 
     split_feature: list[int]
@@ -303,9 +300,8 @@ def fit_tree(
         if leaf_of_row is not None:
             leaf_of_row[leaf.rows] = leaf.index
 
-    used = tree.used_features
     if regime.kind == "single":
-        tree.constraint_features = used
-    elif regime.kind == "pair" and len(used) == 2:
-        tree.constraint_features = tuple(sorted(used))
+        tree.constraint_features = tuple(tree.split_feature[:1])
+    elif regime.kind == "pair":
+        tree.constraint_features = tuple(sorted(regime.feature_pool))
     return tree

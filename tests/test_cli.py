@@ -436,6 +436,8 @@ def _damage(data, damage):
         data["config"]["num_leaves"] = 8.5
     elif damage == "string_lambdarank_norm":
         data["config"]["lambdarank_norm"] = "false"
+    elif damage == "infinite_sigma":
+        data["config"]["sigma"] = float("inf")
     elif damage == "inert_stage3_override":
         data["config"]["stage3_overrides"] = {"max_bins": 4}
     elif damage == "unknown_stage3_override":
@@ -448,6 +450,10 @@ def _damage(data, damage):
         data["metadata"]["extra"] = 1
     elif damage == "unknown_effect_key":
         pair["trees"] = []
+    elif damage == "unknown_main_effect_key":
+        main["trees"] = []
+    elif damage == "missing_main_feature":
+        del main["feature"]
     elif damage == "string_log_entry":
         data["training_log"][0] = ["1", True, "0.5"]
     elif damage == "string_best_ndcg":
@@ -469,7 +475,8 @@ def _damage(data, damage):
                                     "unknown_metadata_key", "unknown_effect_key",
                                     "string_log_entry", "string_best_ndcg",
                                     "float_num_leaves", "string_lambdarank_norm",
-                                    "inert_stage3_override"])
+                                    "inert_stage3_override", "unknown_main_effect_key",
+                                    "missing_main_feature", "infinite_sigma"])
 def test_malformed_model_file_exits_2(trained_dir, files, tmp_path, capsys, damage):
     text = (trained_dir / "model.json").read_text()
     if damage == "truncated_json":
@@ -519,6 +526,8 @@ def test_bad_config_value_exits_2(files, capsys):
     ("max_bins", 16.5, "an integer"),
     ("early_stopping_rounds", 2.5, "an integer"),
     ("learning_rate", True, "a number"),
+    ("sigma", float("inf"), "finite"),
+    ("min_child_hessian", float("-inf"), "finite"),
 ])
 def test_wrong_type_config_value_exits_2(files, tmp_path, capsys, field, value, kind):
     config = tmp_path / "config.json"
@@ -530,6 +539,44 @@ def test_wrong_type_config_value_exits_2(files, tmp_path, capsys, field, value, 
     assert capsys.readouterr().err == \
         f"error: invalid config: {field} must be {kind}, got {value!r}\n"
     assert not out.exists()
+
+
+def test_infinite_flag_value_exits_2(files, tmp_path, capsys):
+    out = tmp_path / "run"
+    code = main(["train", "--train", files["train"], "--valid", files["valid"],
+                 "--out", str(out), "--learning-rate", "inf"])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: invalid config: learning_rate must be finite, got inf\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--model", "--data", "--config", "--train", "--valid"])
+def test_directory_as_input_file_exits_2(trained_dir, files, tmp_path, capsys, flag):
+    if flag in ("--model", "--data"):
+        argv = ["eval", "--model", str(trained_dir / "model.json"), "--data", files["test"]]
+    else:
+        argv = ["train", "--train", files["train"], "--valid", files["valid"],
+                "--out", str(tmp_path / "run"), "--config", _write_config(tmp_path)]
+    argv[argv.index(flag) + 1] = str(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f" file not found: {tmp_path}\n"), err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("line", [1, 700])
+def test_data_that_is_not_utf8_exits_2(trained_dir, files, tmp_path, capsys, line):
+    # Line 700 lies past the first block of lines the loader parses.
+    lines = open(files["test"], "rb").read().splitlines(keepends=True) * 2
+    assert len(lines) > 700
+    lines[line - 1] = b"\xff\xfe" + lines[line - 1]
+    data = tmp_path / "latin.txt"
+    data.write_bytes(b"".join(lines))
+    code = main(["eval", "--model", str(trained_dir / "model.json"), "--data", str(data)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {data}: not UTF-8 text (invalid start byte)\n"
 
 
 @pytest.mark.parametrize("key", ["num_leaf", "train", "valid", "out"])

@@ -12,10 +12,11 @@ from ilmart import (
     distill_shapes,
     effect_importance,
     export_shapes,
-    import_shapes,
+    InteractionSurface,
     load_model,
     save_model,
     select_interactions,
+    ShapeFunction,
     train_interaction_effects,
     train_ilmart,
     train_main_effects,
@@ -248,7 +249,12 @@ def test_export_empty_model_writes_only_index(tmp_path):
 def test_export_json_round_trip(trained, tmp_path):
     shapes, surfaces = distill_shapes(trained)
     export_shapes(shapes, surfaces, tmp_path, fmt="json")
-    shapes2, surfaces2 = import_shapes(tmp_path)
+
+    def read_back(table, effect):
+        return table.from_json(json.loads((tmp_path / f"{effect.key}.json").read_text()))
+
+    shapes2 = [read_back(ShapeFunction, s) for s in shapes]
+    surfaces2 = [read_back(InteractionSurface, s) for s in surfaces]
     rng = np.random.default_rng(9)
     probes = rng.random(100) * 3 - 1
     for s, s2 in zip(shapes, shapes2):
@@ -338,30 +344,20 @@ def test_json_export_matches_the_model_file_tables(trained, tmp_path):
             assert np.array_equal(np.array(exported[key]), np.array(want[key])), key
 
 
+
 @pytest.mark.parametrize("damage, message", [
-    (lambda e, i: e["values"].pop(), "values have shape"),
-    (lambda e, i: e["breakpoints"].reverse(), "strictly increasing"),
-    (lambda e, i: e["values"].__setitem__(0, "0.5"), "JSON numbers only"),
-    (lambda e, i: e.__setitem__("feature", 0), "feature id"),
-    (lambda e, i: e.__setitem__("trees", []), r"unknown main effect key\(s\) \['trees'\]"),
-    (lambda e, i: e.__delitem__("feature"), "missing key 'feature'"),
-    (lambda e, i: '{"effects": [', "index.json: not a JSON shape index"),
-    (lambda e, i: i.__delitem__("effects"), "missing key 'effects'"),
-    (lambda e, i: i.__setitem__("trees", []), r"unknown shape index key\(s\) \['trees'\]"),
-    (lambda e, i: i["effects"][-1].__setitem__("kind", "triple"), "must be main or pair, got 'triple'"),
-    (lambda e, i: i["effects"][0].__delitem__("file"), "missing key 'file'"),
-    (lambda e, i: i["effects"][0].__setitem__("colour", "red"),
-     r"unknown shape index entry key\(s\) \['colour'\]"),
+    (lambda e: e["values"].pop(), "values have shape"),
+    (lambda e: e["breakpoints"].reverse(), "strictly increasing"),
+    (lambda e: e["values"].__setitem__(0, "0.5"), "JSON numbers only"),
+    (lambda e: e.__setitem__("feature", 0), "feature id"),
 ])
 def test_import_shapes_refuses_a_damaged_export(trained, tmp_path, damage, message):
-    # ``damage`` edits the first main effect and the index in place; text it
-    # returns replaces the index file.
+    # A damaged main-effect file of a JSON export is refused when read back
+    # as a shape function; ``damage`` edits the effect in place.
     export_shapes(*distill_shapes(trained), tmp_path, fmt="json")
     path = tmp_path / f"main_{trained.main_features[0]}.json"
     effect = json.loads(path.read_text())
-    index = json.loads((tmp_path / "index.json").read_text())
-    text = damage(effect, index)
+    damage(effect)
     path.write_text(json.dumps(effect))
-    (tmp_path / "index.json").write_text(text if isinstance(text, str) else json.dumps(index))
     with pytest.raises(ModelError, match=message):
-        import_shapes(tmp_path)
+        ShapeFunction.from_json(json.loads(path.read_text()))

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import json
+import math
 import os
 import tempfile
 from dataclasses import replace
@@ -220,6 +221,15 @@ def test_learning_rate_zero_rejected():
     ("early_stopping_rounds", 2.5, "an integer"),
     ("learning_rate", True, "a number"),
     ("lambda_l2", "0", "a number"),
+    ("learning_rate", math.inf, "finite"),
+    ("sigma", math.inf, "finite"),
+    ("lambda_l2", math.inf, "finite"),
+    ("min_gain", math.inf, "finite"),
+    ("min_child_hessian", math.inf, "finite"),
+    ("max_leaf_output", math.inf, "finite"),
+    ("learning_rate", -math.inf, "finite"),
+    ("sigma", np.float32(math.inf), "finite"),
+    ("min_gain", math.nan, "finite"),
 ])
 def test_wrong_type_config_value_rejected_by_validate(field, value, kind):
     with pytest.raises(ModelError) as info:
@@ -242,6 +252,8 @@ def test_numpy_scalar_config_values_pass_validate():
     ({"stage2_max_rounds": 1},
      "stage2_max_rounds has no effect in stage 3 (in stage3_overrides)"),
     ({"num_leaves": 4.0}, "num_leaves must be an integer, got 4.0 (in stage3_overrides)"),
+    ({"max_leaf_output": math.inf},
+     "max_leaf_output must be finite, got inf (in stage3_overrides)"),
 ])
 def test_bad_stage3_overrides_rejected_by_validate(overrides, message):
     with pytest.raises(ModelError) as info:
@@ -323,6 +335,7 @@ def test_stage1_model_round_trips_with_no_interactions(tmp_path, planted_run):
     ({"stage3_overrides": {"num_leaves": 1}}, "num_leaves must be >= 2 (in stage3_overrides)"),
     ({"num_leaves": 8.5}, "num_leaves must be an integer, got 8.5"),
     ({"lambdarank_norm": "false"}, "lambdarank_norm must be true or false, got 'false'"),
+    ({"sigma": math.inf}, "sigma must be finite, got inf"),
 ])
 def test_load_model_validates_stored_config(tmp_path, planted_run, change, message):
     path = tmp_path / "model.json"

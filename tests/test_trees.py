@@ -396,9 +396,9 @@ def oracle_fit_tree(bins, gradients, hessians, regime, cfg, scored_sizes=None):
     for leaf in open_leaves:
         tree.leaf_value[leaf["index"]] = value(leaf["rows"])
     if regime.kind == "single":
-        tree.constraint_features = tuple(used)
-    elif regime.kind == "pair" and len(used) == 2:
-        tree.constraint_features = tuple(sorted(used))
+        tree.constraint_features = () if root_feature is None else (root_feature,)
+    elif regime.kind == "pair":
+        tree.constraint_features = tuple(sorted(regime.feature_pool))
     return tree
 
 
