@@ -7,16 +7,18 @@ Run from the repository root::
 It generates ``bench/datagen.web30k_shaped(queries, SEED)`` (1,000 queries
 are 117,240 rows of 136 features) and runs each layer in a fresh process:
 ``save_svmlight``, ``load_svmlight``, ``Dataset.digest``, ``build_bins``, one
-``LambdaPlan`` and one ``_Booster.round`` of stage 1. A layer's process first
-reads its inputs from ``.npy`` files (arrays of exactly their own size), then
-runs the layer once. It reports the layer's wall time and the growth of the
-process's peak resident set (``ru_maxrss``) over the layer, in bytes per
-row, next to the feature matrix's 8 x 136 bytes per row. The last line
+``LambdaPlan``, one ``_Booster.round`` of stage 1 (``round``: a single-feature
+tree over 136 candidates) and one of stage 3 (``pair_round``: a pair tree on
+``PAIR``). A layer's process first reads its inputs from ``.npy`` files
+(arrays of exactly their own size), then runs the layer once. It reports
+the layer's wall time and the growth of the process's peak resident set
+(``ru_maxrss``) over the layer, in bytes per row, next to the feature
+matrix's 8 x 136 bytes per row. The last line
 projects the peak of a whole training run onto MSLR-WEB30K Fold1's training
 split (``FOLD1_TRAIN_ROWS``), as the largest of: the loader's peak, the
-matrix plus the digest, and the matrix plus the bins, the plan and one
-round. Each layer's fixed cost per block of rows (a few MB) dominates below
-about 100,000 rows, so project from 1,000 queries or more.
+matrix plus the digest, and the matrix plus the bins, the plan and the
+larger round. Each layer's fixed cost per block of rows (a few MB) dominates
+below about 100,000 rows, so project from 1,000 queries or more.
 The library is imported from ``src/`` of the checkout the script sits in;
 the temporary files (about 1.75 KB per row of text) go to the system's
 temporary directory and are removed at the end.
@@ -37,7 +39,9 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 FOLD1_TRAIN_ROWS = 2_270_296
 SEED = 3
-LAYERS = ("save_svmlight", "load_svmlight", "digest", "build_bins", "lambda_plan", "round")
+PAIR = (8, 107)
+LAYERS = ("save_svmlight", "load_svmlight", "digest", "build_bins", "lambda_plan", "round",
+          "pair_round")
 
 
 def _import_paths() -> None:
@@ -104,10 +108,13 @@ def run_layer(work: str, layer: str) -> dict:
         else:
             valid = _dataset(work, "valid")
             zeros = {"train": np.zeros(train.num_rows), "valid": np.zeros(valid.num_rows)}
-            booster = trainer._Booster(1, train, build_bins(train, cfg.max_bins), valid, cfg,
+            if layer == "round":
+                stage, regime = 1, ConstraintRegime("single", range(1, train.num_features + 1))
+            else:
+                stage, regime, cfg = 3, ConstraintRegime("pair", PAIR), cfg.for_stage3()
+            booster = trainer._Booster(stage, train, build_bins(train, cfg.max_bins), valid, cfg,
                                        zeros)
-            step = partial(booster.round,
-                           ConstraintRegime("single", range(1, train.num_features + 1)))
+            step = partial(booster.round, regime)
     before = _peak_bytes()
     start = time.perf_counter()
     step()
@@ -150,7 +157,8 @@ def main(argv=None) -> int:
                   f"  {per_row[layer]:8.1f} B/row  ({per_row[layer] / matrix:.2f}x matrix)")
             if layer == "save_svmlight":
                 print(f"{'':14s} file {os.path.getsize(os.path.join(work, 'train.txt')) / 1e6:.1f} MB")
-        training = matrix + per_row["build_bins"] + per_row["lambda_plan"] + per_row["round"]
+        training = (matrix + per_row["build_bins"] + per_row["lambda_plan"]
+                    + max(per_row["round"], per_row["pair_round"]))
         peak = max(per_row["load_svmlight"], matrix + per_row["digest"], training)
         print(f"projected peak at {FOLD1_TRAIN_ROWS} rows: {peak * FOLD1_TRAIN_ROWS / 1e9:.2f} GB "
               f"({peak:.0f} B/row)")

@@ -74,10 +74,14 @@ def _resolve_train_config(args) -> TrainConfig:
     """Merge defaults < config file (``TrainConfig`` fields only) < CLI flags."""
     merged: dict = {}
     if args.config:
+        path = _require_file(args.config, "config")
         try:
-            with open(_require_file(args.config, "config"), encoding="utf-8") as fh:
+            with open(path, encoding="utf-8") as fh:
                 merged = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError: bad UTF-8 or JSON, or an integer of more digits
+            # than Python converts; RecursionError: nesting deeper than the
+            # json module parses.
             raise UsageError(f"config file {args.config} is not valid JSON ({exc})") from None
         if not isinstance(merged, dict):
             raise UsageError(f"config file {args.config} must hold a JSON object")

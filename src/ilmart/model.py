@@ -35,6 +35,15 @@ _FIELD_TYPES = {
 STAGE3_INERT = ("max_bins", "max_interactions", "stage2_max_rounds")
 
 
+def _finite(value) -> bool:
+    """Whether the number is finite as a float64; an integer beyond its
+    range, such as ``10**400``, is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 class ModelError(ValueError):
     """Invalid model file or violated model invariant."""
 
@@ -83,9 +92,10 @@ def read_json(path, what: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        # RecursionError: arrays or objects nested deeper than the json
-        # module can parse, which no file written here has.
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad UTF-8 or JSON, or an integer of more digits than
+        # Python converts; RecursionError: arrays or objects nested deeper
+        # than the json module can parse. No file written here has either.
         raise ModelError(f"{path}: not a JSON {what} ({exc})") from None
 
 
@@ -286,8 +296,11 @@ class TrainConfig:
             value = getattr(self, f.name)
             if accepts and not accepts(value):
                 raise ModelError(f"invalid config: {f.name} must be {kind}, got {value!r}")
-            if f.type == "float" and not -math.inf < value < math.inf:
+            if f.type == "float" and not _finite(value):
                 raise ModelError(f"invalid config: {f.name} must be finite, got {value!r}")
+            if f.type == "int" and not -2**63 <= value < 2**63:
+                raise ModelError(f"invalid config: {f.name} must be a 64-bit integer, "
+                                 f"got {value!r}")
         checks = [
             (self.num_leaves >= 2, "num_leaves must be >= 2"),
             (self.learning_rate > 0, "learning_rate must be > 0"),

@@ -19,12 +19,19 @@ also fixes the 3-leaf budget. Every other limit of the tree is the stage's
 constraints apart from its tree parameters.
 
 Split search works on histograms of the feature-major binned matrix (the
-layout of LightGBM, Ke et al. 2017). Each step scores, in one pass, only the
-leaves that need it: the root, then the two children of the last split (the
-candidate features change only at the root split). A leaf with fewer than
-``2 * min_data_in_leaf`` rows cannot split and is never scored. The result
-is the same tree as scoring every leaf one feature at a time: each histogram
-cell sums the same rows in the same order, and ties resolve to the lowest
+layout of LightGBM, Ke et al. 2017), one leaf at a time. A scored leaf keeps
+its histograms, one per candidate feature, each over a bin range that holds
+all of its rows. When it splits on feature f at bin t, every bin of f goes
+wholly to one child, so each child's histogram on f is the parent's on its
+side of t, sliced within the bins the parent's rows occupy, with no
+bincount; the other candidates are bincounted over the child's rows, within
+the bins the parent's rows occupy. A single-feature tree therefore never
+bincounts below the root, and a pair tree bincounts only the partner feature.
+A leaf with fewer than ``2 * min_data_in_leaf`` rows cannot split and is
+never scored. Every histogram cell sums the same rows in the same order as a
+bincount of that leaf alone (the sibling is never the parent minus the other
+child, which would round differently), so the tree is the one that scoring
+every leaf one feature at a time gives. Ties resolve to the lowest
 gain-maximising feature id, then the lowest bin, then the oldest leaf.
 
 A fitted tree is a set of flat split and leaf arrays, as in LightGBM. Splits
@@ -35,6 +42,8 @@ split, which is the last interval of every distilled table.
 """
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,98 +136,109 @@ class DecisionTree:
 
 
 class _GrowLeaf:
-    __slots__ = ("rows", "index", "slot", "best")
+    """A leaf of a growing tree and, once scored, the histograms it was
+    scored on: ``hist[:, j, p]`` holds the gradient sum, hessian sum and row
+    count of the leaf's rows in bin ``start[j] + p`` of feature ``cands[j]``,
+    the candidates side by side and padded with empty bins to one width."""
 
-    def __init__(self, rows, index, slot):
+    __slots__ = ("rows", "index", "slot", "totals", "cands", "hist", "start")
+
+    def __init__(self, rows, index, slot, grad, hess):
         self.rows = rows            # ascending row indices
         self.index = index          # leaf number in the finished tree
         self.slot = slot            # (child list, split) that points at the leaf; None at the root
-        self.best = None            # (gain, feature, bin) or None
+        # gradient sum, hessian sum (over the rows, in row order) and row count
+        self.totals = np.array([grad.sum(), hess.sum(), rows.size])
+
+    def occupied(self) -> tuple[list[int], list[int]]:
+        """Per candidate, the first and one-past-last position holding rows."""
+        nonempty = self.hist[2] > 0
+        return (nonempty.argmax(axis=1).tolist(),
+                (nonempty.shape[1] - nonempty[:, ::-1].argmax(axis=1)).tolist())
 
 
-def _score_leaves(bins, leaves, gradients, hessians, cands, min_data, min_gain, l2,
-                  min_hess):
-    """Set ``leaf.best`` to each leaf's best (gain, feature, bin), or None.
-
-    All leaves are scored in one pass. Per candidate feature, one
-    ``bincount`` per statistic lays the leaves' histograms side by side
-    (cell ``leaf * width + bin``) over their rows, concatenated leaf after
-    leaf in ascending order, so every cell sums the same rows in the same
-    order as a histogram of that leaf alone. Gains are then computed on one
-    (leaves x features x bins) array. Ties resolve to the lowest feature id,
-    then the lowest bin index.
-    """
-    sizes = [leaf.rows.size for leaf in leaves]
-    num_bins = np.array([bins.num_bins(f) for f in cands])
-    width = int(num_bins.max())
-    cells = len(leaves) * width
-    # hist[0], hist[1], hist[2]: gradient sums, hessian sums, row counts
-    hist = np.zeros((3, len(leaves), len(cands), width))
-    if sizes == [bins.num_rows]:            # the root: every row, cached counts
-        grad, hess, rows = gradients, hessians, None
-    else:
-        rows = np.concatenate([leaf.rows for leaf in leaves])
-        grad, hess = gradients[rows], hessians[rows]
-        offset = np.repeat(np.arange(0, cells, width), sizes)
+def _root_histograms(bins, gradients, hessians, cands):
+    """``(hist, start)`` of the leaf that holds every row; counts are cached."""
+    hist = np.zeros((3, len(cands), max(bins.num_bins(f) for f in cands)))
     for j, fid in enumerate(cands):
-        idx = bins.binned[:, fid - 1]
-        if rows is None:
-            hist[2, 0, j, :num_bins[j]] = bins.counts[fid - 1]
-        else:
-            idx = idx[rows] + offset
-            hist[2, :, j] = np.bincount(idx, minlength=cells).reshape(-1, width)
-        hist[0, :, j] = np.bincount(idx, weights=grad, minlength=cells).reshape(-1, width)
-        hist[1, :, j] = np.bincount(idx, weights=hess, minlength=cells).reshape(-1, width)
-
-    totals = np.zeros((3, len(leaves)))
-    parent = np.zeros(len(leaves))
-    threshold = np.zeros(len(leaves))
-    start = 0
-    for i, size in enumerate(sizes):
-        g_total = grad[start:start + size].sum()
-        h_total = hess[start:start + size].sum()
-        start += size
-        denom = h_total + l2
-        p = g_total * g_total / denom if denom > 0 else 0.0
-        totals[:, i] = g_total, h_total, size
-        parent[i] = p
-        # Summation noise can make a mathematically zero gain come out at
-        # ~1e-16; require the gain to clear min_gain by a margin scaled to
-        # the parent.
-        threshold[i] = min_gain + 1e-12 * max(1.0, abs(p))
-
-    left = np.cumsum(hist, axis=3)[..., :-1]
-    g_left, h_left, c_left = left
-    g_right, h_right, c_right = totals[..., None, None] - left
-    dl = h_left + l2
-    dr = h_right + l2
-    hess_floor = max(min_hess, np.finfo(np.float64).tiny)
-    ok = (
-        (c_left >= min_data)
-        & (c_right >= min_data)
-        & (dl >= hess_floor)
-        & (dr >= hess_floor)
-        & (np.arange(width - 1) < num_bins[:, None] - 1)     # real bins only
-    )
-    term_l = np.divide(g_left * g_left, dl, out=np.zeros_like(dl), where=ok)
-    term_r = np.divide(g_right * g_right, dr, out=np.zeros_like(dr), where=ok)
-    gains = np.where(ok, term_l + term_r - parent[:, None, None], -np.inf)
-    # First maximum per feature, then the first feature whose maximum
-    # clears the threshold and is largest.
-    t = gains.argmax(axis=2)
-    top = gains.max(axis=2)
-    top = np.where(top > threshold[:, None], top, -np.inf)
-    k = top.argmax(axis=1)
-    for i, leaf in enumerate(leaves):
-        gain = top[i, k[i]]
-        leaf.best = None if gain == -np.inf else (float(gain), cands[k[i]], int(t[i, k[i]]))
+        col = bins.binned[:, fid - 1].astype(np.intp)   # bincount would cast it twice
+        width = bins.num_bins(fid)
+        hist[0, j, :width] = np.bincount(col, weights=gradients, minlength=width)
+        hist[1, j, :width] = np.bincount(col, weights=hessians, minlength=width)
+        hist[2, j, :width] = bins.counts[fid - 1]
+    return hist, [0] * len(cands)
 
 
-def _leaf_value(rows, gradients, hessians, l2, learning_rate, max_output) -> float:
-    denom = hessians[rows].sum() + l2
+def _child_histograms(bins, parent, occupied, rows, grad, hess, cands, fid, t, left):
+    """``(hist, start)`` over ``cands`` of the ``left`` or right child of
+    ``parent``, split on ``fid`` at bin ``t``; the child holds ``rows``, whose
+    values are ``grad`` and ``hess``, and ``occupied`` is ``parent.occupied()``.
+
+    Every bin of ``fid`` goes wholly to one side, so the child's histogram
+    on ``fid`` is the parent's cut at ``t``: the same rows summed in the same
+    order. Each other candidate is bincounted over the child's rows, within
+    the bins the parent's rows occupy.
+    """
+    parts = []                          # (start, width, inherited histogram or None)
+    for f in cands:
+        j = parent.cands.index(f)
+        lo, hi = occupied[0][j], occupied[1][j]
+        block = None
+        if f == fid:
+            cut = t + 1 - parent.start[j]
+            lo, hi = (lo, cut) if left else (cut, hi)
+            block = parent.hist[:, j, lo:hi]
+        parts.append((parent.start[j] + lo, hi - lo, block))
+    hist = np.zeros((3, len(parts), max(width for _, width, _ in parts)))
+    for j, (f, (start, width, block)) in enumerate(zip(cands, parts)):
+        if block is not None:
+            hist[:, j, :width] = block
+            continue
+        idx = np.subtract(bins.binned[:, f - 1][rows], start, dtype=np.intp)
+        hist[0, j, :width] = np.bincount(idx, weights=grad, minlength=width)
+        hist[1, j, :width] = np.bincount(idx, weights=hess, minlength=width)
+        hist[2, j, :width] = np.bincount(idx, minlength=width)
+    return hist, [start for start, _, _ in parts]
+
+
+def _best_split(leaf, min_data, min_gain, l2, hess_floor):
+    """The leaf's best (gain, feature, bin) over ``leaf.hist``, or None.
+
+    One ``cumsum`` gives every cut's left sums and the totals its right
+    sums. A cut at or past a candidate's last occupied bin, padding
+    included, has no rows on its right and fails ``min_data >= 1``, so no
+    mask of real bins is needed. The flat ``argmax`` finds the first
+    maximum in (feature, position) order: the lowest feature id, then the
+    lowest bin. Division by a zero denominator (only ever at a cut that the
+    hessian floor rejects) must be silenced by the caller.
+    """
+    g_total, h_total, _ = leaf.totals
+    denom = h_total + l2
+    parent = g_total * g_total / denom if denom > 0 else 0.0
+    # Summation noise can make a mathematically zero gain come out at
+    # ~1e-16; require the gain to clear min_gain by a margin scaled to the
+    # parent.
+    threshold = min_gain + 1e-12 * max(1.0, abs(parent))
+    sides = np.empty((2,) + leaf.hist.shape)         # left, right
+    np.cumsum(leaf.hist, axis=2, out=sides[0])
+    np.subtract(leaf.totals[:, None, None], sides[0], out=sides[1])
+    g, h, c = sides[:, 0], sides[:, 1], sides[:, 2]
+    d = h + l2
+    ok = (c >= min_data) & (d >= hess_floor)
+    terms = g * g / d
+    gains = np.where(ok[0] & ok[1], terms[0] + terms[1] - parent, -np.inf)
+    j, p = divmod(int(gains.argmax()), gains.shape[1])
+    gain = gains[j, p]
+    if not gain > threshold:
+        return None
+    return float(gain), leaf.cands[j], leaf.start[j] + p
+
+
+def _leaf_value(totals, l2, learning_rate, max_output) -> float:
+    denom = totals[1] + l2
     if denom <= 0:
         return 0.0
-    step = -(gradients[rows].sum()) / denom
+    step = -totals[0] / denom
     if max_output > 0:
         step = min(max(step, -max_output), max_output)
     return float(step * learning_rate)
@@ -239,6 +259,16 @@ def fit_tree(
     ``min_gain`` per split, and leaf values clamped to ``max_leaf_output``
     with ``lambda_l2`` before ``learning_rate`` scaling.
 
+    Growth is best first. Each leaf is scored on its own histograms: the
+    root's are bincounted over every row (the row counts are cached in
+    ``bins``), and a child inherits its parent's histogram on the split
+    feature as a slice and bincounts the other candidates over its own rows,
+    within the bins its parent's rows occupy. One ``cumsum`` over the
+    leaf's padded (3 x candidates x occupied bins) array scores every cut.
+    Open leaves wait on a heap keyed (-gain, feature, bin, creation order),
+    so the lowest feature, then the lowest bin, then the oldest leaf wins a
+    tie. A leaf's value comes from its row sums, taken in row order.
+
     Returns a single-leaf "stump" when no split clears ``min_gain`` and
     ``min_data_in_leaf`` at the root; the caller decides whether to stop
     boosting in that case. ``leaf_of_row``, an integer array with one entry
@@ -253,51 +283,68 @@ def fit_tree(
         raise ValueError("gradients/hessians must align with the binned rows")
     if cfg.learning_rate <= 0:
         raise ValueError(f"learning rate must be > 0, got {cfg.learning_rate}")
+    if cfg.min_data_in_leaf < 1:
+        raise ValueError(f"min_data_in_leaf must be >= 1, got {cfg.min_data_in_leaf}")
     budget = DISCOVERY_LEAVES if regime.kind == "discovery" else cfg.num_leaves
     if budget < 2:
         raise ValueError(f"leaf budget must be >= 2, got {budget}")
     min_data = cfg.min_data_in_leaf
 
     tree = DecisionTree([], [], [], [], [], regime.kind, ())
-    open_leaves = [_GrowLeaf(np.arange(n, dtype=np.intp), 0, None)]   # in creation order
-    new = open_leaves
+    root = _GrowLeaf(np.arange(n, dtype=np.intp), 0, None, gradients, hessians)
+    leaves = [root]                     # by leaf number
+    heap = []                           # (-gain, feature, bin, creation order, leaf)
+    created = itertools.count()
+    hess_floor = max(cfg.min_child_hessian, np.finfo(np.float64).tiny)
 
-    while len(open_leaves) < budget:
-        # The candidates change only at the root split, when every open leaf
-        # is new, so only new leaves are scored. A leaf too small to give
-        # both children min_data rows cannot split and is not scored.
-        root_feature = tree.split_feature[0] if tree.split_feature else None
-        cands = [f for f in regime.candidates(root_feature) if bins.num_bins(f) >= 2]
-        new = [leaf for leaf in new if leaf.rows.size >= 2 * min_data]
-        if new and cands:
-            _score_leaves(bins, new, gradients, hessians, cands, min_data, cfg.min_gain,
-                          cfg.lambda_l2, cfg.min_child_hessian)
-        scored = [leaf for leaf in open_leaves if leaf.best is not None]
-        if not scored:
-            break
-        # min() returns the first of equal keys: the oldest leaf wins a tie.
-        leaf = min(scored, key=lambda lf: (-lf.best[0], lf.best[1], lf.best[2]))
+    def score(leaf, cands, hist, start):
+        leaf.cands, leaf.hist, leaf.start = cands, hist, start
+        best = _best_split(leaf, min_data, cfg.min_gain, cfg.lambda_l2, hess_floor)
+        if best is None:
+            leaf.hist = None
+        else:
+            heapq.heappush(heap, (-best[0], best[1], best[2], next(created), leaf))
 
-        _, fid, t = leaf.best
-        go_left = bins.binned[:, fid - 1][leaf.rows] <= t
-        split = len(tree.split_feature)
-        if leaf.slot is not None:
-            children, parent = leaf.slot
-            children[parent] = split
-        tree.split_feature.append(fid)
-        tree.threshold.append(float(bins.boundaries[fid - 1][t]))
-        tree.left_child.append(~leaf.index)
-        tree.right_child.append(~(split + 1))
-        new = [_GrowLeaf(leaf.rows[go_left], leaf.index, (tree.left_child, split)),
-               _GrowLeaf(leaf.rows[~go_left], split + 1, (tree.right_child, split))]
-        open_leaves.remove(leaf)
-        open_leaves.extend(new)
+    # The candidates change only at the root split. A leaf too small to
+    # give both children min_data rows cannot split and is not scored.
+    cands = [f for f in regime.candidates(None) if bins.num_bins(f) >= 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if cands and n >= 2 * min_data:
+            score(root, cands, *_root_histograms(bins, gradients, hessians, cands))
+        while heap and len(leaves) < budget:
+            _, fid, t, _, leaf = heapq.heappop(heap)
+            go_left = bins.binned[:, fid - 1][leaf.rows] <= t
+            split = len(tree.split_feature)
+            if leaf.slot is not None:
+                children, parent = leaf.slot
+                children[parent] = split
+            else:
+                cands = [f for f in regime.candidates(fid) if bins.num_bins(f) >= 2]
+            tree.split_feature.append(fid)
+            tree.threshold.append(float(bins.boundaries[fid - 1][t]))
+            tree.left_child.append(~leaf.index)
+            tree.right_child.append(~(split + 1))
+            # The split that fills the budget leaves its children unscored.
+            more = len(leaves) + 1 < budget
+            occupied = leaf.occupied() if more else None
+            for left, rows, index, slot in (
+                    (True, leaf.rows[go_left], leaf.index, (tree.left_child, split)),
+                    (False, leaf.rows[~go_left], split + 1, (tree.right_child, split))):
+                grad, hess = gradients[rows], hessians[rows]
+                child = _GrowLeaf(rows, index, slot, grad, hess)
+                if left:
+                    leaves[index] = child
+                else:
+                    leaves.append(child)
+                if more and cands and rows.size >= 2 * min_data:
+                    score(child, cands, *_child_histograms(bins, leaf, occupied, rows, grad, hess,
+                                                           cands, fid, t, left))
+            leaf.hist = None
 
-    tree.leaf_value = [0.0] * len(open_leaves)
-    for leaf in open_leaves:
-        tree.leaf_value[leaf.index] = _leaf_value(leaf.rows, gradients, hessians, cfg.lambda_l2,
-                                                  cfg.learning_rate, cfg.max_leaf_output)
-        if leaf_of_row is not None:
+    tree.leaf_value = [_leaf_value(leaf.totals, cfg.lambda_l2, cfg.learning_rate,
+                                   cfg.max_leaf_output) for leaf in leaves]
+    if leaf_of_row is not None:
+        for leaf in leaves:
             leaf_of_row[leaf.rows] = leaf.index
 
     if regime.kind == "single":

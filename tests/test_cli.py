@@ -528,6 +528,7 @@ def test_bad_config_value_exits_2(files, capsys):
     ("learning_rate", True, "a number"),
     ("sigma", float("inf"), "finite"),
     ("min_child_hessian", float("-inf"), "finite"),
+    pytest.param("learning_rate", 10**400, "finite", id="learning_rate-beyond_float64-finite"),
 ])
 def test_wrong_type_config_value_exits_2(files, tmp_path, capsys, field, value, kind):
     config = tmp_path / "config.json"
@@ -610,6 +611,23 @@ def test_config_that_is_not_json_exits_2(files, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: config file {config} is not valid JSON") \
         and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000,                                  # deeper than the json module parses
+    '{"max_bins": 1' + "0" * 5000 + "}",            # more digits than Python converts
+], ids=["nested", "long_integer"])
+def test_config_the_json_module_cannot_parse_exits_2(files, tmp_path, capsys, text):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    out = tmp_path / "run"
+    code = main(["train", "--train", files["train"], "--valid", files["valid"],
+                 "--out", str(out), "--config", str(config)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {config} is not valid JSON") \
+        and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("overrides, message", [

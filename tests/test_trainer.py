@@ -230,6 +230,11 @@ def test_learning_rate_zero_rejected():
     ("learning_rate", -math.inf, "finite"),
     ("sigma", np.float32(math.inf), "finite"),
     ("min_gain", math.nan, "finite"),
+    ("learning_rate", 10**400, "finite"),       # an integer beyond float64's range
+    ("max_leaf_output", -10**309, "finite"),
+    ("truncation", 2**63, "a 64-bit integer"),
+    ("ndcg_cutoff", 10**400, "a 64-bit integer"),
+    ("min_data_in_leaf", -2**63 - 1, "a 64-bit integer"),
 ])
 def test_wrong_type_config_value_rejected_by_validate(field, value, kind):
     with pytest.raises(ModelError) as info:
@@ -447,6 +452,15 @@ def test_deeply_nested_model_file_is_a_model_error(tmp_path):
     with pytest.raises(ModelError) as info:
         load_model(path)
     assert str(info.value).startswith(f"{path}: ")
+
+
+def test_model_file_with_a_too_long_integer_is_a_model_error(tmp_path):
+    # json refuses integers of more than 4300 digits with a plain ValueError
+    path = tmp_path / "model.json"
+    path.write_text('{"schema_version": 1' + "0" * 5000 + "}")
+    with pytest.raises(ModelError) as info:
+        load_model(path)
+    assert str(info.value).startswith(f"{path}: not a JSON model")
 
 
 def test_tampered_model_rejected(tmp_path, planted_run):

@@ -289,6 +289,8 @@ def test_input_validation():
     with pytest.raises(ValueError):
         fit_tree(bins, zeros, zeros, regime, TrainConfig(num_leaves=1))
     with pytest.raises(ValueError):
+        fit_tree(bins, zeros, zeros, regime, TrainConfig(num_leaves=4, min_data_in_leaf=0))
+    with pytest.raises(ValueError):
         ConstraintRegime("pair", (2, 2))
 
 
@@ -470,3 +472,43 @@ def test_root_just_below_and_at_twice_min_data(extra):
     want = oracle_fit_tree(bins, grad, np.ones(n), regime, cfg)
     assert tree == want
     assert len(tree.leaf_value) == (1 if extra < 0 else 2)
+
+
+def bench_sized_case(seed, kind):
+    """A few thousand rows at 255 bins, 32 leaves and tie-heavy gradients
+    that keep changing sign along every feature, so that trees split the
+    same feature again and again, deep into narrow bin ranges."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2000, 5001))
+    X = np.column_stack([
+        rng.integers(0, 40, n),                 # 40 tied values
+        np.round(rng.random(n), 2),             # about 100 tied values
+        rng.random(n),                          # distinct: 255 quantile bins
+        rng.integers(0, 300, n),                # 300 values over 255 bins
+    ]).astype(float)
+    ds = Dataset.from_rows(np.zeros(n, dtype=int), ["q"] * n, X)
+    bins = build_bins(ds, max_bins=255)
+    wave = np.sin(X[:, 0] / 3.0) + np.sin(7.0 * X[:, 1]) + np.sin(11.0 * X[:, 2]) \
+        + np.sin(X[:, 3] / 20.0)
+    grad = np.round(2.0 * wave + rng.normal(scale=0.5, size=n))   # ties everywhere
+    hess = np.ones(n) if seed % 2 else rng.uniform(0.5, 1.0, n)
+    pool = {"single": range(1, 5), "pair": ((1, 3), (2, 4), (3, 4))[seed % 3],
+            "discovery": range(1, 5)}[kind]
+    cfg = TrainConfig(num_leaves=32, min_data_in_leaf=int(rng.choice([1, 5, 20])),
+                      lambda_l2=float(rng.choice([0.0, 1.0])))
+    return bins, grad, hess, ConstraintRegime(kind, pool), cfg
+
+
+def test_fit_tree_matches_per_leaf_oracle_at_bench_size():
+    deep_single = deep_pair = 0
+    for seed in range(24):
+        for kind in ("single", "pair", "discovery"):
+            bins, grad, hess, regime, cfg = bench_sized_case(seed, kind)
+            want = oracle_fit_tree(bins, grad, hess, regime, cfg)
+            got = fit_tree(bins, grad, hess, regime, cfg)
+            assert got == want, f"seed {seed}, {kind}"
+            uses = [want.split_feature.count(f) for f in want.used_features]
+            deep_single += kind == "single" and uses == [31]
+            deep_pair += kind == "pair" and len(uses) == 2 and min(uses) >= 5
+    # single trees split one feature 31 times; pair trees split both often
+    assert deep_single >= 20 and deep_pair >= 20
