@@ -10,10 +10,12 @@ are 117,240 rows of 136 features) and runs each layer in a fresh process:
 ``LambdaPlan``, one ``_Booster.round`` of stage 1 (``round``: a single-feature
 tree over 136 candidates) and one of stage 3 (``pair_round``: a pair tree on
 ``PAIR``). A layer's process first reads its inputs from ``.npy`` files
-(arrays of exactly their own size), then runs the layer once. It reports
-the layer's wall time and the growth of the process's peak resident set
+(arrays of exactly their own size), then runs the layer once. Each layer
+runs in ``REPEATS`` fresh processes, and the probe reports the medians of
+the layer's wall time and of the growth of the process's peak resident set
 (``ru_maxrss``) over the layer, in bytes per row, next to the feature
-matrix's 8 x 136 bytes per row. The last line
+matrix's 8 x 136 bytes per row: one run's seconds swing with the host by
+30% or more, while its bytes repeat exactly. The last line
 projects the peak of a whole training run onto MSLR-WEB30K Fold1's training
 split (``FOLD1_TRAIN_ROWS``), as the largest of: the loader's peak, the
 matrix plus the digest, and the matrix plus the bins, the plan and the
@@ -29,6 +31,7 @@ import argparse
 import json
 import os
 import resource
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -39,6 +42,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 FOLD1_TRAIN_ROWS = 2_270_296
 SEED = 3
+REPEATS = 3
 PAIR = (8, 107)
 LAYERS = ("save_svmlight", "load_svmlight", "digest", "build_bins", "lambda_plan", "round",
           "pair_round")
@@ -151,9 +155,11 @@ def main(argv=None) -> int:
               f"matrix {matrix * rows / 1e6:.1f} MB ({matrix} B/row)")
         per_row = {}
         for layer in LAYERS:
-            result = child(layer)
-            per_row[layer] = result["peak_growth_bytes"] / rows
-            print(f"{layer:14s} {result['s']:8.3f} s  +{result['peak_growth_bytes'] / 1e6:8.1f} MB"
+            runs = [child(layer) for _ in range(REPEATS)]
+            seconds = statistics.median(run["s"] for run in runs)
+            growth = statistics.median(run["peak_growth_bytes"] for run in runs)
+            per_row[layer] = growth / rows
+            print(f"{layer:14s} {seconds:8.3f} s  +{growth / 1e6:8.1f} MB"
                   f"  {per_row[layer]:8.1f} B/row  ({per_row[layer] / matrix:.2f}x matrix)")
             if layer == "save_svmlight":
                 print(f"{'':14s} file {os.path.getsize(os.path.join(work, 'train.txt')) / 1e6:.1f} MB")

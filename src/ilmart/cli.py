@@ -67,6 +67,8 @@ def _parse_cutoffs(text: str) -> tuple[int, ...]:
         raise UsageError(f"bad cutoff list {text!r}") from None
     if not cutoffs or any(k < 1 for k in cutoffs):
         raise UsageError(f"cutoffs must be positive integers, got {text!r}")
+    if any(k >= 2**63 for k in cutoffs):      # the NDCG kernels index with int64
+        raise UsageError(f"cutoffs must be below 2**63, got {text!r}")
     return cutoffs
 
 

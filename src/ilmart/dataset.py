@@ -358,7 +358,11 @@ def load_svmlight(path, num_features: int | None = None) -> Dataset:
                 width = int(fids.max(initial=0))
                 max_fid = max(max_fid, width)
                 if features is None:
-                    features = np.zeros((capacity, max(width if d is None else d, 0)))
+                    try:
+                        features = np.zeros((capacity, max(width if d is None else d, 0)))
+                    except ValueError:      # a width numpy cannot shape at all
+                        raise DatasetError(f"{path}: {width if d is None else d} features "
+                                           "are too many for one matrix") from None
                 stop = rows + len(kept)
                 if stop > capacity:
                     capacity = stop + stop // 16

@@ -2,14 +2,15 @@
 
 A trained model is a sum of exact piecewise-constant tables: one step
 function per main feature and one value grid per feature pair. Training
-builds each table from the trees of its effect (the breakpoints are the union
-of their split thresholds), model files store the tables, and scoring sums
-their lookups: the model IS its plots. Each JSON object of a model file has
-one checked reader, ``from_json``, and one writer, ``to_json``.
+builds each table from the trees of its effect: the breakpoints are the union
+of their split thresholds, and a cell's value is the trees' summed output at
+the cell's upper breakpoint, routed through ``DecisionTree.leaves``. Model
+files store the tables, and scoring sums their lookups: the model IS its
+plots. Shapes and surfaces share one lookup. Each JSON object of a model
+file has one checked reader, ``from_json``, and one writer, ``to_json``.
 """
 from __future__ import annotations
 
-import bisect
 import json
 import math
 import numbers
@@ -46,12 +47,6 @@ def _finite(value) -> bool:
 
 class ModelError(ValueError):
     """Invalid model file or violated model invariant."""
-
-
-def _interval_index(breakpoints: np.ndarray, x) -> np.ndarray:
-    # Interval b covers (breakpoints[b-1], breakpoints[b]], matching the
-    # trees' "value <= threshold goes left" routing.
-    return np.searchsorted(breakpoints, x, side="left")
 
 
 def _feature_id(value, what: str) -> int:
@@ -113,6 +108,18 @@ class _Table:
     def axes(self) -> list[np.ndarray]:
         return [getattr(self, name) for name in self.AXES]
 
+    def lookup_batch(self, *columns) -> np.ndarray:
+        """The cells' values at inputs given one array per feature, as in
+        ``shape.lookup_batch(x)`` and ``surface.lookup_batch(xi, xj)``."""
+        # Interval b covers (breakpoints[b-1], breakpoints[b]], matching the
+        # trees' "value <= threshold goes left" routing.
+        return self.values[tuple(np.searchsorted(bp, x, side="left")
+                                 for bp, x in zip(self.axes, columns, strict=True))]
+
+    def contribution(self, features: np.ndarray) -> np.ndarray:
+        """This effect's term for every row of a feature matrix."""
+        return self.lookup_batch(*(features[:, f - 1] for f in self.features))
+
     def check(self) -> None:
         """Refuse a table whose lookups are not defined, or not finite."""
         if list(self.features) != sorted(set(self.features)):
@@ -157,13 +164,6 @@ class ShapeFunction(_Table):
         return {"feature": self.feature, "breakpoints": self.breakpoints.tolist(),
                 "values": self.values.tolist()}
 
-    def lookup_batch(self, x: np.ndarray) -> np.ndarray:
-        return self.values[_interval_index(self.breakpoints, x)]
-
-    def contribution(self, features: np.ndarray) -> np.ndarray:
-        """This effect's term for every row of a feature matrix."""
-        return self.lookup_batch(features[:, self.feature - 1])
-
 
 @dataclass
 class InteractionSurface(_Table):
@@ -200,44 +200,26 @@ class InteractionSurface(_Table):
         return {"pair": list(self.pair), "breakpoints_i": self.breakpoints_i.tolist(),
                 "breakpoints_j": self.breakpoints_j.tolist(), "values": self.values.tolist()}
 
-    def lookup_batch(self, xi: np.ndarray, xj: np.ndarray) -> np.ndarray:
-        a = _interval_index(self.breakpoints_i, xi)
-        b = _interval_index(self.breakpoints_j, xj)
-        return self.values[a, b]
-
-    def contribution(self, features: np.ndarray) -> np.ndarray:
-        """This effect's term for every row of a feature matrix."""
-        return self.lookup_batch(features[:, self.pair[0] - 1], features[:, self.pair[1] - 1])
-
 
 def _effect_table(trees, features) -> tuple[list[np.ndarray], np.ndarray]:
     """Sum the trees of one effect into a table over its features' intervals.
 
     The breakpoints of each feature are the union of the trees' thresholds
-    on it. Every leaf adds its value to the box of cells whose inputs reach
-    it: a split on ``threshold == breakpoints[m]`` sends cells ``<= m`` left
-    and the rest right. Trees are walked in order, so each cell receives
-    exactly the sum, in tree order, that scoring any input in it would.
+    on it. A cell's value is the trees' summed output at one point of the
+    cell: its upper breakpoint, or +inf past the last one. Every threshold is
+    a breakpoint, so each split sends the whole cell the way it sends that
+    point. The trees add in order, so each cell holds exactly the sum, in
+    tree order, that scoring any input in it would.
     """
     breakpoints = [np.unique(np.concatenate([t.thresholds_for(f) for t in trees]
                                             + [np.empty(0)])) for f in features]
-    values = np.zeros(tuple(b.size + 1 for b in breakpoints))
-    axis = {f: k for k, f in enumerate(features)}
-    cuts = [b.tolist() for b in breakpoints]
-
+    shape = tuple(b.size + 1 for b in breakpoints)
+    cells = np.indices(shape).reshape(len(shape), -1)       # C order
+    columns = {f: np.append(b, np.inf)[c] for f, b, c in zip(features, breakpoints, cells)}
+    values = np.zeros(cells.shape[1])
     for tree in trees:
-        stack = [(tree.root, tuple((0, n) for n in values.shape))]
-        while stack:
-            node, box = stack.pop()
-            if node < 0:
-                values[tuple(slice(lo, hi) for lo, hi in box)] += tree.leaf_value[~node]
-                continue
-            k = axis[tree.split_feature[node]]
-            lo, hi = box[k]
-            cut = bisect.bisect_left(cuts[k], tree.threshold[node]) + 1
-            stack.append((tree.right_child[node], box[:k] + ((max(lo, cut), hi),) + box[k + 1:]))
-            stack.append((tree.left_child[node], box[:k] + ((lo, min(hi, cut)),) + box[k + 1:]))
-    return breakpoints, values
+        values += np.asarray(tree.leaf_value)[tree.leaves(columns, values.size)]
+    return breakpoints, values.reshape(shape)
 
 
 def tables(trees) -> list:

@@ -36,9 +36,12 @@ gain-maximising feature id, then the lowest bin, then the oldest leaf.
 
 A fitted tree is a set of flat split and leaf arrays, as in LightGBM. Splits
 store raw thresholds (the boundary value between the two bins), so inference
-never needs the bin mapper. Inputs are finite (the loader rejects
-anything else); a NaN in a raw array compares false and goes right at every
-split, which is the last interval of every distilled table.
+never needs the bin mapper. :meth:`DecisionTree.leaves` is the one walk of
+those arrays: scoring rows and building a model's tables both route points
+through it, and no other module reads the root or the child arrays. Inputs
+are finite (the loader rejects anything else); a NaN in a raw array compares
+false and goes right at every split, which is the last interval of every
+distilled table.
 """
 from __future__ import annotations
 
@@ -120,19 +123,25 @@ class DecisionTree:
     def thresholds_for(self, fid: int) -> list[float]:
         return [t for f, t in zip(self.split_feature, self.threshold) if f == fid]
 
-    def predict_batch(self, features: np.ndarray) -> np.ndarray:
-        features = np.asarray(features, dtype=np.float64)
-        out = np.empty(features.shape[0], dtype=np.float64)
-        stack = [(self.root, np.arange(features.shape[0]))]
+    def leaves(self, columns, n: int) -> np.ndarray:
+        """The leaf each of ``n`` rows reaches, where ``columns[f]`` holds
+        the rows' values of each feature ``f`` the tree splits on."""
+        out = np.empty(n, dtype=np.intp)
+        stack = [(self.root, np.arange(n))]
         while stack:
             node, idx = stack.pop()
             if node < 0:
-                out[idx] = self.leaf_value[~node]
+                out[idx] = ~node
                 continue
-            go_left = features[idx, self.split_feature[node] - 1] <= self.threshold[node]
+            go_left = columns[self.split_feature[node]][idx] <= self.threshold[node]
             stack.append((self.right_child[node], idx[~go_left]))
             stack.append((self.left_child[node], idx[go_left]))
         return out
+
+    def predict_batch(self, features: np.ndarray) -> np.ndarray:
+        features = np.asarray(features, dtype=np.float64)
+        columns = {f: features[:, f - 1] for f in self.used_features}
+        return np.asarray(self.leaf_value)[self.leaves(columns, features.shape[0])]
 
 
 class _GrowLeaf:

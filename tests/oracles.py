@@ -1,8 +1,10 @@
 """Reference implementations that the tests hold the shipped kernels to.
 
-Each computes one query or one row at a time, the plain way, so that a
-batched kernel in ``ilmart`` has something independent to agree with.
+Each computes one query, one row or one tree leaf at a time, the plain way,
+so that a batched kernel in ``ilmart`` has something independent to agree
+with.
 """
+import bisect
 import math
 
 import numpy as np
@@ -49,6 +51,31 @@ def additive_score(shapes, surfaces, features) -> float:
 def tree_sum(model, X) -> np.ndarray:
     """Scores of the trees the model's tables were summed from."""
     return sum(t.predict_batch(X) for t in model.main_trees + model.interaction_trees)
+
+
+def oracle_effect_table(trees, features):
+    """``(breakpoints, values)`` of one effect's table, built by painting
+    boxes: each tree is walked from its root, and each leaf adds its value to
+    the box of cells whose inputs reach it. A split on ``threshold ==
+    breakpoints[m]`` sends cells ``<= m`` left and the rest right."""
+    breakpoints = [np.unique(np.concatenate([t.thresholds_for(f) for t in trees]
+                                            + [np.empty(0)])) for f in features]
+    values = np.zeros(tuple(b.size + 1 for b in breakpoints))
+    axis = {f: k for k, f in enumerate(features)}
+    cuts = [b.tolist() for b in breakpoints]
+    for tree in trees:
+        stack = [(tree.root, tuple((0, n) for n in values.shape))]
+        while stack:
+            node, box = stack.pop()
+            if node < 0:
+                values[tuple(slice(lo, hi) for lo, hi in box)] += tree.leaf_value[~node]
+                continue
+            k = axis[tree.split_feature[node]]
+            lo, hi = box[k]
+            cut = bisect.bisect_left(cuts[k], tree.threshold[node]) + 1
+            stack.append((tree.right_child[node], box[:k] + ((max(lo, cut), hi),) + box[k + 1:]))
+            stack.append((tree.left_child[node], box[:k] + ((lo, min(hi, cut)),) + box[k + 1:]))
+    return breakpoints, values
 
 
 def swap_oracle(labels, scores, truncation):

@@ -216,6 +216,12 @@ def test_compare_refuses_bad_permutations_or_seed(trained_dir, files, capsys, fl
     ("compare", ["--cutoffs", "x"], "bad cutoff list 'x'"),
     ("sweep-interactions", ["--cutoffs", "5,-1"], "cutoffs must be positive integers, got '5,-1'"),
     ("sweep-interactions", ["--step", "0"], "step must be >= 1, got 0"),
+    ("eval", ["--cutoffs", "99999999999999999999999"],
+     "cutoffs must be below 2**63, got '99999999999999999999999'"),
+    ("compare", ["--cutoffs", "10,9223372036854775808"],
+     "cutoffs must be below 2**63, got '10,9223372036854775808'"),
+    ("sweep-interactions", ["--cutoffs", "9223372036854775808"],
+     "cutoffs must be below 2**63, got '9223372036854775808'"),
 ])
 def test_bad_flags_exit_2_before_reading_data(trained_dir, tmp_path, capsys, command, flags,
                                               message):
@@ -302,6 +308,23 @@ def test_num_features_below_model_width_exits_2(trained_dir, files, narrow_model
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: --num-features 2 is below the model width {width}\n"
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("width", ["99999999999999999999999", str(2**63), str(2**62)])
+def test_num_features_numpy_cannot_shape_exits_2(trained_dir, files, tmp_path, capsys, command,
+                                                 width):
+    # numpy refuses these widths before allocating: beyond its dimension
+    # limit, or a first block of rows beyond the address space.
+    args = (["--train", files["train"], "--valid", files["valid"], "--out", str(tmp_path / "o")]
+            if command == "train" else
+            ["--model", str(trained_dir / "model.json"), "--data", files["test"]])
+    capsys.readouterr()
+    assert main([command, *args, "--num-features", width]) == 2
+    data = files["train" if command == "train" else "test"]
+    assert capsys.readouterr().err == \
+        f"error: {data}: {width} features are too many for one matrix\n"
+    assert not (tmp_path / "o").exists()
 
 
 def _readme_commands():

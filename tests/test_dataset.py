@@ -126,6 +126,14 @@ def test_num_features_conflict(tmp_path):
         load_svmlight(write(tmp_path, "1 qid:1 4:1.0\n"), num_features=3)
 
 
+def test_feature_id_numpy_cannot_shape_is_refused(tmp_path):
+    # A first block 10**18 features wide is beyond the address space, and
+    # numpy refuses it before allocating.
+    path = write(tmp_path, "1 qid:1 1:1.0 1000000000000000000:2.0\n")
+    with pytest.raises(DatasetError, match="1000000000000000000 features are too many"):
+        load_svmlight(path)
+
+
 def test_round_trip(tmp_path):
     ds = random_queries(25, 8, seed=3)
     path = tmp_path / "out.txt"

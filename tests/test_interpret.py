@@ -9,6 +9,7 @@ from ilmart import (
     IlmartModel,
     ModelError,
     build_bins,
+    Dataset,
     distill_shapes,
     effect_importance,
     export_shapes,
@@ -23,7 +24,10 @@ from ilmart import (
     TrainConfig,
 )
 
-from oracles import additive_score, tree_sum
+from ilmart.model import tables
+from ilmart.trees import ConstraintRegime, fit_tree
+
+from oracles import additive_score, oracle_effect_table, tree_sum
 from synthdata import letor_like, planted_interaction
 from treespec import make_tree
 
@@ -112,6 +116,44 @@ def test_leaf_walk_skips_unreachable_branches():
     assert surface.breakpoints_i.tolist() == [0.6]
     assert surface.breakpoints_j.tolist() == [0.3]
     assert surface.values.tolist() == [[0.5, -0.5], [0.25, -0.5]]
+
+
+def fitted_effect_trees(seed):
+    """Trees from ``fit_tree`` at 255 bins on tie-heavy gradients, several
+    per effect: single trees on features 1-3 and pair trees on (1, 3) and
+    (2, 4), the two-leaf ones splitting only one of their pair's features."""
+    rng = np.random.default_rng(seed)
+    n = 3000
+    X = np.column_stack([rng.integers(0, 40, n), np.round(rng.random(n), 2),
+                         rng.random(n), rng.integers(0, 300, n)]).astype(float)
+    bins = build_bins(Dataset.from_rows(np.zeros(n, dtype=int), ["q"] * n, X), max_bins=255)
+    regimes = [ConstraintRegime("single", [f]) for f in (1, 2, 3)]
+    regimes += [ConstraintRegime("pair", p) for p in ((1, 3), (2, 4))]
+    trees = []
+    for num_leaves in (2, 8, 32, 32):
+        cfg = TrainConfig(num_leaves=num_leaves, min_data_in_leaf=5)
+        for regime in regimes:
+            grad = np.round(2.0 * np.sin(X @ rng.normal(size=4)) + rng.normal(size=n))
+            trees.append(fit_tree(bins, grad, np.ones(n), regime, cfg))
+    return trees
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_tables_equal_the_box_painting_oracle(seed):
+    trees = fitted_effect_trees(seed)
+    pair_uses = {len(t.used_features) for t in trees if t.constraint_kind == "pair"}
+    assert pair_uses == {1, 2}
+    effects = tables(trees)
+    assert [e.features for e in effects] == [(1,), (2,), (3,), (1, 3), (2, 4)]
+    for effect in effects:
+        group = [t for t in trees if t.constraint_features == effect.features]
+        assert len(group) == 4
+        breakpoints, values = oracle_effect_table(group, effect.features)
+        assert all(np.array_equal(a, b) for a, b in zip(effect.axes, breakpoints, strict=True))
+        assert np.array_equal(effect.values, values)
+        # Each cell's upper breakpoint (+inf past the last) looks up its own value.
+        points = np.meshgrid(*(np.append(bp, np.inf) for bp in effect.axes), indexing="ij")
+        assert np.array_equal(effect.lookup_batch(*points), effect.values)
 
 
 @pytest.fixture(scope="module", params=["planted", "letor"])

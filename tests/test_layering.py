@@ -1,14 +1,21 @@
-"""The package's modules import each other along a DAG, and none imports
-another module's private names.
+"""The package's modules import each other along a DAG, none imports
+another module's private names, and only ``trees`` walks a tree's nodes.
 
-Imports are read from the source with ``ast``, at any depth, so an import
-under ``if TYPE_CHECKING:`` or inside a function counts like any other.
+Imports and attributes are read from the source with ``ast``, at any depth,
+so an import under ``if TYPE_CHECKING:`` or inside a function counts like any
+other.
 """
 import ast
 import pathlib
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "ilmart"
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+# A tree's node encoding: only trees.py follows it, through DecisionTree.leaves.
+NODE_FIELDS = {"root", "left_child", "right_child"}
+
+
+def _parse(name: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
 
 
 def _module(dotted: str):
@@ -24,8 +31,7 @@ def _imports():
     package module: relative or absolute, of a module or of names in it."""
     found = []
     for name in MODULES:
-        tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
+        for node in ast.walk(_parse(name)):
             if isinstance(node, ast.Import):
                 found += [(name, _module(alias.name), ()) for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
@@ -66,3 +72,10 @@ def test_no_module_imports_private_names_of_another():
                for importer, imported, names in _imports() if imported != importer
                for n in names if n.startswith("_")]
     assert private == []
+
+
+def test_only_trees_reads_the_node_encoding():
+    reads = [f"{name}.py:{node.lineno}: .{node.attr}" for name in MODULES if name != "trees"
+             for node in ast.walk(_parse(name))
+             if isinstance(node, ast.Attribute) and node.attr in NODE_FIELDS]
+    assert reads == []
