@@ -333,7 +333,8 @@ def load_svmlight(path, num_features: int | None = None) -> Dataset:
     Each block of lines is parsed and copied straight into its rows of the
     final matrix. The matrix grows its rows in place, by a sixteenth at a time,
     and is cut to the rows read at the end; without ``num_features``, a block
-    wider than the matrix widens it in place.
+    wider than the matrix widens it in place. A matrix that numpy cannot shape
+    or allocate is a :class:`DatasetError` that names its width.
     """
     d = None if num_features is None else int(num_features)
     capacity = _BLOCK_LINES
@@ -357,20 +358,20 @@ def load_svmlight(path, num_features: int | None = None) -> Dataset:
                     _parse_block([line for _, line in kept]) or _parse_lines(kept, path))
                 width = int(fids.max(initial=0))
                 max_fid = max(max_fid, width)
-                if features is None:
-                    try:
-                        features = np.zeros((capacity, max(width if d is None else d, 0)))
-                    except ValueError:      # a width numpy cannot shape at all
-                        raise DatasetError(f"{path}: {width if d is None else d} features "
-                                           "are too many for one matrix") from None
                 stop = rows + len(kept)
-                if stop > capacity:
-                    capacity = stop + stop // 16
-                    features.resize((capacity, features.shape[1]), refcheck=False)
-                    labels.resize(capacity, refcheck=False)
-                    linenos.resize(capacity, refcheck=False)
-                if d is None and width > features.shape[1]:
-                    _widen(features, rows, width)
+                try:
+                    if features is None:
+                        features = np.zeros((capacity, max(width if d is None else d, 0)))
+                    if stop > capacity:
+                        capacity = stop + stop // 16
+                        features.resize((capacity, features.shape[1]), refcheck=False)
+                        labels.resize(capacity, refcheck=False)
+                        linenos.resize(capacity, refcheck=False)
+                    if d is None and width > features.shape[1]:
+                        _widen(features, rows, width)
+                except (ValueError, MemoryError):   # a width numpy cannot shape or allocate
+                    raise DatasetError(f"{path}: {max_fid if d is None else d} features "
+                                       "are too many for one matrix") from None
                 labels[rows:stop] = block_labels
                 linenos[rows:stop] = [lineno for lineno, _ in kept]
                 qids.extend([names.setdefault(q, q) for q in block_qids])

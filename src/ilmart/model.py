@@ -239,9 +239,9 @@ def tables(trees) -> list:
     return effects
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Hyper-parameters and stopping rules shared by all three stages."""
+    """Hyper-parameters and stopping rules shared by all three stages; checked when made."""
 
     num_leaves: int = 64
     learning_rate: float = 0.1
@@ -268,9 +268,10 @@ class TrainConfig:
     @classmethod
     def from_json(cls, data) -> "TrainConfig":
         """The checked config of a JSON object of ``TrainConfig`` fields."""
-        config = cls(**_known_keys(data, [f.name for f in fields(cls)], "config"))
-        config.validate()
-        return config
+        return cls(**_known_keys(data, [f.name for f in fields(cls)], "config"))
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         for f in fields(self):
@@ -317,7 +318,7 @@ class TrainConfig:
             raise ModelError(f"invalid config: {inert[0]} has no effect in stage 3 "
                              "(in stage3_overrides)")
         try:
-            replace(self, **overrides, stage3_overrides=None).validate()
+            replace(self, **overrides, stage3_overrides=None)
         except ModelError as exc:
             raise ModelError(f"{exc} (in stage3_overrides)") from None
 

@@ -69,20 +69,37 @@ class _Booster:
     def round(self, regime: ConstraintRegime) -> DecisionTree | None:
         """Fit a tree to the lambdas of the current scores, add its leaf
         values to both score vectors and log the validation NDCG. Returns
-        the tree, or None, changing nothing, when it is a stump."""
+        the tree, or None, changing nothing, when it is a stump. A round
+        whose lambdas, leaf values or scores are not all finite raises
+        :class:`ModelError`."""
         cfg = self.cfg
-        gradient, hessian = compute_lambdas(self.plan, self.scores_train, cfg.sigma,
-                                            cfg.lambdarank_norm)
-        tree = fit_tree(self.bins, -gradient, hessian, regime, cfg, self.leaf_of_row)
         rnd = len(self.log) + 1
+        # What overflows here is refused below, so numpy need not warn. Every
+        # sum the tree takes of the lambdas is bounded by their total mass.
+        with np.errstate(over="ignore", invalid="ignore"):
+            gradient, hessian = compute_lambdas(self.plan, self.scores_train, cfg.sigma,
+                                                cfg.lambdarank_norm)
+            mass = np.abs(gradient).sum() + hessian.sum()
+        self._refuse_non_finite(rnd, "lambdas", mass)
+        tree = fit_tree(self.bins, -gradient, hessian, regime, cfg, self.leaf_of_row)
         if tree.is_stump:
             logger.info("stage %d: stopping at round %d (no split has positive gain)",
                         self.stage, rnd)
             return None
-        self.scores_train += np.asarray(tree.leaf_value)[self.leaf_of_row]
-        self.scores_valid += tree.predict_batch(self.valid.features)
+        self._refuse_non_finite(rnd, "leaf values", tree.leaf_value)
+        with np.errstate(over="ignore"):
+            self.scores_train += np.asarray(tree.leaf_value)[self.leaf_of_row]
+            self.scores_valid += tree.predict_batch(self.valid.features)
+        self._refuse_non_finite(rnd, "scores", self.scores_train, self.scores_valid)
         self.log.append((self.stage, rnd, self.evaluator.mean(self.scores_valid)))
         return tree
+
+    def _refuse_non_finite(self, rnd: int, what: str, *arrays) -> None:
+        # A bound on learning_rate could not rule this out: many rounds, a
+        # huge sigma or an unclamped leaf (max_leaf_output 0) overflow too.
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise ModelError(f"stage {self.stage}, round {rnd}: training diverged "
+                             f"({what} are not finite); lower learning_rate")
 
 
 def _boost_stage(booster: _Booster, regime: ConstraintRegime):
@@ -126,7 +143,6 @@ def train_main_effects(train: Dataset, valid: Dataset, cfg: TrainConfig, bins: B
     training and validation rows under ``"train"`` and ``"valid"``: what
     stages 2 and 3 start from.
     """
-    cfg.validate()
     if valid is None:
         raise ModelError("a validation dataset is required for early stopping")
     if train.num_features != valid.num_features:
@@ -155,7 +171,6 @@ def select_interactions(model: IlmartModel, train: Dataset, valid: Dataset,
     stage 1's ``scores_out`` leaves them (they are not modified), and
     ``log`` receives one ``(2, round, valid NDCG)`` entry per round.
     """
-    cfg.validate()
     if model.p < 2:
         logger.warning("stage 2 skipped: only %d main effect(s), pairs need two", model.p)
         return []
@@ -192,7 +207,6 @@ def train_interaction_effects(model: IlmartModel, pairs, train: Dataset,
     rank-truncated evaluation of the pair list behave like the training
     curve itself. ``start_scores`` is as in :func:`select_interactions`.
     """
-    cfg.validate()
     pairs = [tuple(sorted(int(f) for f in p)) for p in pairs]
     if not pairs:
         raise ModelError("stage 3 needs a non-empty pair list")
@@ -215,7 +229,6 @@ def train_interaction_effects(model: IlmartModel, pairs, train: Dataset,
 def train_ilmart(train: Dataset, valid: Dataset, cfg: TrainConfig,
                  bins: BinMapper | None = None) -> IlmartModel:
     """Run the full pipeline; stages 2 and 3 run when interactions are enabled."""
-    cfg.validate()
     if bins is None:
         bins = build_bins(train, cfg.max_bins)
     scores: dict[str, np.ndarray] = {}

@@ -263,10 +263,10 @@ def fit_tree(
 ) -> DecisionTree:
     """Grow one tree on binned data under the given constraint regime.
 
-    The tree's limits are ``cfg``'s: at most ``num_leaves`` leaves (3 for a
-    discovery tree), ``min_data_in_leaf``, ``min_child_hessian`` and
-    ``min_gain`` per split, and leaf values clamped to ``max_leaf_output``
-    with ``lambda_l2`` before ``learning_rate`` scaling.
+    The tree's limits come from ``cfg``, a checked :class:`TrainConfig`: at
+    most ``num_leaves`` leaves (3 for a discovery tree), ``min_data_in_leaf``,
+    ``min_child_hessian`` and ``min_gain`` per split, and leaf values clamped
+    to ``max_leaf_output`` with ``lambda_l2`` before ``learning_rate`` scaling.
 
     Growth is best first. Each leaf is scored on its own histograms: the
     root's are bincounted over every row (the row counts are cached in
@@ -290,13 +290,7 @@ def fit_tree(
     hessians = np.asarray(hessians, dtype=np.float64)
     if gradients.shape != (n,) or hessians.shape != (n,):
         raise ValueError("gradients/hessians must align with the binned rows")
-    if cfg.learning_rate <= 0:
-        raise ValueError(f"learning rate must be > 0, got {cfg.learning_rate}")
-    if cfg.min_data_in_leaf < 1:
-        raise ValueError(f"min_data_in_leaf must be >= 1, got {cfg.min_data_in_leaf}")
     budget = DISCOVERY_LEAVES if regime.kind == "discovery" else cfg.num_leaves
-    if budget < 2:
-        raise ValueError(f"leaf budget must be >= 2, got {budget}")
     min_data = cfg.min_data_in_leaf
 
     tree = DecisionTree([], [], [], [], [], regime.kind, ())
@@ -350,8 +344,9 @@ def fit_tree(
                                                            cands, fid, t, left))
             leaf.hist = None
 
-    tree.leaf_value = [_leaf_value(leaf.totals, cfg.lambda_l2, cfg.learning_rate,
-                                   cfg.max_leaf_output) for leaf in leaves]
+    with np.errstate(over="ignore"):    # an infinite leaf is the caller's to refuse
+        tree.leaf_value = [_leaf_value(leaf.totals, cfg.lambda_l2, cfg.learning_rate,
+                                       cfg.max_leaf_output) for leaf in leaves]
     if leaf_of_row is not None:
         for leaf in leaves:
             leaf_of_row[leaf.rows] = leaf.index

@@ -1,20 +1,25 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ilmart
 from ilmart import load_model, load_svmlight, mean_ndcg
 from ilmart.cli import build_parser, main
 from ilmart.stats import fisher_randomization
 
+from oracles import additive_score
 from synthdata import planted_interaction, single_signal
 
 
@@ -693,3 +698,84 @@ def test_console_entry_point_runs():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 2
+
+
+def test_diverging_run_exits_2(tmp_path, capsys, recwarn):
+    # The first round's leaves are finite, but its scores are so large that
+    # the second round's score differences overflow.
+    train, valid = tmp_path / "train.txt", tmp_path / "valid.txt"
+    planted_interaction(30, 10, seed=1).save_svmlight(train)
+    planted_interaction(10, 10, seed=2).save_svmlight(valid)
+    out = tmp_path / "run"
+    code = main(["train", "--train", str(train), "--valid", str(valid), "--out", str(out),
+                 "--learning-rate", "1e308", "--interactions", "0"])
+    assert code == 2
+    assert capsys.readouterr().err == ("error: stage 1, round 2: training diverged "
+                                       "(lambdas are not finite); lower learning_rate\n")
+    assert not (out / "model.json").exists()
+    assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
+
+
+@pytest.fixture(scope="module")
+def tiny_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("bounds")
+    paths = {"root": root}
+    for name, seed in (("train", 1), ("valid", 2)):
+        paths[name] = str(root / f"{name}.txt")
+        planted_interaction(6, 10, seed=seed, num_features=6).save_svmlight(paths[name])
+    return paths
+
+
+TINY = 5e-324                   # the smallest positive float
+HUGE = 1e308
+BIG_INT = 2**63 - 1
+# TINY, and the powers of ten from 1e-323 to 1e308.
+_MAGNITUDES = st.just(TINY) | st.integers(-323, 308).map(lambda e: 10.0 ** e)
+
+# Values at and near the bounds that TrainConfig accepts. A field left out
+# keeps its default, and every stage stops after 10 rounds or fewer.
+_CONFIGS = st.fixed_dictionaries({
+    "max_rounds_per_stage": st.integers(1, 10),
+    "stage2_max_rounds": st.integers(1, 10),
+    "min_data_in_leaf": st.sampled_from([1, 2, 5, 30]),
+}, optional={
+    "learning_rate": _MAGNITUDES,
+    "sigma": _MAGNITUDES,
+    "lambda_l2": st.just(0.0) | _MAGNITUDES,
+    "max_leaf_output": st.just(0.0) | _MAGNITUDES,
+    "min_child_hessian": st.just(0.0) | _MAGNITUDES,
+    "min_gain": st.sampled_from([0.0, TINY, 1e-3, HUGE]),
+    "truncation": st.sampled_from([1, 2, 10, 11, BIG_INT]),
+    "ndcg_cutoff": st.sampled_from([1, 10, 11, BIG_INT]),
+    "max_bins": st.sampled_from([2, 3, 255, 256, 257, BIG_INT]),
+    "num_leaves": st.sampled_from([2, 3, 8, BIG_INT]),
+    "max_interactions": st.sampled_from([0, 1, 2, BIG_INT]),
+    "early_stopping_rounds": st.sampled_from([1, 2, BIG_INT]),
+    "lambdarank_norm": st.booleans(),
+    "stage3_overrides": st.sampled_from([{"num_leaves": 2, "max_leaf_output": 0.0},
+                                         {"learning_rate": HUGE}, {"sigma": TINY}]),
+})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(config=_CONFIGS)
+def test_train_at_config_bounds_gives_a_finite_model_or_exits_2(tiny_files, config):
+    run = tempfile.mkdtemp(dir=tiny_files["root"])
+    config_path, model_path = os.path.join(run, "config.json"), os.path.join(run, "model.json")
+    with open(config_path, "w", encoding="utf-8") as fh:
+        json.dump(config, fh)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["train", "--train", tiny_files["train"], "--valid", tiny_files["valid"],
+                     "--out", run, "--config", config_path])
+    err = err.getvalue()
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not os.path.exists(model_path)
+        return
+    assert code == 0, err
+    model = load_model(model_path)
+    assert all(np.isfinite(e.values).all() for e in model.shapes + model.surfaces)
+    features = load_svmlight(tiny_files["train"], num_features=model.num_features).features
+    want = [additive_score(model.shapes, model.surfaces, x) for x in features]
+    np.testing.assert_allclose(model.predict_batch(features), want, rtol=0, atol=1e-9)

@@ -134,6 +134,42 @@ def test_feature_id_numpy_cannot_shape_is_refused(tmp_path):
         load_svmlight(path)
 
 
+class _OutOfMemory(np.ndarray):
+    """A matrix whose ``resize`` fails as numpy's does when memory runs out,
+    when it would grow axis ``grow``."""
+
+    grow = 0
+
+    def resize(self, new_shape, refcheck=True):
+        if new_shape[self.grow] > self.shape[self.grow]:
+            raise MemoryError
+        super().resize(new_shape, refcheck=refcheck)
+
+
+@pytest.mark.parametrize("site, width", [("first_block", 2), ("row_growth", 50), ("widen", 50)])
+def test_failed_matrix_allocation_is_refused(tmp_path, monkeypatch, site, width):
+    # Line 601 lies in the second block of lines: it grows the rows past the
+    # first block's, and its feature id 50 widens the matrix. Each allocation
+    # fails by injection, never by asking numpy for that much memory.
+    path = write(tmp_path, "1 qid:1 1:1.0 2:0.5\n" * 600 + "0 qid:2 50:1.0\n")
+    zeros = np.zeros
+
+    def failing_zeros(shape, *args, **kwargs):
+        if shape != (_BLOCK_LINES, 2):          # not the feature matrix
+            return zeros(shape, *args, **kwargs)
+        if site == "first_block":
+            raise MemoryError
+        matrix = _OutOfMemory(shape)            # owns its data, so it can resize
+        matrix.grow = 0 if site == "row_growth" else 1
+        matrix.fill(0.0)
+        return matrix
+
+    monkeypatch.setattr(dataset.np, "zeros", failing_zeros)
+    with pytest.raises(DatasetError) as info:
+        load_svmlight(path)
+    assert str(info.value) == f"{path}: {width} features are too many for one matrix"
+
+
 def test_round_trip(tmp_path):
     ds = random_queries(25, 8, seed=3)
     path = tmp_path / "out.txt"

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import json
 import math
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ilmart import (
+    ConstraintRegime,
     Dataset,
     IlmartModel,
     ModelError,
@@ -210,6 +212,55 @@ def test_empty_model_predicts_zero():
 def test_learning_rate_zero_rejected():
     with pytest.raises(ModelError, match="learning_rate"):
         small_cfg(learning_rate=0.0).validate()
+
+
+def test_config_is_frozen_and_checked_whenever_made():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        TrainConfig().learning_rate = 0.0
+    for make in (lambda: TrainConfig(learning_rate=0.0),
+                 lambda: replace(TrainConfig(), learning_rate=0.0),
+                 lambda: TrainConfig.from_json({"learning_rate": 0})):
+        with pytest.raises(ModelError) as info:
+            make()
+        assert str(info.value) == "invalid config: learning_rate must be > 0"
+
+
+def test_stage3_overrides_edited_in_place_are_refused_on_save(tmp_path):
+    # The overrides are a dict, which a frozen config still lets a caller edit.
+    model = IlmartModel(3, config=small_cfg(stage3_overrides={}))
+    model.config.stage3_overrides["max_bins"] = 4
+    with pytest.raises(ModelError, match="max_bins has no effect in stage 3"):
+        save_model(model, tmp_path / "model.json")
+    assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    # Every hessian is finite, but their sum is not.
+    (dict(sigma=1e154), "stage 1, round 1: training diverged (lambdas are not finite)"),
+    (dict(learning_rate=1e308, sigma=0.1, max_leaf_output=0.0),
+     "stage 1, round 1: training diverged (leaf values are not finite)"),
+])
+def test_diverging_training_is_refused(recwarn, config, message):
+    train = planted_interaction(30, 10, seed=1)
+    valid = planted_interaction(10, 10, seed=2)
+    with pytest.raises(ModelError) as info:
+        train_ilmart(train, valid, TrainConfig(max_interactions=0, **config))
+    assert str(info.value) == f"{message}; lower learning_rate"
+    assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
+
+
+def test_a_round_refuses_validation_scores_that_overflow():
+    import ilmart.trainer as trainer
+
+    train = planted_interaction(30, 10, seed=1)
+    valid = planted_interaction(10, 10, seed=2)
+    start = {"train": np.zeros(train.num_rows), "valid": np.full(valid.num_rows, 1.7e308)}
+    booster = trainer._Booster(1, train, build_bins(train), valid,
+                               TrainConfig(learning_rate=1e308), start)
+    with pytest.raises(ModelError) as info:
+        booster.round(ConstraintRegime("single", range(1, train.num_features + 1)))
+    assert str(info.value) == ("stage 1, round 1: training diverged (scores are not finite); "
+                               "lower learning_rate")
 
 
 @pytest.mark.parametrize("field, value, kind", [
