@@ -226,11 +226,9 @@ def train_interaction_effects(model: IlmartModel, pairs, train: Dataset,
                    best_valid_ndcg=best)
 
 
-def train_ilmart(train: Dataset, valid: Dataset, cfg: TrainConfig,
-                 bins: BinMapper | None = None) -> IlmartModel:
+def train_ilmart(train: Dataset, valid: Dataset, cfg: TrainConfig) -> IlmartModel:
     """Run the full pipeline; stages 2 and 3 run when interactions are enabled."""
-    if bins is None:
-        bins = build_bins(train, cfg.max_bins)
+    bins = build_bins(train, cfg.max_bins)
     scores: dict[str, np.ndarray] = {}
     model = train_main_effects(train, valid, cfg, bins, scores_out=scores)
     if cfg.max_interactions > 0 and model.p >= 2:

@@ -20,12 +20,11 @@ constraints apart from its tree parameters.
 
 Split search works on histograms of the feature-major binned matrix (the
 layout of LightGBM, Ke et al. 2017), one leaf at a time. A scored leaf keeps
-its histograms, one per candidate feature, each over a bin range that holds
-all of its rows. When it splits on feature f at bin t, every bin of f goes
-wholly to one child, so each child's histogram on f is the parent's on its
-side of t, sliced within the bins the parent's rows occupy, with no
-bincount; the other candidates are bincounted over the child's rows, within
-the bins the parent's rows occupy. A single-feature tree therefore never
+its histograms, one per candidate feature, each indexed by the feature's own
+bins. When it splits on feature f at bin t, every bin of f goes wholly to
+one child, so each child's histogram on f is the parent's on its side of t,
+copied without a bincount, and empty on the other side; the other
+candidates are bincounted over the child's rows. A single-feature tree never
 bincounts below the root, and a pair tree bincounts only the partner feature.
 A leaf with fewer than ``2 * min_data_in_leaf`` rows cannot split and is
 never scored. Every histogram cell sums the same rows in the same order as a
@@ -146,11 +145,11 @@ class DecisionTree:
 
 class _GrowLeaf:
     """A leaf of a growing tree and, once scored, the histograms it was
-    scored on: ``hist[:, j, p]`` holds the gradient sum, hessian sum and row
-    count of the leaf's rows in bin ``start[j] + p`` of feature ``cands[j]``,
-    the candidates side by side and padded with empty bins to one width."""
+    scored on: ``hist[:, j, b]`` holds the gradient sum, hessian sum and row
+    count of the leaf's rows in bin ``b`` of feature ``cands[j]``, the
+    candidates side by side and padded with empty bins to the widest."""
 
-    __slots__ = ("rows", "index", "slot", "totals", "cands", "hist", "start")
+    __slots__ = ("rows", "index", "slot", "totals", "cands", "hist")
 
     def __init__(self, rows, index, slot, grad, hess):
         self.rows = rows            # ascending row indices
@@ -159,15 +158,9 @@ class _GrowLeaf:
         # gradient sum, hessian sum (over the rows, in row order) and row count
         self.totals = np.array([grad.sum(), hess.sum(), rows.size])
 
-    def occupied(self) -> tuple[list[int], list[int]]:
-        """Per candidate, the first and one-past-last position holding rows."""
-        nonempty = self.hist[2] > 0
-        return (nonempty.argmax(axis=1).tolist(),
-                (nonempty.shape[1] - nonempty[:, ::-1].argmax(axis=1)).tolist())
-
 
 def _root_histograms(bins, gradients, hessians, cands):
-    """``(hist, start)`` of the leaf that holds every row; counts are cached."""
+    """The histograms of the leaf that holds every row; counts are cached."""
     hist = np.zeros((3, len(cands), max(bins.num_bins(f) for f in cands)))
     for j, fid in enumerate(cands):
         col = bins.binned[:, fid - 1].astype(np.intp)   # bincount would cast it twice
@@ -175,51 +168,43 @@ def _root_histograms(bins, gradients, hessians, cands):
         hist[0, j, :width] = np.bincount(col, weights=gradients, minlength=width)
         hist[1, j, :width] = np.bincount(col, weights=hessians, minlength=width)
         hist[2, j, :width] = bins.counts[fid - 1]
-    return hist, [0] * len(cands)
+    return hist
 
 
-def _child_histograms(bins, parent, occupied, rows, grad, hess, cands, fid, t, left):
-    """``(hist, start)`` over ``cands`` of the ``left`` or right child of
-    ``parent``, split on ``fid`` at bin ``t``; the child holds ``rows``, whose
-    values are ``grad`` and ``hess``, and ``occupied`` is ``parent.occupied()``.
+def _child_histograms(bins, parent, rows, grad, hess, cands, fid, t, left):
+    """The histograms over ``cands`` of the ``left`` or right child of
+    ``parent``, split on ``fid`` at bin ``t``; the child holds ``rows``,
+    whose values are ``grad`` and ``hess``.
 
     Every bin of ``fid`` goes wholly to one side, so the child's histogram
-    on ``fid`` is the parent's cut at ``t``: the same rows summed in the same
-    order. Each other candidate is bincounted over the child's rows, within
-    the bins the parent's rows occupy.
+    on ``fid`` is the parent's on its side of ``t``: the same rows summed in
+    the same order. Each other candidate is bincounted over the child's rows.
     """
-    parts = []                          # (start, width, inherited histogram or None)
-    for f in cands:
-        j = parent.cands.index(f)
-        lo, hi = occupied[0][j], occupied[1][j]
-        block = None
+    hist = np.zeros((3, len(cands), max(bins.num_bins(f) for f in cands)))
+    for j, f in enumerate(cands):
         if f == fid:
-            cut = t + 1 - parent.start[j]
-            lo, hi = (lo, cut) if left else (cut, hi)
-            block = parent.hist[:, j, lo:hi]
-        parts.append((parent.start[j] + lo, hi - lo, block))
-    hist = np.zeros((3, len(parts), max(width for _, width, _ in parts)))
-    for j, (f, (start, width, block)) in enumerate(zip(cands, parts)):
-        if block is not None:
-            hist[:, j, :width] = block
+            side = slice(None, t + 1) if left else slice(t + 1, bins.num_bins(f))
+            hist[:, j, side] = parent.hist[:, parent.cands.index(f), side]
             continue
-        idx = np.subtract(bins.binned[:, f - 1][rows], start, dtype=np.intp)
-        hist[0, j, :width] = np.bincount(idx, weights=grad, minlength=width)
-        hist[1, j, :width] = np.bincount(idx, weights=hess, minlength=width)
-        hist[2, j, :width] = np.bincount(idx, minlength=width)
-    return hist, [start for start, _, _ in parts]
+        col = bins.binned[:, f - 1][rows].astype(np.intp)
+        width = bins.num_bins(f)
+        hist[0, j, :width] = np.bincount(col, weights=grad, minlength=width)
+        hist[1, j, :width] = np.bincount(col, weights=hess, minlength=width)
+        hist[2, j, :width] = np.bincount(col, minlength=width)
+    return hist
 
 
 def _best_split(leaf, min_data, min_gain, l2, hess_floor):
     """The leaf's best (gain, feature, bin) over ``leaf.hist``, or None.
 
     One ``cumsum`` gives every cut's left sums and the totals its right
-    sums. A cut at or past a candidate's last occupied bin, padding
-    included, has no rows on its right and fails ``min_data >= 1``, so no
-    mask of real bins is needed. The flat ``argmax`` finds the first
-    maximum in (feature, position) order: the lowest feature id, then the
-    lowest bin. Division by a zero denominator (only ever at a cut that the
-    hessian floor rejects) must be silenced by the caller.
+    sums. A cut below a candidate's lowest nonempty bin has no rows on its
+    left, and a cut at or past its highest, padding included, none on its
+    right; both fail ``min_data >= 1``, so no mask of real bins is needed.
+    The flat ``argmax`` finds the first maximum in (feature, bin) order: the
+    lowest feature id, then the lowest bin. Division by a zero denominator
+    (only ever at a cut that the hessian floor rejects) and overflow must be
+    silenced by the caller.
     """
     g_total, h_total, _ = leaf.totals
     denom = h_total + l2
@@ -240,7 +225,7 @@ def _best_split(leaf, min_data, min_gain, l2, hess_floor):
     gain = gains[j, p]
     if not gain > threshold:
         return None
-    return float(gain), leaf.cands[j], leaf.start[j] + p
+    return float(gain), leaf.cands[j], p
 
 
 def _leaf_value(totals, l2, learning_rate, max_output) -> float:
@@ -271,9 +256,9 @@ def fit_tree(
     Growth is best first. Each leaf is scored on its own histograms: the
     root's are bincounted over every row (the row counts are cached in
     ``bins``), and a child inherits its parent's histogram on the split
-    feature as a slice and bincounts the other candidates over its own rows,
-    within the bins its parent's rows occupy. One ``cumsum`` over the
-    leaf's padded (3 x candidates x occupied bins) array scores every cut.
+    feature on its side of the cut and bincounts the other candidates over
+    its own rows. One ``cumsum`` over the leaf's (3 x candidates x bins)
+    array, padded to the widest candidate, scores every cut.
     Open leaves wait on a heap keyed (-gain, feature, bin, creation order),
     so the lowest feature, then the lowest bin, then the oldest leaf wins a
     tie. A leaf's value comes from its row sums, taken in row order.
@@ -300,8 +285,8 @@ def fit_tree(
     created = itertools.count()
     hess_floor = max(cfg.min_child_hessian, np.finfo(np.float64).tiny)
 
-    def score(leaf, cands, hist, start):
-        leaf.cands, leaf.hist, leaf.start = cands, hist, start
+    def score(leaf, cands, hist):
+        leaf.cands, leaf.hist = cands, hist
         best = _best_split(leaf, min_data, cfg.min_gain, cfg.lambda_l2, hess_floor)
         if best is None:
             leaf.hist = None
@@ -311,9 +296,12 @@ def fit_tree(
     # The candidates change only at the root split. A leaf too small to
     # give both children min_data rows cannot split and is not scored.
     cands = [f for f in regime.candidates(None) if bins.num_bins(f) >= 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # At a tiny hessian floor G^2/H can overflow: an infinite gain wins its
+    # leaf, and a NaN gain (inf - inf), which argmax picks first, fails the
+    # threshold and leaves the leaf unsplit.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if cands and n >= 2 * min_data:
-            score(root, cands, *_root_histograms(bins, gradients, hessians, cands))
+            score(root, cands, _root_histograms(bins, gradients, hessians, cands))
         while heap and len(leaves) < budget:
             _, fid, t, _, leaf = heapq.heappop(heap)
             go_left = bins.binned[:, fid - 1][leaf.rows] <= t
@@ -329,7 +317,6 @@ def fit_tree(
             tree.right_child.append(~(split + 1))
             # The split that fills the budget leaves its children unscored.
             more = len(leaves) + 1 < budget
-            occupied = leaf.occupied() if more else None
             for left, rows, index, slot in (
                     (True, leaf.rows[go_left], leaf.index, (tree.left_child, split)),
                     (False, leaf.rows[~go_left], split + 1, (tree.right_child, split))):
@@ -340,8 +327,8 @@ def fit_tree(
                 else:
                     leaves.append(child)
                 if more and cands and rows.size >= 2 * min_data:
-                    score(child, cands, *_child_histograms(bins, leaf, occupied, rows, grad, hess,
-                                                           cands, fid, t, left))
+                    score(child, cands, _child_histograms(bins, leaf, rows, grad, hess,
+                                                          cands, fid, t, left))
             leaf.hist = None
 
     with np.errstate(over="ignore"):    # an infinite leaf is the caller's to refuse

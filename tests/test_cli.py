@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import re
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ilmart
-from ilmart import load_model, load_svmlight, mean_ndcg
+from ilmart import load_model, load_svmlight, mean_ndcg, save_model
 from ilmart.cli import build_parser, main
 from ilmart.stats import fisher_randomization
 
@@ -125,6 +126,14 @@ def test_predict_matches_library(trained_dir, files, tmp_path):
         assert float(score) == want[i]
 
 
+def test_predict_without_out_writes_to_stdout(trained_dir, files, tmp_path, capsys):
+    argv = ["predict", "--model", str(trained_dir / "model.json"), "--data", files["test"]]
+    assert main(argv + ["--out", str(tmp_path / "scores.csv")]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (tmp_path / "scores.csv").read_text()
+
+
 def test_predict_quotes_qids_that_need_it(trained_dir, tmp_path):
     data = tmp_path / "odd_qids.txt"
     data.write_text('2 qid:a,b 1:0.9 2:0.1\n0 qid:a,b 1:0.2\n1 qid:"c" 1:0.5 4:0.7\n'
@@ -162,6 +171,31 @@ def test_sweep_endpoints_match_trivial_cases(trained_dir, files, tmp_path):
     for col, k in ((1, 1), (2, 5), (3, 10)):
         assert float(body[0][col]) == stage1.mean[k]
         assert float(body[-1][col]) == full.mean[k]
+
+
+def test_sweep_step_keeps_every_step_and_the_last_row(trained_dir, files, tmp_path):
+    # An odd number of pairs, at least 3: the trained ones, and if they are
+    # even, a copy of the first on a new pair.
+    model = load_model(trained_dir / "model.json")
+    surfaces = list(model.surfaces)
+    if len(surfaces) % 2 == 0:
+        new_pair = next(pair for pair in itertools.combinations(sorted(model.main_features), 2)
+                        if pair not in model.interaction_pairs)
+        surfaces.append(replace(surfaces[0], pair=new_pair))
+    total = len(surfaces)
+    assert total >= 3
+    odd = tmp_path / "odd.json"
+    save_model(replace(model, surfaces=surfaces), odd)
+    rows = {}
+    for step in (1, 2):
+        out_file = tmp_path / f"sweep{step}.csv"
+        assert main(["sweep-interactions", "--model", str(odd), "--data", files["test"],
+                     "--step", str(step), "--out", str(out_file)]) == 0
+        rows[step] = out_file.read_text().splitlines()
+    assert rows[2][0] == f"# model: {odd} K={total}"
+    kept = [*range(0, total, 2), total]
+    assert [int(line.split(",")[0]) for line in rows[2][2:]] == kept
+    assert rows[2][2:] == [rows[1][2 + k] for k in kept]
 
 
 def test_sweep_on_stage1_model_single_row(files, tmp_path):
@@ -486,6 +520,14 @@ def _damage(data, damage):
         data["training_log"][0] = ["1", True, "0.5"]
     elif damage == "string_best_ndcg":
         data["metadata"]["best_valid_ndcg"] = "high"
+    elif damage == "huge_integer_breakpoint":
+        main["breakpoints"][0] = 10**399
+    elif damage == "number_as_main_effect":
+        data["main_effects"][0] = 1
+    elif damage == "one_feature_pair":
+        pair["pair"] = [1]
+    elif damage == "number_as_main_effects":
+        data["main_effects"] = 5
     else:
         raise AssertionError(damage)
 
@@ -504,13 +546,17 @@ def _damage(data, damage):
                                     "string_log_entry", "string_best_ndcg",
                                     "float_num_leaves", "string_lambdarank_norm",
                                     "inert_stage3_override", "unknown_main_effect_key",
-                                    "missing_main_feature", "infinite_sigma"])
+                                    "missing_main_feature", "infinite_sigma",
+                                    "huge_integer_breakpoint", "number_as_main_effect",
+                                    "one_feature_pair", "number_as_main_effects"])
 def test_malformed_model_file_exits_2(trained_dir, files, tmp_path, capsys, damage):
     text = (trained_dir / "model.json").read_text()
+    data = json.loads(text)
+    # the main effect that _damage breaks
+    feature = next(e["feature"] for e in data["main_effects"] if len(e["breakpoints"]) >= 2)
     if damage == "truncated_json":
         text = text[: len(text) // 2]
     else:
-        data = json.loads(text)
         _damage(data, damage)
         text = json.dumps(data)
     bad = tmp_path / "model.json"
@@ -519,6 +565,14 @@ def test_malformed_model_file_exits_2(trained_dir, files, tmp_path, capsys, dama
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and len(err.splitlines()) == 1
+    message = {
+        "huge_integer_breakpoint": f"main_{feature}: breakpoints must be finite",
+        "number_as_main_effect": "main effect must be an object",
+        "one_feature_pair": "pair effect pair must be two feature ids, got [1]",
+        "number_as_main_effects": "malformed model file ('int' object is not iterable)",
+    }.get(damage)
+    if message is not None:
+        assert err == f"error: {bad}: {message}\n"
 
 
 def test_v3_model_file_is_refused(trained_dir, files, tmp_path, capsys):
@@ -639,6 +693,17 @@ def test_config_that_is_not_json_exits_2(files, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: config file {config} is not valid JSON") \
         and len(err.splitlines()) == 1
+
+
+def test_config_that_is_not_an_object_exits_2(files, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text("[1]")
+    out = tmp_path / "run"
+    code = main(["train", "--train", files["train"], "--valid", files["valid"],
+                 "--out", str(out), "--config", str(config)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: config file {config} must hold a JSON object\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", [

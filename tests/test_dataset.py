@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import tempfile
 import tracemalloc
 
@@ -79,6 +80,12 @@ def test_from_rows_accepts_integral_labels_of_any_type():
 def test_non_integer_label(tmp_path):
     with pytest.raises(DatasetError, match="non-integer label"):
         load_svmlight(write(tmp_path, "1.5 qid:1 1:1\n"))
+
+
+def test_label_that_is_not_a_number_names_its_line(tmp_path):
+    path = write(tmp_path, "x qid:1 1:0\n")
+    with pytest.raises(DatasetError, match=f"^{re.escape(path)}:1: non-integer label 'x'$"):
+        load_svmlight(path)
 
 
 def test_float_text_but_integral_label_accepted(tmp_path):

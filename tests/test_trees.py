@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from ilmart import Dataset, TrainConfig, build_bins
 from ilmart.trees import ConstraintRegime, DecisionTree, fit_tree
 
-from synthdata import random_queries
+from synthdata import planted_interaction, random_queries
 from treespec import make_tree
 
 
@@ -263,6 +264,27 @@ def test_leaf_output_clamp_binds_on_degenerate_hessians():
     tree = fit_tree(bins, grad, hess, ConstraintRegime("single", [1]), cfg)
     values = sorted(tree.leaf_value)
     assert values == [-10.0, 10.0]
+
+
+@pytest.mark.parametrize("regime", [ConstraintRegime("single", range(1, 11)),
+                                    ConstraintRegime("pair", (4, 5)),
+                                    ConstraintRegime("discovery", range(1, 11))],
+                         ids=["single", "pair", "discovery"])
+@pytest.mark.parametrize("balanced", [False, True], ids=["normal", "balanced"])
+def test_split_search_at_a_tiny_hessian_floor_raises_no_warning(regime, balanced):
+    # G^2/H overflows to inf. With normal gradients the root's own term is
+    # inf, so no gain clears it and the root stays a leaf; with gradients
+    # that sum to zero the root's term is 0 and an infinite gain splits it.
+    bins = build_bins(planted_interaction(4, 10, seed=1), 8)
+    n = bins.num_rows
+    grad = (np.where(np.arange(n) % 2 == 0, 1.0, -1.0) if balanced
+            else np.random.default_rng(0).normal(size=n)) * 1e160
+    hess = np.full(n, 1e-300)
+    cfg = TrainConfig(min_child_hessian=0.0, min_data_in_leaf=1, num_leaves=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tree = fit_tree(bins, grad, hess, regime, cfg)
+    assert bool(tree.split_feature) == balanced
 
 
 def test_stump_predicts_its_value():
