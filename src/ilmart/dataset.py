@@ -16,7 +16,8 @@ with one ``np.loadtxt`` call. A block goes line by line through
 any of its lines is not plain ASCII ``<label> qid:<qid> <fid>:<value> ...``
 with single spaces between tokens and numbers that ``int()``/``float()`` and
 numpy read alike, or breaks a rule of the format (a label outside
-``[0, MAX_LABEL]``, a feature id below 1, a repeated id in a line). That
+``[0, MAX_LABEL]``, a feature id below 1, a repeated id in a line, a value
+that is not finite). That
 covers bad lines, so the first one in the file is the one reported, and odd
 but valid ones: tabs or runs of spaces, ``1_0``, non-ASCII digits. Each
 parsed block goes straight into its rows of the final matrix.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -56,11 +58,8 @@ class Dataset:
     query_groups: list[np.ndarray]
 
     @classmethod
-    def from_rows(cls, labels, qids, features, where=None) -> "Dataset":
-        """Build a dataset, rejecting non-finite feature values.
-
-        ``where(r)`` names row ``r`` in the error message (default "row r").
-        """
+    def from_rows(cls, labels, qids, features) -> "Dataset":
+        """Build a dataset, rejecting non-finite feature values."""
         features = np.ascontiguousarray(features, dtype=np.float64)
         # Checked as floats: the int32 cast would truncate a fraction and wrap a wide integer.
         labels = np.asarray(labels, dtype=np.float64)
@@ -81,8 +80,7 @@ class Dataset:
             if not finite.all():
                 r, k = np.argwhere(~finite)[0].tolist()
                 r += start
-                at = where(r) if where else f"row {r}"
-                raise DatasetError(f"{at}: non-finite value {float(features[r, k])!r} "
+                raise DatasetError(f"row {r}: non-finite value {float(features[r, k])!r} "
                                    f"for feature {k + 1}")
         groups: dict[str, list[int]] = {}
         for i, q in enumerate(qids):
@@ -217,6 +215,8 @@ def _parse_line(tokens: list[str], where: str):
             val = float(val_s)
         except ValueError:
             raise DatasetError(f"{where}: bad feature value {val_s!r}") from None
+        if not math.isfinite(val):
+            raise DatasetError(f"{where}: non-finite value {val!r} for feature {fid}")
         fids.append(fid)
         vals.append(val)
     return label, qid, np.asarray(fids, dtype=np.intp), np.asarray(vals)
@@ -275,11 +275,13 @@ def _parse_block(lines: list[str]):
     table = table.view(np.int64).reshape(len(lines), 2 * width + 1)
     labels = table[:, 0].view(np.float64)
     fids = table[:, 1::2]
+    values = table[:, 2::2].view(np.float64)
     # The padding ids are 0, so every real id is >= 1 when counts.sum() ids are.
     if not (np.all((labels >= 0) & (labels <= MAX_LABEL) & (labels == np.floor(labels)))
-            and np.count_nonzero(fids > 0) == counts.sum() and _distinct_per_row(fids)):
+            and np.count_nonzero(fids > 0) == counts.sum() and _distinct_per_row(fids)
+            and np.isfinite(values).all()):
         return None
-    return labels.astype(np.int32), qids, fids, table[:, 2::2].view(np.float64)
+    return labels.astype(np.int32), qids, fids, values
 
 
 def _distinct_per_row(fids: np.ndarray) -> bool:
@@ -340,7 +342,6 @@ def load_svmlight(path, num_features: int | None = None) -> Dataset:
     capacity = _BLOCK_LINES
     features = None                 # made at the first block, when the width is known
     labels = np.zeros(capacity, dtype=np.int32)
-    linenos = np.zeros(capacity, dtype=np.int64)
     qids: list[str] = []
     names: dict[str, str] = {}      # one string per query id, shared by its rows
     rows = max_fid = 0
@@ -366,14 +367,12 @@ def load_svmlight(path, num_features: int | None = None) -> Dataset:
                         capacity = stop + stop // 16
                         features.resize((capacity, features.shape[1]), refcheck=False)
                         labels.resize(capacity, refcheck=False)
-                        linenos.resize(capacity, refcheck=False)
                     if d is None and width > features.shape[1]:
                         _widen(features, rows, width)
                 except (ValueError, MemoryError):   # a width numpy cannot shape or allocate
                     raise DatasetError(f"{path}: {max_fid if d is None else d} features "
                                        "are too many for one matrix") from None
                 labels[rows:stop] = block_labels
-                linenos[rows:stop] = [lineno for lineno, _ in kept]
                 qids.extend([names.setdefault(q, q) for q in block_qids])
                 # A block wider than --num-features fails below; it is not stored.
                 if d is None or width <= d:
@@ -390,8 +389,7 @@ def load_svmlight(path, num_features: int | None = None) -> Dataset:
         )
     features.resize((rows, features.shape[1]), refcheck=False)
     labels.resize(rows, refcheck=False)
-    return Dataset.from_rows(labels, qids, features,
-                             where=lambda r: f"{path}:{linenos[r]}")
+    return Dataset.from_rows(labels, qids, features)
 
 
 @dataclass

@@ -155,8 +155,9 @@ class _GrowLeaf:
         self.rows = rows            # ascending row indices
         self.index = index          # leaf number in the finished tree
         self.slot = slot            # (child list, split) that points at the leaf; None at the root
-        # gradient sum, hessian sum (over the rows, in row order) and row count
-        self.totals = np.array([grad.sum(), hess.sum(), rows.size])
+        # gradient sum, hessian sum (over the rows, in row order) and row
+        # count; np.add.reduce is what .sum() calls, without its wrapper
+        self.totals = np.array([np.add.reduce(grad), np.add.reduce(hess), rows.size])
 
 
 def _root_histograms(bins, gradients, hessians, cands):
@@ -194,19 +195,25 @@ def _child_histograms(bins, parent, rows, grad, hess, cands, fid, t, left):
     return hist
 
 
-def _best_split(leaf, min_data, min_gain, l2, hess_floor):
+def _best_split(leaf, floors, min_gain, l2):
     """The leaf's best (gain, feature, bin) over ``leaf.hist``, or None.
 
+    ``floors`` is the (2, 1, 1) array of the hessian floor and
+    ``min_data``, the least hessian sum and row count of either side of a
+    cut.
+
     One ``cumsum`` gives every cut's left sums and the totals its right
-    sums. A cut below a candidate's lowest nonempty bin has no rows on its
-    left, and a cut at or past its highest, padding included, none on its
-    right; both fail ``min_data >= 1``, so no mask of real bins is needed.
+    sums, side by side in one array; the gains are formed in place in that
+    array, and ``leaf.hist`` and ``leaf.totals`` are only read. A cut below
+    a candidate's lowest nonempty bin has no rows on its left, and a cut at
+    or past its highest, padding included, none on its right; both fail
+    ``min_data >= 1``, so no mask of real bins is needed.
     The flat ``argmax`` finds the first maximum in (feature, bin) order: the
     lowest feature id, then the lowest bin. Division by a zero denominator
     (only ever at a cut that the hessian floor rejects) and overflow must be
     silenced by the caller.
     """
-    g_total, h_total, _ = leaf.totals
+    g_total, h_total, _ = leaf.totals.tolist()   # floats: numpy scalars' bits, called faster
     denom = h_total + l2
     parent = g_total * g_total / denom if denom > 0 else 0.0
     # Summation noise can make a mathematically zero gain come out at
@@ -216,11 +223,17 @@ def _best_split(leaf, min_data, min_gain, l2, hess_floor):
     sides = np.empty((2,) + leaf.hist.shape)         # left, right
     np.cumsum(leaf.hist, axis=2, out=sides[0])
     np.subtract(leaf.totals[:, None, None], sides[0], out=sides[1])
-    g, h, c = sides[:, 0], sides[:, 1], sides[:, 2]
-    d = h + l2
-    ok = (c >= min_data) & (d >= hess_floor)
-    terms = g * g / d
-    gains = np.where(ok[0] & ok[1], terms[0] + terms[1] - parent, -np.inf)
+    g, h = sides[:, 0], sides[:, 1]
+    if l2:                  # adding 0 changes no hessian that the floor keeps
+        h += l2
+    # A cut needs both sides' hessian sums and row counts at their floors.
+    ok = np.logical_and.reduce(sides[:, 1:] >= floors, axis=(0, 1))
+    g *= g
+    g /= h
+    gains = g[0]
+    gains += g[1]
+    gains -= parent
+    np.copyto(gains, -np.inf, where=~ok)
     j, p = divmod(int(gains.argmax()), gains.shape[1])
     gain = gains[j, p]
     if not gain > threshold:
@@ -284,10 +297,11 @@ def fit_tree(
     heap = []                           # (-gain, feature, bin, creation order, leaf)
     created = itertools.count()
     hess_floor = max(cfg.min_child_hessian, np.finfo(np.float64).tiny)
+    floors = np.array([hess_floor, min_data], dtype=np.float64)[:, None, None]
 
     def score(leaf, cands, hist):
         leaf.cands, leaf.hist = cands, hist
-        best = _best_split(leaf, min_data, cfg.min_gain, cfg.lambda_l2, hess_floor)
+        best = _best_split(leaf, floors, cfg.min_gain, cfg.lambda_l2)
         if best is None:
             leaf.hist = None
         else:

@@ -422,8 +422,9 @@ def _oracle_parse_label(token, where):
 
 
 def oracle_load_svmlight(path, num_features=None):
-    """The loader as it was before bulk parsing: one Python step per token."""
-    labels, qids, linenos, parsed_rows = [], [], [], []
+    """The loader as it was before bulk parsing: one Python step per token,
+    and a value that is not finite refused on its own line."""
+    labels, qids, parsed_rows = [], [], []
     max_fid = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -456,12 +457,13 @@ def oracle_load_svmlight(path, num_features=None):
                     val = float(val_s)
                 except ValueError:
                     raise DatasetError(f"{where}: bad feature value {val_s!r}") from None
+                if not np.isfinite(val):
+                    raise DatasetError(f"{where}: non-finite value {val!r} for feature {fid}")
                 fids.append(fid)
                 vals.append(val)
             max_fid = max(max_fid, max(fids, default=0))
             labels.append(label)
             qids.append(qid)
-            linenos.append(lineno)
             parsed_rows.append((np.asarray(fids, dtype=np.intp), np.asarray(vals)))
     if not parsed_rows:
         raise DatasetError(f"{path}: empty file")
@@ -472,7 +474,7 @@ def oracle_load_svmlight(path, num_features=None):
     for r, (fids, vals) in enumerate(parsed_rows):
         if fids.size:
             features[r, fids - 1] = vals
-    return Dataset.from_rows(labels, qids, features, where=lambda r: f"{path}:{linenos[r]}")
+    return Dataset.from_rows(labels, qids, features)
 
 
 def _outcome(load, path, num_features):
@@ -590,10 +592,14 @@ def test_wide_sparse_rows_round_trip_exactly(data):
 
 
 def test_first_bad_line_is_reported(tmp_path):
-    # A duplicate id (a bulk check) on line 2 comes before a bad value on
-    # line 3 and a non-finite value on line 1, which is checked last.
+    # A non-finite value on line 1 comes before a duplicate id on line 2 and
+    # a bad value on line 3.
     text = "1 qid:1 1:nan\n1 qid:1 2:1 2:3\n0 qid:1 1:x\n"
-    with pytest.raises(DatasetError, match=r":2: duplicate feature id 2"):
+    with pytest.raises(DatasetError, match=r":1: non-finite value nan for feature 1$"):
+        load_svmlight(write(tmp_path, text))
+    # A first block that parses in bulk is checked before the next is read.
+    text = "1 qid:1 1:0.5 2:inf\n" + "0 qid:1 1:0.5\n" * _BLOCK_LINES + "x qid:2 1:0\n"
+    with pytest.raises(DatasetError, match=r":1: non-finite value inf for feature 2$"):
         load_svmlight(write(tmp_path, text))
 
 

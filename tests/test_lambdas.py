@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ilmart import Dataset, compute_lambdas
+from ilmart import lambdas as lambdas_module
 from ilmart.lambdas import LambdaPlan
 
 from oracles import lambda_oracle, swap_oracle
@@ -188,3 +189,42 @@ def test_memory_stays_bounded_on_a_long_query():
         tracemalloc.stop()
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
     assert abs(gradient.sum()) <= 1e-10
+
+
+def test_chunks_are_bit_identical_to_the_whole_block(monkeypatch):
+    # 30 queries of 9-16 documents share a width-16 block of 160 cells per
+    # query (two per 400-cell chunk); 3 of 40-64 documents share a block in
+    # which one query alone exceeds the budget.
+    rng = np.random.default_rng(23)
+    sizes = np.concatenate([rng.integers(9, 17, 30), rng.integers(40, 65, 3)])
+    labels = rng.integers(0, 5, sizes.sum())
+    qids = np.repeat([f"q{i}" for i in range(sizes.size)], sizes)
+    ds = Dataset.from_rows(labels, qids, np.zeros((labels.size, 1)))
+    scores = np.round(rng.normal(size=ds.num_rows), 1)
+    for rows in ds.query_groups[::3]:
+        scores[rows] = 0.5          # the norm leaves these queries undamped
+    plan = LambdaPlan(ds, 10)
+    budget = 400
+    assert any(budget < b.weight[0].size for b in plan.blocks)
+    assert any(2 * budget < b.weight.size and b.weight[0].size <= budget for b in plan.blocks)
+    for lambdarank_norm in (False, True):
+        whole = compute_lambdas(plan, scores, 0.7, lambdarank_norm)
+        with monkeypatch.context() as m:
+            m.setattr(lambdas_module, "CHUNK_CELLS", budget)
+            chunked = compute_lambdas(plan, scores, 0.7, lambdarank_norm)
+        assert np.array_equal(chunked[0], whole[0])
+        assert np.array_equal(chunked[1], whole[1])
+
+
+def test_a_sigma_of_one_gives_the_bits_of_its_products(monkeypatch):
+    # The block skips products by sigma = 1; multiplying instead changes no bit.
+    ds = random_queries(40, 30, seed=19)
+    scores = np.round(np.random.default_rng(20).normal(size=ds.num_rows), 1)
+    plan = LambdaPlan(ds, 10)
+    for lambdarank_norm in (False, True):
+        skipped = compute_lambdas(plan, scores, 1.0, lambdarank_norm)
+        with monkeypatch.context() as m:
+            m.setattr(lambdas_module, "_times", lambda x, c, out: np.multiply(x, c, out=out))
+            multiplied = compute_lambdas(plan, scores, 1.0, lambdarank_norm)
+        assert np.array_equal(skipped[0], multiplied[0])
+        assert np.array_equal(skipped[1], multiplied[1])

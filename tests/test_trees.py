@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from ilmart import Dataset, TrainConfig, build_bins
-from ilmart.trees import ConstraintRegime, DecisionTree, fit_tree
+from ilmart.trees import (ConstraintRegime, DecisionTree, _best_split, _GrowLeaf,
+                          _root_histograms, fit_tree)
 
 from synthdata import planted_interaction, random_queries
 from treespec import make_tree
@@ -534,3 +535,18 @@ def test_fit_tree_matches_per_leaf_oracle_at_bench_size():
             deep_pair += kind == "pair" and len(uses) == 2 and min(uses) >= 5
     # single trees split one feature 31 times; pair trees split both often
     assert deep_single >= 20 and deep_pair >= 20
+
+
+@pytest.mark.parametrize("cands", [[3], [4, 5]], ids=["single", "pair"])
+@pytest.mark.parametrize("l2", [0.0, 1.0])
+def test_split_scan_leaves_the_leaf_histograms_alone(cands, l2):
+    bins = build_bins(planted_interaction(20, 20, seed=5), 32)
+    rng = np.random.default_rng(6)
+    n = bins.num_rows
+    grad, hess = rng.normal(size=n), rng.random(n)
+    leaf = _GrowLeaf(np.arange(n), 0, None, grad, hess)
+    leaf.cands, leaf.hist = cands, _root_histograms(bins, grad, hess, cands)
+    hist, totals = leaf.hist.copy(), leaf.totals.copy()
+    best = _best_split(leaf, np.array([1e-3, 5.0])[:, None, None], 0.0, l2)
+    assert best is not None and best[1] in cands
+    assert np.array_equal(leaf.hist, hist) and np.array_equal(leaf.totals, totals)
