@@ -89,7 +89,6 @@ def _dataset(work: str, name: str):
 
 def run_layer(work: str, layer: str) -> dict:
     """Prepare ``layer``'s inputs, then run it once; wall seconds and peak growth."""
-    import numpy as np
     from datagen import NUM_FEATURES
     from ilmart import ConstraintRegime, TrainConfig, build_bins, load_svmlight
     from ilmart import trainer
@@ -110,14 +109,12 @@ def run_layer(work: str, layer: str) -> dict:
         elif layer == "lambda_plan":
             step = partial(LambdaPlan, train, cfg.truncation)
         else:
-            valid = _dataset(work, "valid")
-            zeros = {"train": np.zeros(train.num_rows), "valid": np.zeros(valid.num_rows)}
+            booster = trainer._Booster(train, _dataset(work, "valid"), cfg)
             if layer == "round":
-                stage, regime = 1, ConstraintRegime("single", range(1, train.num_features + 1))
+                regime = ConstraintRegime("single", range(1, train.num_features + 1))
             else:
-                stage, regime, cfg = 3, ConstraintRegime("pair", PAIR), cfg.for_stage3()
-            booster = trainer._Booster(stage, train, build_bins(train, cfg.max_bins), valid, cfg,
-                                       zeros)
+                booster.start_stage(3, cfg.for_stage3())
+                regime = ConstraintRegime("pair", PAIR)
             step = partial(booster.round, regime)
     before = _peak_bytes()
     start = time.perf_counter()

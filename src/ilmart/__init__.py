@@ -7,14 +7,7 @@ from .lambdas import compute_lambdas
 from .metrics import NdcgReport, mean_ndcg
 from .model import IlmartModel, InteractionSurface, ModelError, ShapeFunction, TrainConfig
 from .stats import SignificanceResult, fisher_randomization
-from .trainer import (
-    load_model,
-    save_model,
-    select_interactions,
-    train_ilmart,
-    train_interaction_effects,
-    train_main_effects,
-)
+from .trainer import load_model, save_model, train_ilmart
 from .trees import ConstraintRegime, DecisionTree, fit_tree
 
 __version__ = "0.1.0"
@@ -43,8 +36,5 @@ __all__ = [
     "load_svmlight",
     "mean_ndcg",
     "save_model",
-    "select_interactions",
     "train_ilmart",
-    "train_interaction_effects",
-    "train_main_effects",
 ]

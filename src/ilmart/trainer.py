@@ -10,16 +10,16 @@ pairs. The model is one table per main feature and per pair, each summed
 from its trees, and its prediction is the plain sum of their lookups with no
 intercept: an exact additive decomposition over features and feature pairs.
 
-The stages are one LambdaMART booster under three constraint regimes and
-share one round (:meth:`_Booster.round`): lambdas of the training scores, a
-tree fitted under the stage's regime and :class:`TrainConfig`, its leaf
-values added to the training scores through the row partition
-:func:`fit_tree` reports and its output to the validation scores, and the
-validation NDCG logged; a stump ends the stage. Stages 1 and 3 wrap the
-round in early stopping with rollback to the best round
-(:func:`_boost_stage`), stage 2 in pair nomination. Stage 1 starts from
-zero and hands its best-round scores to stages 2 and 3, so no stage scores
-the training rows tree by tree.
+A training run is one LambdaMART booster, which the three stages continue
+under their constraint regimes. Its round (:meth:`_Booster.round`) is:
+lambdas of the training scores, a tree fitted under the stage's regime and
+:class:`TrainConfig`, its leaf values added to the training scores through
+the row partition :func:`fit_tree` reports and its output to the validation
+scores, and the validation NDCG logged; a stump ends the stage. Stages 1 and
+3 wrap the round in early stopping with rollback to the best round
+(:func:`_boost_stage`). Stage 2 wraps it in pair nomination, then rolls back
+to where it started, so stage 3 starts from stage 1's best round and no
+stage scores the training rows tree by tree.
 
 :func:`save_model` and :func:`load_model` write and read the file format of
 :mod:`ilmart.model`, which holds the model and its :class:`TrainConfig`.
@@ -35,7 +35,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .dataset import BinMapper, Dataset, build_bins
+from .dataset import Dataset, build_bins
 from .lambdas import LambdaPlan, compute_lambdas
 from .metrics import QueryEvaluator
 from .model import IlmartModel, ModelError, TrainConfig, read_json, tables
@@ -49,22 +49,37 @@ IMPROVEMENT_EPS = 1e-7
 
 
 class _Booster:
-    """One stage's boosting state, carried from round to round.
+    """One training run's boosting state, which the three stages continue.
 
-    It holds the training and validation scores, which every round updates
-    in place, the stage's log, and what every round reuses: the lambda plan,
-    the NDCG evaluator and the row-to-leaf buffer. Rounds are numbered
-    through the whole stage, across stage 3's pairs.
+    It holds what every round reuses (the bins, the lambda plan, the NDCG
+    evaluator and the row-to-leaf buffer), the training and validation
+    scores, which start at zero and which every round updates in place, and
+    the run's log. ``cfg`` is the current stage's config, ``run_cfg`` the run's.
     """
 
-    def __init__(self, stage, train, bins, valid, cfg, scores):
-        self.stage, self.train, self.bins, self.valid, self.cfg = stage, train, bins, valid, cfg
-        self.scores_train = scores["train"].copy()
-        self.scores_valid = scores["valid"].copy()
-        self.log: list[tuple[int, int, float]] = []
+    def __init__(self, train: Dataset, valid: Dataset, cfg: TrainConfig):
+        if valid is None:
+            raise ModelError("a validation dataset is required for early stopping")
+        if train.num_features != valid.num_features:
+            raise ModelError("train and validation datasets disagree on the number of features")
+        self.train, self.valid, self.run_cfg = train, valid, cfg
+        self.bins = build_bins(train, cfg.max_bins)
         self.plan = LambdaPlan(train, cfg.truncation)
         self.evaluator = QueryEvaluator(valid, cfg.ndcg_cutoff)
         self.leaf_of_row = np.empty(train.num_rows, dtype=np.intp)
+        self.scores_train = np.zeros(train.num_rows)
+        self.scores_valid = np.zeros(valid.num_rows)
+        self.log: list[tuple[int, int, float]] = []
+        self.start_stage(1, cfg)
+
+    def start_stage(self, stage: int, cfg: TrainConfig) -> None:
+        """Number the next rounds from 1 as ``stage``'s, boosted under ``cfg``;
+        the plan and evaluator are rebuilt only for a new truncation or cutoff."""
+        if cfg.truncation != self.plan.truncation:
+            self.plan = LambdaPlan(self.train, cfg.truncation)
+        if cfg.ndcg_cutoff != self.evaluator.k:
+            self.evaluator = QueryEvaluator(self.valid, cfg.ndcg_cutoff)
+        self.stage, self.cfg, self.stage_start = stage, cfg, len(self.log)
 
     def round(self, regime: ConstraintRegime) -> DecisionTree | None:
         """Fit a tree to the lambdas of the current scores, add its leaf
@@ -73,7 +88,7 @@ class _Booster:
         whose lambdas, leaf values or scores are not all finite raises
         :class:`ModelError`."""
         cfg = self.cfg
-        rnd = len(self.log) + 1
+        rnd = len(self.log) - self.stage_start + 1
         # What overflows here is refused below, so numpy need not warn. Every
         # sum the tree takes of the lambdas is bounded by their total mass.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -135,49 +150,36 @@ def _boost_stage(booster: _Booster, regime: ConstraintRegime):
     return trees[:best_len], best_ndcg
 
 
-def train_main_effects(train: Dataset, valid: Dataset, cfg: TrainConfig, bins: BinMapper,
-                       scores_out: dict | None = None) -> IlmartModel:
-    """Stage 1: boost single-feature trees with validation early stopping.
-
-    ``scores_out``, a dict, receives the returned model's scores on the
-    training and validation rows under ``"train"`` and ``"valid"``: what
-    stages 2 and 3 start from.
-    """
-    if valid is None:
-        raise ModelError("a validation dataset is required for early stopping")
-    if train.num_features != valid.num_features:
-        raise ModelError("train and validation datasets disagree on the number of features")
+def train_main_effects(booster: _Booster) -> IlmartModel:
+    """Stage 1: boost single-feature trees from zero, on a new ``booster``,
+    with validation early stopping."""
+    train = booster.train
     digest = train.digest()     # hashes the arrays in place: no copy of the features
-    booster = _Booster(1, train, bins, valid, cfg,
-                       {"train": np.zeros(train.num_rows), "valid": np.zeros(valid.num_rows)})
     trees, best = _boost_stage(booster, ConstraintRegime("single", range(1, train.num_features + 1)))
-    if scores_out is not None:
-        scores_out.update(train=booster.scores_train, valid=booster.scores_valid)
-    return IlmartModel.from_trees(train.num_features, trees, config=cfg,
-                                  dataset_digest=digest, training_log=booster.log,
+    return IlmartModel.from_trees(train.num_features, trees, config=booster.run_cfg,
+                                  dataset_digest=digest, training_log=list(booster.log),
                                   best_valid_ndcg=best)
 
 
-def select_interactions(model: IlmartModel, train: Dataset, valid: Dataset,
-                        cfg: TrainConfig, bins: BinMapper, start_scores: dict,
-                        log: list) -> list[tuple[int, int]]:
+def select_interactions(model: IlmartModel, booster: _Booster) -> list[tuple[int, int]]:
     """Stage 2: nominate feature pairs with discardable 3-leaf trees.
 
-    Boosting continues from the stage-1 scores; every discovery tree that
-    manages to use two distinct features nominates that pair on first
-    appearance. The trees themselves never reach the model. Returns the
-    pairs in nomination order, which doubles as their importance ranking.
-    ``start_scores`` holds the model's training and validation scores as
-    stage 1's ``scores_out`` leaves them (they are not modified), and
-    ``log`` receives one ``(2, round, valid NDCG)`` entry per round.
+    Boosting continues from where stage 1 left the ``booster``; every
+    discovery tree that manages to use two distinct features nominates that
+    pair on first appearance. The trees never reach the model: the scores
+    roll back to where the stage started, and only its log entries stay.
+    Returns the pairs in nomination order, which doubles as their importance
+    ranking.
     """
+    cfg = booster.run_cfg
     if model.p < 2:
         logger.warning("stage 2 skipped: only %d main effect(s), pairs need two", model.p)
         return []
     target = min(cfg.max_interactions, math.comb(model.p, 2))
     if target < 1:
         return []
-    booster = _Booster(2, train, bins, valid, cfg, start_scores)
+    booster.start_stage(2, cfg)
+    start = booster.scores_train.copy(), booster.scores_valid.copy()
     regime = ConstraintRegime("discovery", model.main_features)
     pairs: list[tuple[int, int]] = []
     for _ in range(cfg.stage2_max_rounds):
@@ -189,23 +191,21 @@ def select_interactions(model: IlmartModel, train: Dataset, valid: Dataset,
             pairs.append(pair)
             if len(pairs) >= target:
                 break
-    log.extend(booster.log)
+    booster.scores_train, booster.scores_valid = start
     logger.info("stage 2: selected %d pair(s) out of a target of %d", len(pairs), target)
     return pairs
 
 
-def train_interaction_effects(model: IlmartModel, pairs, train: Dataset,
-                              valid: Dataset, cfg: TrainConfig, bins: BinMapper,
-                              start_scores: dict, stage2_log=()) -> IlmartModel:
+def train_interaction_effects(model: IlmartModel, pairs, booster: _Booster) -> IlmartModel:
     """Stage 3: boost pair-constrained trees on top of the stage-1 model.
 
-    Scores restart from the stage-1 model output (discovery trees left no
-    trace), so the result keeps the stage-1 shapes and adds one surface per
-    pair that kept a tree. Pairs are trained one at a time in nomination
-    order, each with its own early stopping: the model grown with the first
-    k pairs is therefore its first k surfaces, which is what makes
-    rank-truncated evaluation of the pair list behave like the training
-    curve itself. ``start_scores`` is as in :func:`select_interactions`.
+    Boosting continues from the ``booster``'s scores, which stage 2 left at
+    stage 1's, under the run config's ``for_stage3()``, so the result keeps
+    the stage-1 shapes and adds one surface per pair that kept a tree. Pairs
+    are trained one at a time in nomination order, each with its own early
+    stopping: the model grown with the first k pairs is therefore its first
+    k surfaces, which is what makes rank-truncated evaluation of the pair
+    list behave like the training curve itself.
     """
     pairs = [tuple(sorted(int(f) for f in p)) for p in pairs]
     if not pairs:
@@ -216,27 +216,23 @@ def train_interaction_effects(model: IlmartModel, pairs, train: Dataset,
     for i, j in pairs:
         if i == j or i not in j_set or j not in j_set:
             raise ModelError(f"pair ({i}, {j}) breaks the heredity requirement")
-    booster = _Booster(3, train, bins, valid, cfg.for_stage3(), start_scores)
+    booster.start_stage(3, booster.run_cfg.for_stage3())
     trees: list[DecisionTree] = []
     for pair in pairs:
         phase_trees, best = _boost_stage(booster, ConstraintRegime("pair", pair))
         trees.extend(phase_trees)
-    return replace(model, surfaces=tables(trees), interaction_trees=trees, config=cfg,
-                   training_log=list(model.training_log) + list(stage2_log) + booster.log,
-                   best_valid_ndcg=best)
+    return replace(model, surfaces=tables(trees), interaction_trees=trees,
+                   config=booster.run_cfg, training_log=list(booster.log), best_valid_ndcg=best)
 
 
 def train_ilmart(train: Dataset, valid: Dataset, cfg: TrainConfig) -> IlmartModel:
-    """Run the full pipeline; stages 2 and 3 run when interactions are enabled."""
-    bins = build_bins(train, cfg.max_bins)
-    scores: dict[str, np.ndarray] = {}
-    model = train_main_effects(train, valid, cfg, bins, scores_out=scores)
+    """Run the full pipeline on one booster; stages 2 and 3 run when interactions are enabled."""
+    booster = _Booster(train, valid, cfg)
+    model = train_main_effects(booster)
     if cfg.max_interactions > 0 and model.p >= 2:
-        stage2_log: list[tuple[int, int, float]] = []
-        pairs = select_interactions(model, train, valid, cfg, bins, scores, stage2_log)
+        pairs = select_interactions(model, booster)
         if pairs:
-            model = train_interaction_effects(model, pairs, train, valid, cfg, bins, scores,
-                                              stage2_log)
+            model = train_interaction_effects(model, pairs, booster)
     return model
 
 

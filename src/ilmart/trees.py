@@ -160,9 +160,9 @@ class _GrowLeaf:
         self.totals = np.array([np.add.reduce(grad), np.add.reduce(hess), rows.size])
 
 
-def _root_histograms(bins, gradients, hessians, cands):
+def _root_histograms(bins, gradients, hessians, cands, widest):
     """The histograms of the leaf that holds every row; counts are cached."""
-    hist = np.zeros((3, len(cands), max(bins.num_bins(f) for f in cands)))
+    hist = np.zeros((3, len(cands), widest))
     for j, fid in enumerate(cands):
         col = bins.binned[:, fid - 1].astype(np.intp)   # bincount would cast it twice
         width = bins.num_bins(fid)
@@ -172,7 +172,7 @@ def _root_histograms(bins, gradients, hessians, cands):
     return hist
 
 
-def _child_histograms(bins, parent, rows, grad, hess, cands, fid, t, left):
+def _child_histograms(bins, parent, rows, grad, hess, cands, widest, fid, t, left):
     """The histograms over ``cands`` of the ``left`` or right child of
     ``parent``, split on ``fid`` at bin ``t``; the child holds ``rows``,
     whose values are ``grad`` and ``hess``.
@@ -181,7 +181,7 @@ def _child_histograms(bins, parent, rows, grad, hess, cands, fid, t, left):
     on ``fid`` is the parent's on its side of ``t``: the same rows summed in
     the same order. Each other candidate is bincounted over the child's rows.
     """
-    hist = np.zeros((3, len(cands), max(bins.num_bins(f) for f in cands)))
+    hist = np.zeros((3, len(cands), widest))
     for j, f in enumerate(cands):
         if f == fid:
             side = slice(None, t + 1) if left else slice(t + 1, bins.num_bins(f))
@@ -307,15 +307,17 @@ def fit_tree(
         else:
             heapq.heappush(heap, (-best[0], best[1], best[2], next(created), leaf))
 
-    # The candidates change only at the root split. A leaf too small to
-    # give both children min_data rows cannot split and is not scored.
+    # The candidates, and so the histograms' width (the widest candidate's
+    # bin count), change only at the root split. A leaf too small to give
+    # both children min_data rows cannot split and is not scored.
     cands = [f for f in regime.candidates(None) if bins.num_bins(f) >= 2]
+    widest = max(map(bins.num_bins, cands), default=0)
     # At a tiny hessian floor G^2/H can overflow: an infinite gain wins its
     # leaf, and a NaN gain (inf - inf), which argmax picks first, fails the
     # threshold and leaves the leaf unsplit.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if cands and n >= 2 * min_data:
-            score(root, cands, _root_histograms(bins, gradients, hessians, cands))
+            score(root, cands, _root_histograms(bins, gradients, hessians, cands, widest))
         while heap and len(leaves) < budget:
             _, fid, t, _, leaf = heapq.heappop(heap)
             go_left = bins.binned[:, fid - 1][leaf.rows] <= t
@@ -325,6 +327,7 @@ def fit_tree(
                 children[parent] = split
             else:
                 cands = [f for f in regime.candidates(fid) if bins.num_bins(f) >= 2]
+                widest = max(map(bins.num_bins, cands), default=0)
             tree.split_feature.append(fid)
             tree.threshold.append(float(bins.boundaries[fid - 1][t]))
             tree.left_child.append(~leaf.index)
@@ -342,7 +345,7 @@ def fit_tree(
                     leaves.append(child)
                 if more and cands and rows.size >= 2 * min_data:
                     score(child, cands, _child_histograms(bins, leaf, rows, grad, hess,
-                                                          cands, fid, t, left))
+                                                          cands, widest, fid, t, left))
             leaf.hist = None
 
     with np.errstate(over="ignore"):    # an infinite leaf is the caller's to refuse

@@ -14,7 +14,6 @@ import pytest
 from ilmart import (
     Dataset,
     TrainConfig,
-    build_bins,
     compute_lambdas,
     distill_shapes,
     fisher_randomization,
@@ -22,12 +21,11 @@ from ilmart import (
     load_svmlight,
     mean_ndcg,
     save_model,
-    select_interactions,
     train_ilmart,
-    train_interaction_effects,
-    train_main_effects,
 )
 from ilmart.lambdas import LambdaPlan
+from ilmart.trainer import (_Booster, select_interactions, train_interaction_effects,
+                            train_main_effects)
 
 from oracles import additive_score, lambda_oracle, tree_sum
 from synthdata import letor_like, one_query, planted_interaction, random_queries, single_signal
@@ -54,12 +52,12 @@ def _train_planted(seed):
     valid = planted_interaction(100, 40, seed=2000 + seed)
     test = planted_interaction(100, 40, seed=3000 + seed)
     cfg = acceptance_config()
-    bins, scores = build_bins(train, cfg.max_bins), {}
-    stage1 = train_main_effects(train, valid, cfg, bins, scores_out=scores)
-    pairs = select_interactions(stage1, train, valid, cfg, bins, scores, [])
+    booster = _Booster(train, valid, cfg)
+    stage1 = train_main_effects(booster)
+    pairs = select_interactions(stage1, booster)
     full = stage1
     if pairs:
-        full = train_interaction_effects(stage1, pairs, train, valid, cfg, bins, scores)
+        full = train_interaction_effects(stage1, pairs, booster)
     return dict(stage1=stage1, full=full, pairs=pairs, train=train, valid=valid, test=test)
 
 
@@ -84,6 +82,15 @@ def model_zoo(planted_runs):
     mono_valid = single_signal(30, 15, seed=8)
     zoo.append(train_ilmart(mono_train, mono_valid, cfg))
     return zoo
+
+
+def test_full_models_log_all_three_stages(planted_runs):
+    # The stages share one booster and its log, so stage 2's rounds cannot
+    # drop out of a full model's log.
+    with_pairs = [run["full"] for run in planted_runs.values() if run["pairs"]]
+    assert with_pairs
+    for full in with_pairs:
+        assert {stage for stage, _, _ in full.training_log} == {1, 2, 3}
 
 
 def test_criterion_1_gam_exactness(model_zoo):

@@ -16,15 +16,14 @@ from ilmart import (
     InteractionSurface,
     load_model,
     save_model,
-    select_interactions,
     ShapeFunction,
-    train_interaction_effects,
     train_ilmart,
-    train_main_effects,
     TrainConfig,
 )
 
 from ilmart.model import tables
+from ilmart.trainer import (_Booster, select_interactions, train_interaction_effects,
+                            train_main_effects)
 from ilmart.trees import ConstraintRegime, fit_tree
 
 from oracles import additive_score, oracle_effect_table, tree_sum
@@ -49,12 +48,17 @@ def trained():
     cfg = TrainConfig(num_leaves=8, early_stopping_rounds=10, max_rounds_per_stage=50,
                       stage2_max_rounds=30, max_interactions=4, min_data_in_leaf=10,
                       max_bins=32, lambdarank_norm=True)
-    bins, scores = build_bins(train, cfg.max_bins), {}
-    m1 = train_main_effects(train, valid, cfg, bins, scores_out=scores)
-    pairs = select_interactions(m1, train, valid, cfg, bins, scores, [])
+    booster = _Booster(train, valid, cfg)
+    m1 = train_main_effects(booster)
+    pairs = select_interactions(m1, booster)
     if pairs:
-        return train_interaction_effects(m1, pairs, train, valid, cfg, bins, scores)
+        return train_interaction_effects(m1, pairs, booster)
     return m1
+
+
+def test_trained_model_logs_all_three_stages(trained):
+    assert trained.interaction_pairs, "stage 3 kept no trees"
+    assert {stage for stage, _, _ in trained.training_log} == {1, 2, 3}
 
 
 def test_single_tree_shape():

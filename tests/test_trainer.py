@@ -17,13 +17,15 @@ from ilmart import (
     IlmartModel,
     ModelError,
     TrainConfig,
-    build_bins,
     distill_shapes,
     load_model,
     mean_ndcg,
     save_model,
-    select_interactions,
     train_ilmart,
+)
+from ilmart.trainer import (
+    _Booster,
+    select_interactions,
     train_interaction_effects,
     train_main_effects,
 )
@@ -53,27 +55,31 @@ def planted_run():
     train = planted_interaction(120, 25, seed=50)
     valid = planted_interaction(40, 25, seed=51)
     cfg = small_cfg()
-    bins = build_bins(train, cfg.max_bins)
-    scores = {}
-    stage1 = train_main_effects(train, valid, cfg, bins, scores_out=scores)
-    stage2_log = []
-    pairs = select_interactions(stage1, train, valid, cfg, bins, scores, stage2_log)
-    full = train_interaction_effects(stage1, pairs, train, valid, cfg, bins, scores, stage2_log)
-    return dict(train=train, valid=valid, cfg=cfg, bins=bins, scores=scores,
+    booster = _Booster(train, valid, cfg)
+    stage1 = train_main_effects(booster)
+    after_stage1 = copy.deepcopy(booster)
+    pairs = select_interactions(stage1, booster)
+    full = train_interaction_effects(stage1, pairs, booster)
+    return dict(train=train, valid=valid, cfg=cfg, after_stage1=after_stage1,
                 stage1=stage1, pairs=pairs, full=full)
+
+
+def booster_after_stage1(planted_run):
+    """A booster where the fixture's stage 1 left it, for stages 2 and 3 to continue."""
+    return copy.deepcopy(planted_run["after_stage1"])
 
 
 def stages_1_and_2(train, valid, cfg):
     """The stage-1 model and the pairs stage 2 nominates on top of it."""
-    bins, scores = build_bins(train, cfg.max_bins), {}
-    model = train_main_effects(train, valid, cfg, bins, scores_out=scores)
-    return model, select_interactions(model, train, valid, cfg, bins, scores, [])
+    booster = _Booster(train, valid, cfg)
+    model = train_main_effects(booster)
+    return model, select_interactions(model, booster)
 
 
 def test_single_feature_dataset_uses_only_that_feature():
     train = single_signal(60, 15, seed=1, num_features=1)
     valid = single_signal(20, 15, seed=2, num_features=1)
-    model = train_main_effects(train, valid, small_cfg(), build_bins(train, 32))
+    model = train_main_effects(_Booster(train, valid, small_cfg()))
     assert model.main_features == [1]
     assert all(t.constraint_features == (1,) for t in model.main_trees)
     assert model.p == 1
@@ -84,7 +90,7 @@ def test_signal_feature_dominates_leaf_mass():
     # feature 1 must be picked up and carry the largest total |leaf| mass.
     train = single_signal(150, 20, seed=3)
     valid = single_signal(50, 20, seed=4)
-    model = train_main_effects(train, valid, small_cfg(), build_bins(train, 32))
+    model = train_main_effects(_Booster(train, valid, small_cfg()))
     assert 1 in model.main_features
     mass = {f: 0.0 for f in model.main_features}
     for tree in model.main_trees:
@@ -137,8 +143,7 @@ def test_p2_selection_bounded_by_one_pair():
 def test_selection_does_not_touch_the_model(planted_run):
     model = planted_run["stage1"]
     before = copy.deepcopy(model)
-    select_interactions(model, planted_run["train"], planted_run["valid"], planted_run["cfg"],
-                        planted_run["bins"], planted_run["scores"], [])
+    select_interactions(model, booster_after_stage1(planted_run))
     assert model.main_trees == before.main_trees
     assert all(np.array_equal(a.values, b.values) for a, b in zip(model.shapes, before.shapes))
     assert model.interaction_trees == [] and model.surfaces == []
@@ -196,12 +201,11 @@ def test_training_log_has_all_three_stages(planted_run):
 
 def test_empty_model_predicts_zero():
     train = single_signal(30, 10, seed=9)
-    model = train_main_effects(
+    model = train_main_effects(_Booster(
         train,
         single_signal(10, 10, seed=10),
         small_cfg(max_rounds_per_stage=1, early_stopping_rounds=1),
-        build_bins(train, 32),
-    )
+    ))
     probe = np.zeros((1, 6))
     if not model.main_trees:  # nothing improved in one round
         assert model.predict_batch(probe).tolist() == [0.0]
@@ -254,9 +258,8 @@ def test_a_round_refuses_validation_scores_that_overflow():
 
     train = planted_interaction(30, 10, seed=1)
     valid = planted_interaction(10, 10, seed=2)
-    start = {"train": np.zeros(train.num_rows), "valid": np.full(valid.num_rows, 1.7e308)}
-    booster = trainer._Booster(1, train, build_bins(train), valid,
-                               TrainConfig(learning_rate=1e308), start)
+    booster = trainer._Booster(train, valid, TrainConfig(learning_rate=1e308))
+    booster.scores_valid[:] = 1.7e308
     with pytest.raises(ModelError) as info:
         booster.round(ConstraintRegime("single", range(1, train.num_features + 1)))
     assert str(info.value) == ("stage 1, round 1: training diverged (scores are not finite); "
@@ -328,16 +331,14 @@ def test_good_stage3_overrides_pass_validate(overrides, leaves):
 
 
 def test_stage3_requires_pairs(planted_run):
-    args = [planted_run[k] for k in ("train", "valid", "cfg", "bins", "scores")]
     with pytest.raises(ModelError, match="pair"):
-        train_interaction_effects(planted_run["stage1"], [], *args)
+        train_interaction_effects(planted_run["stage1"], [], booster_after_stage1(planted_run))
 
 
 def test_stage3_rejects_non_hereditary_pairs(planted_run):
     bad = (97, 98)
-    args = [planted_run[k] for k in ("train", "valid", "cfg", "bins", "scores")]
     with pytest.raises(ModelError, match="heredity"):
-        train_interaction_effects(planted_run["stage1"], [bad], *args)
+        train_interaction_effects(planted_run["stage1"], [bad], booster_after_stage1(planted_run))
 
 
 def test_stage3_overrides_reach_stage_3():
@@ -352,6 +353,62 @@ def test_stage3_overrides_reach_stage_3():
     # stage 1 keeps the top-level limits
     assert max(len(t.leaf_value) for t in model.main_trees) > 3
     assert max(abs(v) for t in model.main_trees for v in t.leaf_value) > 0.5 * cfg.learning_rate
+
+
+def _count_builds(monkeypatch):
+    """Counts of the lambda plans and NDCG evaluators the trainer builds."""
+    import ilmart.trainer as trainer
+
+    counts = {"plan": 0, "evaluator": 0}
+
+    def counting(key, cls):
+        def build(*args):
+            counts[key] += 1
+            return cls(*args)
+        return build
+
+    monkeypatch.setattr(trainer, "LambdaPlan", counting("plan", trainer.LambdaPlan))
+    monkeypatch.setattr(trainer, "QueryEvaluator", counting("evaluator", trainer.QueryEvaluator))
+    return counts
+
+
+def test_a_run_builds_one_plan_and_one_evaluator(monkeypatch):
+    counts = _count_builds(monkeypatch)
+    model = train_ilmart(planted_interaction(100, 25, seed=64), planted_interaction(40, 25, seed=65),
+                         small_cfg())
+    assert model.interaction_trees, "stage 3 kept no trees"
+    assert counts == {"plan": 1, "evaluator": 1}
+
+
+def test_stage_3_builds_its_own_plan_and_evaluator_when_overridden(monkeypatch):
+    import ilmart.trainer as trainer
+
+    counts = _count_builds(monkeypatch)
+    rounds = []     # [stage, truncation of the plan its lambdas used] per round
+    boost_round, lambdas = trainer._Booster.round, trainer.compute_lambdas
+
+    def recording_round(booster, regime):
+        rounds.append([booster.stage])
+        return boost_round(booster, regime)
+
+    def recording_lambdas(plan, *args):
+        rounds[-1].append(plan.truncation)
+        return lambdas(plan, *args)
+
+    monkeypatch.setattr(trainer._Booster, "round", recording_round)
+    monkeypatch.setattr(trainer, "compute_lambdas", recording_lambdas)
+    train = planted_interaction(100, 25, seed=64)
+    valid = planted_interaction(40, 25, seed=65)
+    cfg = small_cfg(stage3_overrides={"truncation": 3, "ndcg_cutoff": 5})
+    model = train_ilmart(train, valid, cfg)
+    assert model.interaction_trees, "stage 3 kept no trees"
+    assert counts == {"plan": 2, "evaluator": 2}
+    assert {stage for stage, _ in rounds} == {1, 2, 3}
+    assert all(t == (3 if stage == 3 else cfg.truncation) for stage, t in rounds)
+    # stage 3's rollback NDCG is at its own cutoff
+    got = mean_ndcg(tree_sum(model, valid.features), valid, (5,)).mean[5]
+    assert model.best_valid_ndcg == got
+    assert model.config == cfg
 
 
 def test_save_load_round_trip(tmp_path, planted_run):
@@ -405,17 +462,16 @@ def test_load_model_validates_stored_config(tmp_path, planted_run, change, messa
 
 
 def test_a_loaded_stage_1_model_continues_like_the_trained_one(tmp_path, planted_run):
-    # Stages 2 and 3 start from stage 1's carried scores, so the model's
-    # tables are all they need of it.
+    # Stages 2 and 3 continue the booster's scores, so the model's tables
+    # are all they need of it.
+    booster = _Booster(planted_run["train"], planted_run["valid"], planted_run["cfg"])
     path = tmp_path / "stage1.json"
-    save_model(planted_run["stage1"], path)
+    save_model(train_main_effects(booster), path)
     loaded = load_model(path)
     assert loaded.main_trees == loaded.interaction_trees == []
-    args = [planted_run[k] for k in ("train", "valid", "cfg", "bins", "scores")]
-    log = []
-    pairs = select_interactions(loaded, *args, log)
+    pairs = select_interactions(loaded, booster)
     assert pairs == planted_run["pairs"]
-    full = train_interaction_effects(loaded, pairs, *args, log)
+    full = train_interaction_effects(loaded, pairs, booster)
     want = planted_run["full"]
     assert full.interaction_trees == want.interaction_trees
     assert full.training_log == want.training_log
@@ -425,8 +481,7 @@ def test_a_loaded_stage_1_model_continues_like_the_trained_one(tmp_path, planted
 
 def test_selection_on_a_model_without_main_effects_is_empty(planted_run):
     empty = IlmartModel.from_trees(planted_run["train"].num_features, [])
-    args = [planted_run[k] for k in ("train", "valid", "cfg", "bins", "scores")]
-    assert select_interactions(empty, *args, []) == []
+    assert select_interactions(empty, booster_after_stage1(planted_run)) == []
 
 
 def draw_tree(data, features, kind, tag, depth=3):
@@ -604,17 +659,20 @@ def test_schema_version_checked(tmp_path, planted_run):
 
 
 def test_stage_1_scores_carry_into_stages_2_and_3(planted_run):
-    train, valid, cfg, bins = (planted_run[k] for k in ("train", "valid", "cfg", "bins"))
-    scores = {}
-    stage1 = train_main_effects(train, valid, cfg, bins, scores_out=scores)
-    for key, ds in (("train", train), ("valid", valid)):
-        assert np.array_equal(scores[key], tree_sum(stage1, ds.features))
-        np.testing.assert_allclose(scores[key], stage1.predict_batch(ds.features), rtol=0, atol=1e-12)
-    kept = {k: v.copy() for k, v in scores.items()}
-    pairs = select_interactions(stage1, train, valid, cfg, bins, scores, [])
+    train, valid, cfg = (planted_run[k] for k in ("train", "valid", "cfg"))
+    booster = _Booster(train, valid, cfg)
+    stage1 = train_main_effects(booster)
+    kept = (booster.scores_train.copy(), booster.scores_valid.copy())
+    for scores, ds in zip(kept, (train, valid)):
+        assert np.array_equal(scores, tree_sum(stage1, ds.features))
+        np.testing.assert_allclose(scores, stage1.predict_batch(ds.features), rtol=0, atol=1e-12)
+    pairs = select_interactions(stage1, booster)
     assert pairs == planted_run["pairs"]
-    train_interaction_effects(stage1, pairs, train, valid, cfg, bins, scores)
-    assert all(np.array_equal(scores[k], kept[k]) for k in kept)     # read, not modified
+    # stage 2 rolls back to where stage 1 left the scores, bit for bit
+    assert np.array_equal(booster.scores_train, kept[0])
+    assert np.array_equal(booster.scores_valid, kept[1])
+    full = train_interaction_effects(stage1, pairs, booster)
+    assert full.interaction_trees == planted_run["full"].interaction_trees
 
 
 def test_carried_scores_equal_model_scores_after_every_stage(monkeypatch):
@@ -672,11 +730,17 @@ def test_train_ilmart_with_interactions_disabled():
     assert model.interaction_pairs == []
 
 
+def test_missing_validation_set_rejected():
+    train = single_signal(30, 10, seed=1)
+    with pytest.raises(ModelError, match="a validation dataset is required"):
+        train_ilmart(train, None, small_cfg())
+
+
 def test_mismatched_dimensions_rejected():
     train = single_signal(30, 10, seed=1, num_features=4)
     valid = single_signal(10, 10, seed=2, num_features=5)
     with pytest.raises(ModelError, match="number of features"):
-        train_main_effects(train, valid, small_cfg(), build_bins(train, 32))
+        train_ilmart(train, valid, small_cfg())
 
 
 def test_predict_requires_enough_features(planted_run):

@@ -545,7 +545,8 @@ def test_split_scan_leaves_the_leaf_histograms_alone(cands, l2):
     n = bins.num_rows
     grad, hess = rng.normal(size=n), rng.random(n)
     leaf = _GrowLeaf(np.arange(n), 0, None, grad, hess)
-    leaf.cands, leaf.hist = cands, _root_histograms(bins, grad, hess, cands)
+    leaf.cands, leaf.hist = cands, _root_histograms(bins, grad, hess, cands,
+                                                      max(map(bins.num_bins, cands)))
     hist, totals = leaf.hist.copy(), leaf.totals.copy()
     best = _best_split(leaf, np.array([1e-3, 5.0])[:, None, None], 0.0, l2)
     assert best is not None and best[1] in cands
