@@ -40,9 +40,8 @@ def effect_importance(model: IlmartModel, reference: Dataset) -> list[EffectScor
     if reference.num_rows == 0:
         raise ValueError("reference dataset is empty")
     raw = []
-    for effect in model.shapes + model.surfaces:
-        contrib = effect.contribution(reference.features)
-        raw.append((effect.kind, effect.features, float(np.mean(np.abs(contrib)))))
+    for effect, term in model.terms(reference.features):
+        raw.append((effect.kind, effect.features, float(np.mean(np.abs(term)))))
     raw.sort(key=lambda e: (-e[2], e[0] != "main", e[1]))
     return [EffectScore(kind, feats, imp, rank) for rank, (kind, feats, imp) in enumerate(raw, 1)]
 

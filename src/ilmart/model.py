@@ -6,11 +6,14 @@ builds each table from the trees of its effect: the breakpoints are the union
 of their split thresholds, and a cell's value is the trees' summed output at
 the cell's upper breakpoint, routed through ``DecisionTree.leaves``. Model
 files store the tables, and scoring sums their lookups: the model IS its
-plots. Shapes and surfaces share one lookup. Each JSON object of a model
-file has one checked reader, ``from_json``, and one writer, ``to_json``.
+plots. Shapes and surfaces share one lookup, ``lookup_batch``; a model
+scoring all its tables bins each feature once (``IlmartModel.terms``). Each
+JSON object of a model file has one checked reader, ``from_json``, and one
+writer, ``to_json``.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -115,10 +118,6 @@ class _Table:
         # trees' "value <= threshold goes left" routing.
         return self.values[tuple(np.searchsorted(bp, x, side="left")
                                  for bp, x in zip(self.axes, columns, strict=True))]
-
-    def contribution(self, features: np.ndarray) -> np.ndarray:
-        """This effect's term for every row of a feature matrix."""
-        return self.lookup_batch(*(features[:, f - 1] for f in self.features))
 
     def check(self) -> None:
         """Refuse a table whose lookups are not defined, or not finite."""
@@ -449,17 +448,48 @@ class IlmartModel:
 
     def _check_width(self, features) -> np.ndarray:
         features = np.asarray(features, dtype=np.float64)
+        if features.ndim != 2:
+            raise ModelError(f"features must be an array of shape (rows, features), "
+                             f"got shape {features.shape}")
         if features.shape[1] < self.num_features:
             raise ModelError(
                 f"dataset has {features.shape[1]} features, model needs {self.num_features}"
             )
         return features
 
+    def terms(self, features: np.ndarray):
+        """Yield ``(table, term)`` for every table, shapes in order and then
+        surfaces: ``term`` is the table's value for every row of a feature
+        matrix, bit for bit its ``lookup_batch`` of the rows' columns.
+
+        Each feature is binned once for all the tables that read it, against
+        the union of their breakpoints on it. An axis's breakpoints are a
+        subset of that union, so the count of them below an input is a
+        function of the input's union interval, which one small array per
+        axis maps.
+        """
+        features = self._check_width(features)
+        effects = self.shapes + self.surfaces
+        axes: dict[int, list[np.ndarray]] = {}
+        for effect in effects:
+            for f, bp in zip(effect.features, effect.axes):
+                axes.setdefault(f, []).append(bp)
+        # Sorted, not deduplicated: a repeated breakpoint adds an empty
+        # interval, which no input falls in, and costs less than np.unique.
+        unions = {f: np.sort(np.concatenate(bps)) for f, bps in axes.items()}
+        # Union interval u covers (union[u-1], union[u]], as in lookup_batch.
+        bins = {f: np.searchsorted(u, features[:, f - 1], side="left")
+                for f, u in unions.items()}
+        for effect in effects:
+            yield effect, effect.values[tuple(
+                np.concatenate(([0], np.searchsorted(bp, unions[f], side="right")))[bins[f]]
+                for f, bp in zip(effect.features, effect.axes))]
+
     def predict_batch(self, features: np.ndarray) -> np.ndarray:
         features = self._check_width(features)
         out = np.zeros(features.shape[0], dtype=np.float64)
-        for effect in self.shapes + self.surfaces:
-            out += effect.contribution(features)
+        for _, term in self.terms(features):
+            out += term
         return out
 
     def scores_by_pair_rank(self, features: np.ndarray):
@@ -471,11 +501,12 @@ class IlmartModel:
         """
         features = self._check_width(features)
         scores = np.zeros(features.shape[0], dtype=np.float64)
-        for shape in self.shapes:
-            scores += shape.contribution(features)
+        terms = self.terms(features)
+        for _, term in itertools.islice(terms, self.p):
+            scores += term
         yield scores.copy()
-        for surface in self.surfaces:
-            scores += surface.contribution(features)
+        for _, term in terms:
+            scores += term
             yield scores.copy()
 
     def validate(self) -> None:

@@ -14,6 +14,7 @@ import numpy as np
 
 DEFAULT_PERMUTATIONS = 10_000
 EXHAUSTIVE_MAX_QUERIES = 20  # 2^20 patterns is still cheap to enumerate
+MAX_CHUNK_FLIPS = 2**20      # flips drawn at once by the Monte Carlo path
 
 
 @dataclass
@@ -63,7 +64,9 @@ def fisher_randomization(per_query_a, per_query_b,
     hits = 0
     remaining = num_permutations
     while remaining > 0:
-        chunk = min(remaining, 65_536)
+        # Chunks of whole rows draw the same flips as one call, so the chunk
+        # size bounds memory without changing a p-value.
+        chunk = min(remaining, max(1, MAX_CHUNK_FLIPS // n))
         flips = rng.integers(0, 2, size=(chunk, n)).astype(np.float64)
         stats = np.abs(total - 2.0 * (flips @ d)) / n
         hits += int(np.count_nonzero(stats >= observed))

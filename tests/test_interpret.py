@@ -160,11 +160,32 @@ def test_tables_equal_the_box_painting_oracle(seed):
         assert np.array_equal(effect.lookup_batch(*points), effect.values)
 
 
-@pytest.fixture(scope="module", params=["planted", "letor"])
+def shared_feature_model():
+    """A hand-built model: feature 2 is read by its shape and by two
+    surfaces, whose breakpoints on it partly coincide; the shape of feature
+    4 has no breakpoints; feature 5 is read by no table."""
+    main = [
+        make_tree((1, 0.5, -0.1, (1, 0.75, 0.2, 0.4)), "single", (1,)),
+        make_tree((2, 0.25, 0.3, -0.3), "single", (2,)),
+        make_tree((2, 0.0, 0.05, (2, 1.5, -0.05, 0.15)), "single", (2,)),
+        make_tree((3, -1.0, 1.0, 0.0), "single", (3,)),
+        make_tree(0.7, "single", (4,)),
+    ]
+    pairs = [
+        pair_tree(1, 2, 0.6, 0.25, (0.0, 0.5, -0.5)),
+        pair_tree(2, 3, 0.1, 2.0, (0.25, 0.2, -0.2)),
+        pair_tree(2, 3, 0.0, -1.0, (-0.125, 0.0625, 0.5)),
+    ]
+    return IlmartModel.from_trees(5, main, pairs)
+
+
+@pytest.fixture(scope="module", params=["planted", "letor", "shared"])
 def edge_model(request, trained):
-    """A trained model, its tables, and per-feature inputs at the table edges."""
+    """A model, its tables, and per-feature inputs at the table edges."""
     if request.param == "planted":
         model = trained
+    elif request.param == "shared":
+        model = shared_feature_model()
     else:
         cfg = TrainConfig(num_leaves=8, early_stopping_rounds=10, max_rounds_per_stage=40,
                           stage2_max_rounds=30, max_interactions=3, min_data_in_leaf=5,
@@ -177,7 +198,7 @@ def edge_model(request, trained):
         bps += [s.breakpoints_i for s in surfaces if s.pair[0] == f]
         bps += [s.breakpoints_j for s in surfaces if s.pair[1] == f]
         bp = np.unique(np.concatenate(bps + [np.empty(0)]))
-        far = [-np.inf, np.inf, -1e300, 1e300, -1e6, 1e6, 0.0, np.nan]
+        far = [-np.inf, np.inf, -1e300, 1e300, -1e6, 1e6, 0.0, -0.0, np.nan]
         edges.append([*bp, *np.nextafter(bp, np.inf), *np.nextafter(bp, -np.inf), *far])
     return model, shapes, surfaces, edges
 
@@ -197,6 +218,15 @@ def test_additive_identity_at_the_edges(edge_model, data):
     for s in surfaces:
         table += s.lookup_batch(X[:, s.pair[0] - 1], X[:, s.pair[1] - 1])
     np.testing.assert_array_equal(table, model.predict_batch(X))
+    np.testing.assert_array_equal(table, list(model.scores_by_pair_rank(X))[-1])
+    # An importance is the mean absolute lookup of its table.
+    reference = Dataset(X, np.zeros(len(X), np.int32), ["q"] * len(X), [np.arange(len(X))])
+    lookups = {(s.kind, s.features): s.lookup_batch(*(X[:, f - 1] for f in s.features))
+               for s in shapes + surfaces}
+    imp = effect_importance(model, reference)
+    assert len(imp) == len(lookups)
+    for e in imp:
+        assert e.importance == float(np.mean(np.abs(lookups[e.kind, e.features])))
     # the independent oracle: the trees the tables were summed from
     np.testing.assert_allclose(table, tree_sum(model, X), rtol=0, atol=1e-9)
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,28 @@ def test_add_one_smoothing_keeps_p_positive():
     b = rng.random(30)
     out = fisher_randomization(b + 1.0, b, num_permutations=500, seed=2)
     assert out.p_value == pytest.approx(1 / 501)
+
+
+@pytest.mark.parametrize("n, permutations, seed, want", [
+    (21, 10_000, 3, 0.3872612738726127),
+    (300, 70_000, 0, 0.13391237268039027),
+])
+def test_monte_carlo_draws_in_bounded_chunks(n, permutations, seed, want):
+    # The pinned p-values come from drawing up to 65,536 permutations' flips
+    # per call, which took 300 MB at 300 queries and 70,000 permutations:
+    # smaller chunks of whole rows must draw the same flips.
+    rng = np.random.default_rng(n)
+    b = rng.random(n)
+    a = b + rng.normal(0.01, 0.2, n)
+    tracemalloc.start()
+    try:
+        out = fisher_randomization(a, b, num_permutations=permutations, seed=seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not out.exhaustive
+    assert out.p_value == want
+    assert peak < 64 * 2**20
 
 
 def test_input_validation():

@@ -778,6 +778,20 @@ def test_scores_by_pair_rank_adds_surfaces_in_k_set_order():
         [-0.75, 0.25, 0.75], [-0.75, 1.75, 2.25], [-0.75, 1.75, 4.25]]
 
 
+@pytest.mark.parametrize("features", [np.zeros(3), np.float64(0.0), np.zeros((1, 3, 1))],
+                         ids=["row", "scalar", "3-d"])
+def test_scoring_refuses_input_that_is_not_a_matrix(features):
+    main = [make_tree((f, 0.5, -0.25, 0.25), "single", (f,)) for f in (1, 2, 3)]
+    model = IlmartModel.from_trees(3, main, [_pair_tree(1, 2, 0.5)])
+    match = r"shape \(rows, features\), got shape \("
+    with pytest.raises(ModelError, match=match):
+        model.predict_batch(features)
+    with pytest.raises(ModelError, match=match):
+        next(model.scores_by_pair_rank(features))
+    with pytest.raises(ModelError, match=match):
+        next(model.terms(features))
+
+
 def test_failed_save_leaves_the_old_file(tmp_path, planted_run):
     path = tmp_path / "model.json"
     save_model(planted_run["stage1"], path)
