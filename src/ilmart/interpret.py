@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .model import IlmartModel, InteractionSurface, ShapeFunction
+from .model import IlmartModel
 
 
 @dataclass
@@ -25,9 +25,9 @@ class EffectScore:
     rank: int
 
 
-def distill_shapes(model: IlmartModel) -> tuple[list[ShapeFunction], list[InteractionSurface]]:
-    """The model's tables: one shape per main feature and one surface per pair."""
-    return list(model.shapes), list(model.surfaces)
+def distill_shapes(model: IlmartModel) -> tuple[tuple, tuple]:
+    """The model's tables, as tuples: one shape per main feature, one surface per pair."""
+    return model.shapes, model.surfaces
 
 
 def effect_importance(model: IlmartModel, reference: Dataset) -> list[EffectScore]:
@@ -41,7 +41,12 @@ def effect_importance(model: IlmartModel, reference: Dataset) -> list[EffectScor
         raise ValueError("reference dataset is empty")
     raw = []
     for effect, term in model.terms(reference.features):
-        raw.append((effect.kind, effect.features, float(np.mean(np.abs(term)))))
+        size = np.abs(term)
+        with np.errstate(over="ignore"):    # every |term| is finite, but their sum can overflow
+            mean = np.mean(size)
+        if np.isinf(mean):                  # then average them scaled by the largest
+            mean = np.mean(size / size.max()) * size.max()
+        raw.append((effect.kind, effect.features, float(mean)))
     raw.sort(key=lambda e: (-e[2], e[0] != "main", e[1]))
     return [EffectScore(kind, feats, imp, rank) for rank, (kind, feats, imp) in enumerate(raw, 1)]
 

@@ -6,10 +6,11 @@ builds each table from the trees of its effect: the breakpoints are the union
 of their split thresholds, and a cell's value is the trees' summed output at
 the cell's upper breakpoint, routed through ``DecisionTree.leaves``. Model
 files store the tables, and scoring sums their lookups: the model IS its
-plots. Shapes and surfaces share one lookup, ``lookup_batch``; a model
-scoring all its tables bins each feature once (``IlmartModel.terms``). Each
-JSON object of a model file has one checked reader, ``from_json``, and one
-writer, ``to_json``.
+plots. Tables and models are frozen and checked when made, however they are
+made. Shapes and surfaces share one lookup, ``lookup_batch``; a model
+scoring all its tables bins each feature once (``IlmartModel.terms``),
+through an index it builds once. Each JSON object of a model file has one
+reader, ``from_json``, and one writer, ``to_json``.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -119,8 +121,8 @@ class _Table:
         return self.values[tuple(np.searchsorted(bp, x, side="left")
                                  for bp, x in zip(self.axes, columns, strict=True))]
 
-    def check(self) -> None:
-        """Refuse a table whose lookups are not defined, or not finite."""
+    def __post_init__(self):
+        """Refuse a table whose lookups are undefined or not finite; freeze its arrays."""
         if list(self.features) != sorted(set(self.features)):
             raise ModelError(f"{self.key}: a pair's features must be distinct and ascending")
         for bp in self.axes:
@@ -132,9 +134,11 @@ class _Table:
                              f"breakpoints need {shape}")
         if not np.isfinite(self.values).all():
             raise ModelError(f"{self.key}: values must be finite")
+        for array in (*self.axes, self.values):
+            array.flags.writeable = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShapeFunction(_Table):
     """Contribution of one feature: ``values[i]`` on the i-th interval."""
 
@@ -150,10 +154,8 @@ class ShapeFunction(_Table):
         """The checked table of a ``{feature, breakpoints, values}`` object."""
         _known_keys(data, [f.name for f in fields(cls)], "main effect")
         feature = _feature_id(data["feature"], "main effect feature")
-        shape = cls(feature, _numbers(data["breakpoints"], 1, f"main_{feature}: breakpoints"),
-                    _numbers(data["values"], 1, f"main_{feature}: values"))
-        shape.check()
-        return shape
+        return cls(feature, _numbers(data["breakpoints"], 1, f"main_{feature}: breakpoints"),
+                   _numbers(data["values"], 1, f"main_{feature}: values"))
 
     @property
     def features(self) -> tuple[int]:
@@ -164,7 +166,7 @@ class ShapeFunction(_Table):
                 "values": self.values.tolist()}
 
 
-@dataclass
+@dataclass(frozen=True)
 class InteractionSurface(_Table):
     """Contribution of a feature pair over a breakpoint-by-breakpoint grid."""
 
@@ -185,11 +187,9 @@ class InteractionSurface(_Table):
             raise ModelError(f"pair effect pair must be two feature ids, got {pair!r}")
         pair = tuple(_feature_id(f, "pair effect feature") for f in pair)
         what = f"pair_{pair[0]}_{pair[1]}"
-        surface = cls(pair, _numbers(data["breakpoints_i"], 1, f"{what}: breakpoints_i"),
-                      _numbers(data["breakpoints_j"], 1, f"{what}: breakpoints_j"),
-                      _numbers(data["values"], 2, f"{what}: values"))
-        surface.check()
-        return surface
+        return cls(pair, _numbers(data["breakpoints_i"], 1, f"{what}: breakpoints_i"),
+                   _numbers(data["breakpoints_j"], 1, f"{what}: breakpoints_j"),
+                   _numbers(data["values"], 2, f"{what}: values"))
 
     @property
     def features(self) -> tuple[int, int]:
@@ -338,9 +338,9 @@ def _training_log(entries) -> list[tuple[int, int, float]]:
     return [(s, r, float(v)) for s, r, v in entries]
 
 
-@dataclass
+@dataclass(frozen=True)
 class IlmartModel:
-    """An additive ranker: one shape per main feature, one surface per pair.
+    """A frozen additive ranker, checked when made: a shape per main feature, a surface per pair.
 
     A row's score is the sum of its lookups, shapes in order and then
     surfaces in order. Those orders are ``main_features`` (J, in order of
@@ -353,21 +353,41 @@ class IlmartModel:
     """
 
     num_features: int
-    shapes: list[ShapeFunction] = field(default_factory=list)
-    surfaces: list[InteractionSurface] = field(default_factory=list)
+    shapes: tuple[ShapeFunction, ...] = ()
+    surfaces: tuple[InteractionSurface, ...] = ()
     config: TrainConfig = field(default_factory=TrainConfig)
     dataset_digest: str = ""
-    training_log: list[tuple[int, int, float]] = field(default_factory=list)
+    training_log: tuple[tuple[int, int, float], ...] = ()
     best_valid_ndcg: float | None = None
-    main_trees: list = field(default_factory=list)
-    interaction_trees: list = field(default_factory=list)
+    main_trees: tuple = ()
+    interaction_trees: tuple = ()
+
+    def __post_init__(self):
+        for name in ("shapes", "surfaces", "training_log", "main_trees", "interaction_trees"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        j_set = set(self.main_features)
+        for effect in self.shapes + self.surfaces:
+            if not all(1 <= f <= self.num_features for f in effect.features):
+                raise ModelError(f"{effect.key}: feature outside 1..{self.num_features}")
+            if not j_set.issuperset(effect.features):
+                raise ModelError(f"constraint violation: pair {effect.features} breaks the "
+                                 "heredity requirement")
+        if len(j_set) != self.p:
+            raise ModelError("constraint violation: duplicate main-effect feature")
+        if len(set(self.interaction_pairs)) != self.num_interactions:
+            raise ModelError("constraint violation: duplicate pair")
+        bound = 0.0     # no score exceeds it, summed as scoring sums the terms
+        for effect in self.shapes + self.surfaces:
+            bound += float(np.abs(effect.values).max())
+        if not math.isfinite(bound):
+            raise ModelError("scores can overflow: the sum over tables of each table's largest "
+                             "absolute value is not finite")
 
     @classmethod
     def from_trees(cls, num_features: int, main_trees, interaction_trees=(),
                    **fields) -> "IlmartModel":
-        """The model whose tables sum ``main_trees`` and ``interaction_trees``
-        by constraint tag (see :func:`tables`)."""
-        main_trees, interaction_trees = list(main_trees), list(interaction_trees)
+        """The model whose tables sum the sequences ``main_trees`` and
+        ``interaction_trees`` by constraint tag (see :func:`tables`)."""
         return cls(num_features, tables(main_trees), tables(interaction_trees),
                    main_trees=main_trees, interaction_trees=interaction_trees, **fields)
 
@@ -398,7 +418,7 @@ class IlmartModel:
             digest = metadata.get("dataset_digest", "")
             if not isinstance(digest, str):
                 raise ModelError(f"dataset_digest must be a string, got {digest!r}")
-            model = cls(
+            return cls(
                 num_features=num_features,
                 shapes=[ShapeFunction.from_json(e) for e in data["main_effects"]],
                 surfaces=[InteractionSurface.from_json(e) for e in data["pair_effects"]],
@@ -407,14 +427,12 @@ class IlmartModel:
                 training_log=_training_log(data["training_log"]),
                 best_valid_ndcg=best,
             )
-            model.validate()
         except KeyError as exc:
             raise ModelError(f"malformed model file, missing key {exc}") from None
         except ModelError:          # a ValueError, passed on as it is
             raise
         except (TypeError, ValueError, AttributeError) as exc:
             raise ModelError(f"malformed model file ({exc})") from None
-        return model
 
     def to_json(self) -> dict:
         return {
@@ -457,33 +475,37 @@ class IlmartModel:
             )
         return features
 
+    @cached_property
+    def _scoring_index(self):
+        """What :meth:`terms` reads, built once per model: each feature's union of
+        breakpoints, and per table one map per axis from union interval to cell."""
+        cuts: dict[int, list] = {}
+        for effect in self.shapes + self.surfaces:
+            for f, bp in zip(effect.features, effect.axes):
+                cuts.setdefault(f, [[-np.inf]]).append(bp)
+        # Union interval u covers (cuts[u], cuts[u+1]] (empty at a repeat), as in
+        # lookup_batch; an axis's cell there counts its breakpoints <= cuts[u].
+        cuts = {f: np.sort(np.concatenate(bps)) for f, bps in cuts.items()}
+        tables = [(effect, [bp.searchsorted(cuts[f], side="right")
+                            for f, bp in zip(effect.features, effect.axes)])
+                  for effect in self.shapes + self.surfaces]
+        return {f: c[1:] for f, c in cuts.items()}, tables
+
     def terms(self, features: np.ndarray):
         """Yield ``(table, term)`` for every table, shapes in order and then
         surfaces: ``term`` is the table's value for every row of a feature
         matrix, bit for bit its ``lookup_batch`` of the rows' columns.
 
         Each feature is binned once for all the tables that read it, against
-        the union of their breakpoints on it. An axis's breakpoints are a
-        subset of that union, so the count of them below an input is a
-        function of the input's union interval, which one small array per
-        axis maps.
+        the union of their breakpoints on it, and each table maps that union
+        interval to its own cell through an index built once per model.
         """
         features = self._check_width(features)
-        effects = self.shapes + self.surfaces
-        axes: dict[int, list[np.ndarray]] = {}
-        for effect in effects:
-            for f, bp in zip(effect.features, effect.axes):
-                axes.setdefault(f, []).append(bp)
-        # Sorted, not deduplicated: a repeated breakpoint adds an empty
-        # interval, which no input falls in, and costs less than np.unique.
-        unions = {f: np.sort(np.concatenate(bps)) for f, bps in axes.items()}
-        # Union interval u covers (union[u-1], union[u]], as in lookup_batch.
+        unions, tables = self._scoring_index
         bins = {f: np.searchsorted(u, features[:, f - 1], side="left")
                 for f, u in unions.items()}
-        for effect in effects:
-            yield effect, effect.values[tuple(
-                np.concatenate(([0], np.searchsorted(bp, unions[f], side="right")))[bins[f]]
-                for f, bp in zip(effect.features, effect.axes))]
+        for effect, maps in tables:
+            yield effect, effect.values[tuple(m[bins[f]] for f, m in zip(effect.features, maps))]
 
     def predict_batch(self, features: np.ndarray) -> np.ndarray:
         features = self._check_width(features)
@@ -508,22 +530,3 @@ class IlmartModel:
         for _, term in terms:
             scores += term
             yield scores.copy()
-
-    def validate(self) -> None:
-        """Check the config and every table invariant; raises :class:`ModelError`."""
-        self.config.validate()
-        for effect in self.shapes + self.surfaces:
-            effect.check()
-            if not all(1 <= f <= self.num_features for f in effect.features):
-                raise ModelError(f"{effect.key}: feature outside 1..{self.num_features}")
-        if len(set(self.main_features)) != self.p:
-            raise ModelError("constraint violation: duplicate main-effect feature")
-        if len(set(self.interaction_pairs)) != self.num_interactions:
-            raise ModelError("constraint violation: duplicate pair")
-        j_set = set(self.main_features)
-        for i, j in self.interaction_pairs:
-            if not (i in j_set and j in j_set):
-                raise ModelError(
-                    f"constraint violation: pair ({i}, {j}) breaks the heredity requirement"
-                )
-

@@ -253,9 +253,9 @@ def write_atomically(path):
 
 def save_model(model: IlmartModel, path) -> None:
     """Serialize the tables to schema-versioned JSON (floats as shortest
-    round-trip text). The model is first checked as :func:`load_model`
-    checks it, so a model that file would be refused is never written."""
-    model.validate()
+    round-trip text). A model is checked when made; its config is checked
+    again, because its ``stage3_overrides`` is a dict a caller can edit."""
+    model.config.validate()
     with write_atomically(path) as fh:
         json.dump(model.to_json(), fh)
         fh.write("\n")

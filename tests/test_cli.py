@@ -1,14 +1,17 @@
 import contextlib
+import copy
 import csv
 import io
 import itertools
 import json
+import math
 import os
 import re
 import shlex
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -844,3 +847,122 @@ def test_train_at_config_bounds_gives_a_finite_model_or_exits_2(tiny_files, conf
     features = load_svmlight(tiny_files["train"], num_features=model.num_features).features
     want = [additive_score(model.shapes, model.surfaces, x) for x in features]
     np.testing.assert_allclose(model.predict_batch(features), want, rtol=0, atol=1e-9)
+
+
+def _read_model(command, model, data, out):
+    """Run ``eval``, ``predict`` or ``export-shapes`` (CSV) in-process: its
+    exit code, its stderr, the numbers it wrote and the warnings raised.
+
+    The numbers are every NDCG of ``eval``, every score of ``predict``, and
+    every value, upper bound and importance of ``export-shapes``; an upper
+    bound past the last breakpoint is ``inf`` by design and is left out."""
+    argv = [command, "--model", str(model), "--data", str(data)]
+    if command != "eval":
+        argv += ["--out", str(out)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = main(argv)
+    numbers = []
+    if code == 0 and command == "eval":
+        rows = list(csv.reader(stdout.getvalue().splitlines()[1:]))
+        numbers = [row[1] for row in rows[1:]]
+    elif code == 0 and command == "predict":
+        with open(out, encoding="utf-8") as fh:
+            numbers = [row[2] for row in list(csv.reader(fh))[1:]]
+    elif code == 0:
+        for name in os.listdir(out):
+            with open(os.path.join(out, name), encoding="utf-8") as fh:
+                header, *rows = list(csv.reader(fh))
+            columns = ["importance"] if name == "index.csv" else header
+            numbers += [row[header.index(c)] for row in rows for c in columns
+                        if row[header.index(c)] != "inf" or c == "value"]
+    return code, stderr.getvalue(), [float(v) for v in numbers], [str(w.message) for w in caught]
+
+
+@pytest.fixture(scope="module")
+def small_test_file(files):
+    path = files["root"] / "small_test.txt"
+    planted_interaction(4, 10, seed=85).save_svmlight(path)
+    return path
+
+
+def test_a_model_whose_scores_can_overflow_exits_2(trained_dir, small_test_file, tmp_path):
+    data = json.loads((trained_dir / "model.json").read_text())
+    for effect in data["main_effects"]:
+        effect["values"] = [1e308] * len(effect["values"])
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(data))
+    for command in ("eval", "predict", "export-shapes"):
+        code, err, _, caught = _read_model(command, bad, small_test_file, tmp_path / command)
+        assert code == 2 and caught == []
+        assert err == (f"error: {bad}: scores can overflow: the sum over tables of each "
+                       "table's largest absolute value is not finite\n")
+
+
+def test_importance_of_huge_finite_values_does_not_overflow(trained_dir, small_test_file,
+                                                            tmp_path):
+    # One main effect of 1e308 everywhere: every score is finite, but the
+    # sum of its 40 absolute terms is not.
+    data = json.loads((trained_dir / "model.json").read_text())
+    first = data["main_effects"][0]
+    first["values"] = [1e308] * len(first["values"])
+    huge = tmp_path / "model.json"
+    huge.write_text(json.dumps(data))
+    code, err, numbers, caught = _read_model("export-shapes", huge, small_test_file,
+                                             tmp_path / "out")
+    assert (code, err, caught) == (0, "", [])
+    assert all(math.isfinite(v) for v in numbers)
+    with open(tmp_path / "out" / "index.csv", encoding="utf-8") as fh:
+        index = {row["effect"]: row for row in csv.DictReader(fh)}
+    key = f"main_{first['feature']}"
+    assert float(index[key]["importance"]) == 1e308 and index[key]["rank"] == "1"
+
+
+# What a mutation puts in place of a node of a model file.
+_NODES = st.sampled_from([None, True, False, "0.5", [], {}, [[0.5, [1]]], [[]], 0, -1,
+                          1.7976931348623157e308, -1.7976931348623157e308, 1.7e308, -1.7e308,
+                          2**63, 10**20])
+
+
+@st.composite
+def _mutated(draw, data):
+    """``data`` with one node dropped or replaced: a walk from the root goes
+    into a random child of each container, until a draw or a leaf stops it."""
+    data = copy.deepcopy(data)
+    parent, key, node = None, None, data
+    while isinstance(node, (dict, list)) and node and draw(st.integers(0, 3)):
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        parent, node = node, node[key]
+    if parent is not None and draw(st.booleans()):
+        del parent[key]
+    elif parent is not None:
+        parent[key] = draw(_NODES)
+    else:
+        data = draw(_NODES)
+    return data
+
+
+@pytest.fixture(scope="module")
+def model_data(trained_dir):
+    return json.loads((trained_dir / "model.json").read_text())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_a_mutated_model_file_is_read_or_refused_in_one_line(model_data, small_test_file,
+                                                             data):
+    mutated = data.draw(_mutated(model_data))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(mutated, fh)
+        for command in ("eval", "predict", "export-shapes"):
+            out = os.path.join(tmp, command)
+            code, err, numbers, caught = _read_model(command, path, small_test_file, out)
+            assert code in (0, 2), err
+            if code == 0:
+                assert caught == [] and all(math.isfinite(v) for v in numbers)
+            else:
+                assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -64,7 +64,7 @@ def test_trained_model_logs_all_three_stages(trained):
 def test_single_tree_shape():
     model = IlmartModel.from_trees(2, [two_leaf(1, 0.5, -0.1, 0.2)])
     shapes, surfaces = distill_shapes(model)
-    assert surfaces == []
+    assert surfaces == ()
     (shape,) = shapes
     assert shape.feature == 1
     assert shape.breakpoints.tolist() == [0.5]
@@ -91,8 +91,7 @@ def test_interval_closed_on_the_right():
 
 def test_surface_grid_matches_tree_sums():
     tree = pair_tree(1, 2, 0.5, 0.3, (-1.0, 0.25, 0.75))
-    model = IlmartModel.from_trees(2, [two_leaf(1, 0.2, 0.0, 0.1)], [tree])
-    _, (surface,) = distill_shapes(model)
+    (surface,) = tables([tree])
     assert surface.pair == (1, 2)
     for xi in (0.1, 0.5, 0.9):
         for xj in (0.1, 0.3, 0.9):
@@ -113,8 +112,7 @@ def test_leaf_walk_skips_unreachable_branches():
     # unreachable; the pair tree splits on j first and on i below it.
     main = make_tree((1, 0.5, (1, 0.7, 1.0, 100.0), -1.0), "single", (1,))
     pair = make_tree((2, 0.3, (1, 0.6, 0.5, 0.25), -0.5), "pair", (1, 2))
-    model = IlmartModel.from_trees(2, [main], [pair])
-    (shape,), (surface,) = distill_shapes(model)
+    (shape,), (surface,) = tables([main]), tables([pair])
     assert shape.breakpoints.tolist() == [0.5, 0.7]
     assert shape.values.tolist() == [1.0, -1.0, -1.0]
     assert surface.breakpoints_i.tolist() == [0.6]
@@ -219,6 +217,13 @@ def test_additive_identity_at_the_edges(edge_model, data):
         table += s.lookup_batch(X[:, s.pair[0] - 1], X[:, s.pair[1] - 1])
     np.testing.assert_array_equal(table, model.predict_batch(X))
     np.testing.assert_array_equal(table, list(model.scores_by_pair_rank(X))[-1])
+    # The terms read an index built once per model: every call gives the
+    # same bits, each its table's own lookup.
+    first, again = list(model.terms(X)), list(model.terms(X))
+    for (effect, term), (effect2, term2) in zip(first, again, strict=True):
+        assert effect is effect2 and term.tobytes() == term2.tobytes()
+        lookup = effect.lookup_batch(*(X[:, f - 1] for f in effect.features))
+        assert term.tobytes() == lookup.tobytes()
     # An importance is the mean absolute lookup of its table.
     reference = Dataset(X, np.zeros(len(X), np.int32), ["q"] * len(X), [np.arange(len(X))])
     lookups = {(s.kind, s.features): s.lookup_batch(*(X[:, f - 1] for f in s.features))

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import re
 import tempfile
 from dataclasses import replace
 
@@ -23,6 +24,7 @@ from ilmart import (
     save_model,
     train_ilmart,
 )
+from ilmart.model import tables
 from ilmart.trainer import (
     _Booster,
     select_interactions,
@@ -30,7 +32,7 @@ from ilmart.trainer import (
     train_main_effects,
 )
 
-from oracles import tree_sum
+from oracles import oracle_effect_table, tree_sum
 from synthdata import planted_interaction, single_signal
 from treespec import make_tree
 
@@ -146,7 +148,7 @@ def test_selection_does_not_touch_the_model(planted_run):
     select_interactions(model, booster_after_stage1(planted_run))
     assert model.main_trees == before.main_trees
     assert all(np.array_equal(a.values, b.values) for a, b in zip(model.shapes, before.shapes))
-    assert model.interaction_trees == [] and model.surfaces == []
+    assert model.interaction_trees == () and model.surfaces == ()
 
 
 def test_interaction_trees_stay_inside_selected_pairs(planted_run):
@@ -424,7 +426,7 @@ def test_save_load_round_trip(tmp_path, planted_run):
     for got, want in zip(back.shapes + back.surfaces, full.shapes + full.surfaces):
         assert all(np.array_equal(a, b) for a, b in zip(got.axes, want.axes))
         assert np.array_equal(got.values, want.values)
-    assert back.main_trees == back.interaction_trees == []     # trees are not saved
+    assert back.main_trees == back.interaction_trees == ()     # trees are not saved
     # saving the loaded model reproduces the file byte for byte
     path2 = tmp_path / "model2.json"
     save_model(back, path2)
@@ -436,7 +438,7 @@ def test_stage1_model_round_trips_with_no_interactions(tmp_path, planted_run):
     save_model(planted_run["stage1"], path)
     back = load_model(path)
     assert back.interaction_pairs == []
-    assert back.interaction_trees == []
+    assert back.interaction_trees == ()
     X = planted_run["valid"].features[:50]
     np.testing.assert_array_equal(back.predict_batch(X),
                                   planted_run["stage1"].predict_batch(X))
@@ -468,7 +470,7 @@ def test_a_loaded_stage_1_model_continues_like_the_trained_one(tmp_path, planted
     path = tmp_path / "stage1.json"
     save_model(train_main_effects(booster), path)
     loaded = load_model(path)
-    assert loaded.main_trees == loaded.interaction_trees == []
+    assert loaded.main_trees == loaded.interaction_trees == ()
     pairs = select_interactions(loaded, booster)
     assert pairs == planted_run["pairs"]
     full = train_interaction_effects(loaded, pairs, booster)
@@ -514,6 +516,21 @@ def test_saved_model_scores_bit_identically(data):
     pair_trees = [draw_tree(data, list(p), "pair", p)
                   for p in pairs for _ in range(data.draw(st.integers(1, 2)))]
     with np.errstate(over="ignore", invalid="ignore"):     # sums of +-1.7e308 leaves
+        # The box-painting oracle's tables, in the model's order; the model
+        # must refuse non-finite values, and tables whose scores can overflow.
+        sums = [oracle_effect_table([t for t in main_trees + pair_trees
+                                     if t.constraint_features == tag], tag)[1]
+                for tag in dict.fromkeys(tuple(t.constraint_features)
+                                         for t in main_trees + pair_trees)]
+        bound = 0.0
+        for values in sums:
+            bound += np.abs(values).max()
+        finite = all(np.isfinite(v).all() for v in sums)
+        if not (finite and np.isfinite(bound)):
+            refusal = "scores can overflow" if finite else "values must be finite"
+            with pytest.raises(ModelError, match=refusal):
+                IlmartModel.from_trees(width, main_trees, pair_trees)
+            return
         model = IlmartModel.from_trees(width, main_trees, pair_trees)
     assert model.main_features == main and model.interaction_pairs == pairs
     inputs = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 0.5]))
@@ -521,18 +538,12 @@ def test_saved_model_scores_bit_identically(data):
                                     min_size=1, max_size=8)), dtype=np.float64)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "model.json")
-        if not all(np.isfinite(e.values).all() for e in model.shapes + model.surfaces):
-            with pytest.raises(ModelError, match="values must be finite"):
-                save_model(model, path)
-            assert os.listdir(tmp) == []
-            return
         save_model(model, path)
         back = load_model(path)
     for got, want in zip(back.shapes + back.surfaces, model.shapes + model.surfaces):
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got.axes, want.axes))
         assert got.values.tobytes() == want.values.tobytes()
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert back.predict_batch(X).tobytes() == model.predict_batch(X).tobytes()
+    assert back.predict_batch(X).tobytes() == model.predict_batch(X).tobytes()
 
 
 def test_5000_deep_chain_saves_and_loads_bit_identically(tmp_path):
@@ -726,7 +737,7 @@ def test_train_ilmart_with_interactions_disabled():
     train = planted_interaction(60, 15, seed=31)
     valid = planted_interaction(20, 15, seed=32)
     model = train_ilmart(train, valid, small_cfg(max_interactions=0))
-    assert model.interaction_trees == []
+    assert model.interaction_trees == ()
     assert model.interaction_pairs == []
 
 
@@ -749,10 +760,39 @@ def test_predict_requires_enough_features(planted_run):
 
 
 def test_heredity_validated_on_trained_model(planted_run):
-    planted_run["full"].validate()
-    j = set(planted_run["full"].main_features)
-    for i, k in planted_run["full"].interaction_pairs:
+    full = planted_run["full"]
+    replace(full)               # made again, the trained model passes the construction check
+    j = set(full.main_features)
+    for i, k in full.interaction_pairs:
         assert i in j and k in j
+
+
+def test_models_and_their_tables_are_frozen(tmp_path, planted_run):
+    full = planted_run["full"]
+    path = tmp_path / "model.json"
+    save_model(full, path)
+    for model in (full, load_model(path)):
+        for effect in model.shapes + model.surfaces:
+            for array in (*effect.axes, effect.values):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                effect.values = np.zeros_like(effect.values)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.surfaces = ()
+
+
+def test_replace_refuses_a_duplicate_or_non_hereditary_pair(planted_run):
+    full = planted_run["full"]
+    surface = full.surfaces[0]
+    with pytest.raises(ModelError, match="constraint violation: duplicate pair"):
+        replace(full, surfaces=[surface, surface])
+    i = full.main_features[0]
+    outside = next(f for f in range(1, full.num_features + 1) if f not in full.main_features)
+    pair = tuple(sorted((i, outside)))
+    (stray,) = tables([make_tree((i, 0.5, 0.0, (outside, 0.5, 0.0, 1.0)), "pair", pair)])
+    with pytest.raises(ModelError, match=re.escape(f"pair {pair} breaks the heredity")):
+        replace(full, surfaces=[*full.surfaces, stray])
 
 
 def test_scores_by_pair_rank_runs_from_stage1_to_full(planted_run):
