@@ -2,7 +2,7 @@
 additive model over single features and a bounded set of feature pairs."""
 
 from .dataset import BinMapper, Dataset, DatasetError, build_bins, load_svmlight
-from .interpret import distill_shapes, effect_importance, export_shapes
+from .interpret import effect_importance, export_shapes
 from .lambdas import compute_lambdas
 from .metrics import NdcgReport, mean_ndcg
 from .model import IlmartModel, InteractionSurface, ModelError, ShapeFunction, TrainConfig
@@ -27,7 +27,6 @@ __all__ = [
     "TrainConfig",
     "build_bins",
     "compute_lambdas",
-    "distill_shapes",
     "effect_importance",
     "export_shapes",
     "fisher_randomization",

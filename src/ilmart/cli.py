@@ -16,9 +16,9 @@ import sys
 from dataclasses import asdict
 
 from .dataset import Dataset, DatasetError, load_svmlight
-from .interpret import distill_shapes, effect_importance, export_shapes
+from .interpret import effect_importance, export_shapes
 from .metrics import DEFAULT_CUTOFFS, mean_ndcg
-from .model import IlmartModel, ModelError, TrainConfig
+from .model import IlmartModel, ModelError, TrainConfig, read_json
 from .stats import DEFAULT_PERMUTATIONS, fisher_randomization
 from .trainer import load_model, save_model, train_ilmart, write_atomically
 
@@ -74,19 +74,9 @@ def _parse_cutoffs(text: str) -> tuple[int, ...]:
 
 def _resolve_train_config(args) -> TrainConfig:
     """Merge defaults < config file (``TrainConfig`` fields only) < CLI flags."""
-    merged: dict = {}
-    if args.config:
-        path = _require_file(args.config, "config")
-        try:
-            with open(path, encoding="utf-8") as fh:
-                merged = json.load(fh)
-        except (ValueError, RecursionError) as exc:
-            # ValueError: bad UTF-8 or JSON, or an integer of more digits
-            # than Python converts; RecursionError: nesting deeper than the
-            # json module parses.
-            raise UsageError(f"config file {args.config} is not valid JSON ({exc})") from None
-        if not isinstance(merged, dict):
-            raise UsageError(f"config file {args.config} must hold a JSON object")
+    merged = read_json(_require_file(args.config, "config"), "config file") if args.config else {}
+    if not isinstance(merged, dict):
+        raise UsageError(f"config file {args.config} must hold a JSON object")
     overrides = {
         "num_leaves": args.num_leaves,
         "learning_rate": args.learning_rate,
@@ -169,10 +159,9 @@ def cmd_export_shapes(args) -> int:
     if args.top is not None and args.top < 1:
         raise UsageError(f"--top must be >= 1, got {args.top}")
     [model], ds = _load(args, ("model", args.model))
-    shapes, surfaces = distill_shapes(model)
     importance = effect_importance(model, ds)
     with _output_lock(args.out):
-        written = export_shapes(shapes, surfaces, args.out, fmt=args.format,
+        written = export_shapes(model.shapes, model.surfaces, args.out, fmt=args.format,
                                 importance=importance, top=args.top)
     print(f"wrote {len(written)} file(s) to {args.out}")
     return EXIT_OK

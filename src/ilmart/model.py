@@ -7,10 +7,11 @@ of their split thresholds, and a cell's value is the trees' summed output at
 the cell's upper breakpoint, routed through ``DecisionTree.leaves``. Model
 files store the tables, and scoring sums their lookups: the model IS its
 plots. Tables and models are frozen and checked when made, however they are
-made. Shapes and surfaces share one lookup, ``lookup_batch``; a model
-scoring all its tables bins each feature once (``IlmartModel.terms``),
-through an index it builds once. Each JSON object of a model file has one
-reader, ``from_json``, and one writer, ``to_json``.
+made; a copy or a pickle is rebuilt through the constructor. Shapes and
+surfaces share one lookup, ``lookup_batch``; a model scoring all its tables
+bins each feature once (``IlmartModel.terms``), through an index it builds
+once. Each JSON object of a model file has one reader, ``from_json``, and
+one writer, ``to_json``, and ``read_json`` is the package's one JSON reader.
 """
 from __future__ import annotations
 
@@ -136,6 +137,10 @@ class _Table:
             raise ModelError(f"{self.key}: values must be finite")
         for array in (*self.axes, self.values):
             array.flags.writeable = False
+
+    def __reduce__(self):
+        """Copies and pickles are rebuilt through the constructor: checked, frozen, unindexed."""
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -361,6 +366,8 @@ class IlmartModel:
     best_valid_ndcg: float | None = None
     main_trees: tuple = ()
     interaction_trees: tuple = ()
+
+    __reduce__ = _Table.__reduce__
 
     def __post_init__(self):
         for name in ("shapes", "surfaces", "training_log", "main_trees", "interaction_trees"):

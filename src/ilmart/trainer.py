@@ -169,15 +169,16 @@ def select_interactions(model: IlmartModel, booster: _Booster) -> list[tuple[int
     pair on first appearance. The trees never reach the model: the scores
     roll back to where the stage started, and only its log entries stay.
     Returns the pairs in nomination order, which doubles as their importance
-    ranking.
+    ranking; none, without a round, at ``max_interactions`` 0, or (with a
+    warning) when stage 1 kept fewer than two features.
     """
     cfg = booster.run_cfg
+    if cfg.max_interactions == 0:
+        return []
     if model.p < 2:
         logger.warning("stage 2 skipped: only %d main effect(s), pairs need two", model.p)
         return []
     target = min(cfg.max_interactions, math.comb(model.p, 2))
-    if target < 1:
-        return []
     booster.start_stage(2, cfg)
     start = booster.scores_train.copy(), booster.scores_valid.copy()
     regime = ConstraintRegime("discovery", model.main_features)
@@ -222,18 +223,15 @@ def train_interaction_effects(model: IlmartModel, pairs, booster: _Booster) -> I
         phase_trees, best = _boost_stage(booster, ConstraintRegime("pair", pair))
         trees.extend(phase_trees)
     return replace(model, surfaces=tables(trees), interaction_trees=trees,
-                   config=booster.run_cfg, training_log=list(booster.log), best_valid_ndcg=best)
+                   training_log=list(booster.log), best_valid_ndcg=best)
 
 
 def train_ilmart(train: Dataset, valid: Dataset, cfg: TrainConfig) -> IlmartModel:
-    """Run the full pipeline on one booster; stages 2 and 3 run when interactions are enabled."""
+    """Run the full pipeline on one booster; stage 3 runs when stage 2 nominates a pair."""
     booster = _Booster(train, valid, cfg)
     model = train_main_effects(booster)
-    if cfg.max_interactions > 0 and model.p >= 2:
-        pairs = select_interactions(model, booster)
-        if pairs:
-            model = train_interaction_effects(model, pairs, booster)
-    return model
+    pairs = select_interactions(model, booster)
+    return train_interaction_effects(model, pairs, booster) if pairs else model
 
 
 @contextlib.contextmanager

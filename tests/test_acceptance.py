@@ -15,7 +15,6 @@ from ilmart import (
     Dataset,
     TrainConfig,
     compute_lambdas,
-    distill_shapes,
     fisher_randomization,
     load_model,
     load_svmlight,
@@ -23,6 +22,7 @@ from ilmart import (
     save_model,
     train_ilmart,
 )
+from ilmart.interpret import distill_shapes
 from ilmart.lambdas import LambdaPlan
 from ilmart.trainer import (_Booster, select_interactions, train_interaction_effects,
                             train_main_effects)

@@ -694,7 +694,7 @@ def test_config_that_is_not_json_exits_2(files, tmp_path, capsys):
                  "--out", str(tmp_path / "run"), "--config", str(config)])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: config file {config} is not valid JSON") \
+    assert err.startswith(f"error: {config}: not a JSON config file (") \
         and len(err.splitlines()) == 1
 
 
@@ -721,7 +721,7 @@ def test_config_the_json_module_cannot_parse_exits_2(files, tmp_path, capsys, te
                  "--out", str(out), "--config", str(config)])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: config file {config} is not valid JSON") \
+    assert err.startswith(f"error: {config}: not a JSON config file (") \
         and len(err.splitlines()) == 1
     assert not out.exists()
 

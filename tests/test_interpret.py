@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ilmart
 from ilmart import (
     IlmartModel,
     ModelError,
     build_bins,
     Dataset,
-    distill_shapes,
     effect_importance,
     export_shapes,
     InteractionSurface,
@@ -21,6 +21,7 @@ from ilmart import (
     TrainConfig,
 )
 
+from ilmart.interpret import distill_shapes
 from ilmart.model import tables
 from ilmart.trainer import (_Booster, select_interactions, train_interaction_effects,
                             train_main_effects)
@@ -69,6 +70,14 @@ def test_single_tree_shape():
     assert shape.feature == 1
     assert shape.breakpoints.tolist() == [0.5]
     assert shape.values.tolist() == [-0.1, 0.2]
+
+
+def test_tables_are_read_from_the_model():
+    # distill_shapes stays in interpret only for the benchmark, which wraps it
+    assert "distill_shapes" not in ilmart.__all__
+    model = IlmartModel.from_trees(2, [two_leaf(1, 0.5, -0.1, 0.2)])
+    shapes, surfaces = distill_shapes(model)
+    assert shapes is model.shapes and surfaces is model.surfaces
 
 
 def test_two_trees_merge_breakpoints():

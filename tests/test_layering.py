@@ -1,5 +1,6 @@
 """The package's modules import each other along a DAG, none imports
-another module's private names, and only ``trees`` walks a tree's nodes.
+another module's private names, only ``trees`` walks a tree's nodes, and
+only ``model`` parses JSON.
 
 Imports and attributes are read from the source with ``ast``, at any depth,
 so an import under ``if TYPE_CHECKING:`` or inside a function counts like any
@@ -12,6 +13,8 @@ PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "ilmart"
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 # A tree's node encoding: only trees.py follows it, through DecisionTree.leaves.
 NODE_FIELDS = {"root", "left_child", "right_child"}
+# The json module's parsers: only model.py calls them, through read_json.
+JSON_READERS = {"load", "loads"}
 
 
 def _parse(name: str) -> ast.Module:
@@ -79,3 +82,12 @@ def test_only_trees_reads_the_node_encoding():
              for node in ast.walk(_parse(name))
              if isinstance(node, ast.Attribute) and node.attr in NODE_FIELDS]
     assert reads == []
+
+
+def test_only_model_parses_json():
+    readers = {name for name in MODULES for node in ast.walk(_parse(name))
+               if isinstance(node, ast.Attribute) and node.attr in JSON_READERS
+               and isinstance(node.value, ast.Name) and node.value.id == "json"
+               or isinstance(node, ast.ImportFrom) and node.module == "json"
+               and JSON_READERS & {alias.name for alias in node.names}}
+    assert readers == {"model"}

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import re
 import tempfile
 from dataclasses import replace
@@ -18,12 +19,12 @@ from ilmart import (
     IlmartModel,
     ModelError,
     TrainConfig,
-    distill_shapes,
     load_model,
     mean_ndcg,
     save_model,
     train_ilmart,
 )
+from ilmart.interpret import distill_shapes
 from ilmart.model import tables
 from ilmart.trainer import (
     _Booster,
@@ -733,6 +734,24 @@ def test_training_is_deterministic(tmp_path):
     assert pa.read_bytes() == pb.read_bytes()
 
 
+@pytest.mark.parametrize("interactions, warnings", [(5, 1), (0, 0)])
+def test_stage_2_alone_decides_whether_it_runs(caplog, interactions, warnings):
+    def one_varying_feature(seed):
+        ds = single_signal(60, 15, seed=seed, num_features=3)
+        X = ds.features.copy()
+        X[:, 1:] = 0.5
+        return Dataset.from_rows(ds.labels, ds.qids, X)
+
+    with caplog.at_level("INFO", logger="ilmart"):
+        model = train_ilmart(one_varying_feature(7), one_varying_feature(8),
+                             small_cfg(max_interactions=interactions))
+    assert model.main_features == [1] and model.surfaces == ()
+    skipped = [r for r in caplog.records if r.getMessage().startswith("stage 2 skipped")]
+    assert len(skipped) == warnings
+    assert [r for r in caplog.records if r.levelname == "WARNING"] == skipped
+    assert not any(r.getMessage().startswith("stage 2:") for r in caplog.records)
+
+
 def test_train_ilmart_with_interactions_disabled():
     train = planted_interaction(60, 15, seed=31)
     valid = planted_interaction(20, 15, seed=32)
@@ -771,7 +790,19 @@ def test_models_and_their_tables_are_frozen(tmp_path, planted_run):
     full = planted_run["full"]
     path = tmp_path / "model.json"
     save_model(full, path)
-    for model in (full, load_model(path)):
+    X = planted_run["valid"].features
+    models = []
+    for source in (full, load_model(path)):
+        want = source.predict_batch(X)      # builds the source's scoring index
+        copies = [copy.copy(source), copy.deepcopy(source), pickle.loads(pickle.dumps(source))]
+        for model in copies:                # rebuilt through the constructor
+            assert "_scoring_index" not in vars(model)
+            assert model.predict_batch(X).tobytes() == want.tobytes()
+            for effect, term in model.terms(X):
+                assert term.tobytes() == effect.lookup_batch(
+                    *(X[:, f - 1] for f in effect.features)).tobytes()
+        models += [source, *copies]
+    for model in models:
         for effect in model.shapes + model.surfaces:
             for array in (*effect.axes, effect.values):
                 with pytest.raises(ValueError, match="read-only"):
