@@ -22,16 +22,25 @@ Split search works on histograms of the feature-major binned matrix (the
 layout of LightGBM, Ke et al. 2017), one leaf at a time. A scored leaf keeps
 its histograms, one per candidate feature, each indexed by the feature's own
 bins. When it splits on feature f at bin t, every bin of f goes wholly to
-one child, so each child's histogram on f is the parent's on its side of t,
-copied without a bincount, and empty on the other side; the other
-candidates are bincounted over the child's rows. A single-feature tree never
-bincounts below the root, and a pair tree bincounts only the partner feature.
+one child, so each child's histogram on f is the parent's on its side of t.
+
+Below the root, a single-feature tree reads no rows: each leaf is a range of
+the root feature's bins, scored on that slice of the root's histogram, and
+the slice's bin sums are its totals. One pass at the end finds every leaf's
+rows through a leaf-of-bin table. Pair and discovery trees partition each
+leaf's rows: a child copies its parent's histogram on f, empty on the other
+side of t, bincounts the other candidates over its own rows (a pair tree
+only the partner feature) and sums its totals over those rows.
 A leaf with fewer than ``2 * min_data_in_leaf`` rows cannot split and is
 never scored. Every histogram cell sums the same rows in the same order as a
 bincount of that leaf alone (the sibling is never the parent minus the other
-child, which would round differently), so the tree is the one that scoring
-every leaf one feature at a time gives. Ties resolve to the lowest
-gain-maximising feature id, then the lowest bin, then the oldest leaf.
+child, which would round differently), so every cut's left sums are the ones
+that scoring each leaf one feature at a time gives. A single tree's leaf
+totals below the root, bin sums rather than row sums, can differ from those
+in the last bits, which can move a split only at a near-tie of that size; on
+inputs whose sums are exact in any order the trees are the same. Ties
+resolve to the lowest gain-maximising feature id, then the lowest bin, then
+the oldest leaf. A leaf's value comes from its row sums, in row order.
 
 A fitted tree is a set of flat split and leaf arrays, as in LightGBM. Splits
 store raw thresholds (the boundary value between the two bins), so inference
@@ -147,17 +156,27 @@ class _GrowLeaf:
     """A leaf of a growing tree and, once scored, the histograms it was
     scored on: ``hist[:, j, b]`` holds the gradient sum, hessian sum and row
     count of the leaf's rows in bin ``b`` of feature ``cands[j]``, the
-    candidates side by side and padded with empty bins to the widest."""
+    candidates side by side and padded with empty bins to the widest.
 
-    __slots__ = ("rows", "index", "slot", "totals", "cands", "hist")
+    A leaf below the root of a single-feature tree knows its bins, not its
+    rows: ``span`` is its inclusive bin range ``(lo, hi)`` of the tree's
+    feature, its ``hist`` covers those bins alone (``hist[:, 0, b]`` is bin
+    ``lo + b``) and its ``rows`` are found in the tree's last pass."""
 
-    def __init__(self, rows, index, slot, grad, hess):
-        self.rows = rows            # ascending row indices
+    __slots__ = ("rows", "span", "index", "slot", "totals", "cands", "hist")
+
+    def __init__(self, index, slot, totals, rows=None, span=None):
         self.index = index          # leaf number in the finished tree
         self.slot = slot            # (child list, split) that points at the leaf; None at the root
-        # gradient sum, hessian sum (over the rows, in row order) and row
-        # count; np.add.reduce is what .sum() calls, without its wrapper
-        self.totals = np.array([np.add.reduce(grad), np.add.reduce(hess), rows.size])
+        self.totals = totals        # gradient sum, hessian sum and row count
+        self.rows = rows            # ascending row indices
+        self.span = span
+
+
+def _row_totals(grad, hess):
+    """The totals of a leaf whose rows hold ``grad`` and ``hess``, summed in
+    row order; np.add.reduce is what .sum() calls, without its wrapper."""
+    return np.array([np.add.reduce(grad), np.add.reduce(hess), grad.size])
 
 
 def _root_histograms(bins, gradients, hessians, cands, widest):
@@ -241,6 +260,24 @@ def _best_split(leaf, floors, min_gain, l2):
     return float(gain), leaf.cands[j], p
 
 
+def _bin_leaf_rows(bins, fid, leaves):
+    """Set the ``rows``, ascending, of each of ``leaves`` (by leaf number),
+    the bin ranges of a single-feature tree on ``fid``.
+
+    One gather through a leaf-of-bin table reads the feature's binned
+    column. A stable sort of the rows' leaf numbers, kept in the fewest
+    bytes so that numpy sorts them by radix, lists each leaf's rows in row
+    order."""
+    leaf_of_bin = np.empty(bins.num_bins(fid), dtype=np.min_scalar_type(len(leaves) - 1))
+    for leaf in leaves:
+        lo, hi = leaf.span
+        leaf_of_bin[lo:hi + 1] = leaf.index
+    leaf_ids = leaf_of_bin[bins.binned[:, fid - 1]]
+    ends = np.bincount(leaf_ids, minlength=len(leaves)).cumsum()
+    for leaf, rows in zip(leaves, np.split(np.argsort(leaf_ids, kind="stable"), ends[:-1])):
+        leaf.rows = rows
+
+
 def _leaf_value(totals, l2, learning_rate, max_output) -> float:
     denom = totals[1] + l2
     if denom <= 0:
@@ -268,10 +305,14 @@ def fit_tree(
 
     Growth is best first. Each leaf is scored on its own histograms: the
     root's are bincounted over every row (the row counts are cached in
-    ``bins``), and a child inherits its parent's histogram on the split
-    feature on its side of the cut and bincounts the other candidates over
-    its own rows. One ``cumsum`` over the leaf's (3 x candidates x bins)
-    array, padded to the widest candidate, scores every cut.
+    ``bins``). Pair and discovery trees read rows below the root: a child
+    inherits its parent's histogram on the split feature on its side of the
+    cut and bincounts the other candidates over its own rows. A
+    single-feature tree does not: a leaf below its root is scored on its
+    slice of the root's histogram on the root feature, and one last pass
+    over that feature's binned column gives every leaf its rows. One
+    ``cumsum`` over the leaf's (3 x candidates x bins) array, padded to the
+    widest candidate, scores every cut.
     Open leaves wait on a heap keyed (-gain, feature, bin, creation order),
     so the lowest feature, then the lowest bin, then the oldest leaf wins a
     tie. A leaf's value comes from its row sums, taken in row order.
@@ -290,22 +331,25 @@ def fit_tree(
         raise ValueError("gradients/hessians must align with the binned rows")
     budget = DISCOVERY_LEAVES if regime.kind == "discovery" else cfg.num_leaves
     min_data = cfg.min_data_in_leaf
+    single = regime.kind == "single"
 
     tree = DecisionTree([], [], [], [], [], regime.kind, ())
-    root = _GrowLeaf(np.arange(n, dtype=np.intp), 0, None, gradients, hessians)
+    root = _GrowLeaf(0, None, _row_totals(gradients, hessians),
+                     rows=np.arange(n, dtype=np.intp))
     leaves = [root]                     # by leaf number
     heap = []                           # (-gain, feature, bin, creation order, leaf)
     created = itertools.count()
     hess_floor = max(cfg.min_child_hessian, np.finfo(np.float64).tiny)
     floors = np.array([hess_floor, min_data], dtype=np.float64)[:, None, None]
 
-    def score(leaf, cands, hist):
+    def score(leaf, cands, hist, lo=0):
+        """Push the leaf's best split; bin b of ``hist`` is bin ``lo + b``."""
         leaf.cands, leaf.hist = cands, hist
         best = _best_split(leaf, floors, cfg.min_gain, cfg.lambda_l2)
         if best is None:
             leaf.hist = None
         else:
-            heapq.heappush(heap, (-best[0], best[1], best[2], next(created), leaf))
+            heapq.heappush(heap, (-best[0], best[1], lo + best[2], next(created), leaf))
 
     # The candidates, and so the histograms' width (the widest candidate's
     # bin count), change only at the root split. A leaf too small to give
@@ -320,7 +364,6 @@ def fit_tree(
             score(root, cands, _root_histograms(bins, gradients, hessians, cands, widest))
         while heap and len(leaves) < budget:
             _, fid, t, _, leaf = heapq.heappop(heap)
-            go_left = bins.binned[:, fid - 1][leaf.rows] <= t
             split = len(tree.split_feature)
             if leaf.slot is not None:
                 children, parent = leaf.slot
@@ -328,26 +371,44 @@ def fit_tree(
             else:
                 cands = [f for f in regime.candidates(fid) if bins.num_bins(f) >= 2]
                 widest = max(map(bins.num_bins, cands), default=0)
+                if single:      # every leaf below is a bin range of the root's histogram on fid
+                    j = leaf.cands.index(fid)
+                    column, leaf.span = leaf.hist[:, j:j + 1], (0, bins.num_bins(fid) - 1)
             tree.split_feature.append(fid)
             tree.threshold.append(float(bins.boundaries[fid - 1][t]))
             tree.left_child.append(~leaf.index)
             tree.right_child.append(~(split + 1))
+            if not single:
+                go_left = bins.binned[:, fid - 1][leaf.rows] <= t
             # The split that fills the budget leaves its children unscored.
             more = len(leaves) + 1 < budget
-            for left, rows, index, slot in (
-                    (True, leaf.rows[go_left], leaf.index, (tree.left_child, split)),
-                    (False, leaf.rows[~go_left], split + 1, (tree.right_child, split))):
-                grad, hess = gradients[rows], hessians[rows]
-                child = _GrowLeaf(rows, index, slot, grad, hess)
+            for left, index, slot in ((True, leaf.index, (tree.left_child, split)),
+                                      (False, split + 1, (tree.right_child, split))):
+                if single:
+                    lo, hi = (leaf.span[0], t) if left else (t + 1, leaf.span[1])
+                    hist = column[:, :, lo:hi + 1]
+                    child = _GrowLeaf(index, slot, np.add.reduce(hist[:, 0], axis=1),
+                                      span=(lo, hi))
+                else:
+                    rows = leaf.rows[go_left if left else ~go_left]
+                    grad, hess = gradients[rows], hessians[rows]
+                    child = _GrowLeaf(index, slot, _row_totals(grad, hess), rows=rows)
                 if left:
                     leaves[index] = child
                 else:
                     leaves.append(child)
-                if more and cands and rows.size >= 2 * min_data:
-                    score(child, cands, _child_histograms(bins, leaf, rows, grad, hess,
-                                                          cands, widest, fid, t, left))
+                if more and cands and child.totals[2] >= 2 * min_data:
+                    if single:
+                        score(child, cands, hist, lo)
+                    else:
+                        score(child, cands, _child_histograms(bins, leaf, rows, grad, hess,
+                                                              cands, widest, fid, t, left))
             leaf.hist = None
 
+    if single and tree.split_feature:   # the one pass over the rows below the root
+        _bin_leaf_rows(bins, tree.split_feature[0], leaves)
+        for leaf in leaves:
+            leaf.totals = _row_totals(gradients[leaf.rows], hessians[leaf.rows])
     with np.errstate(over="ignore"):    # an infinite leaf is the caller's to refuse
         tree.leaf_value = [_leaf_value(leaf.totals, cfg.lambda_l2, cfg.learning_rate,
                                        cfg.max_leaf_output) for leaf in leaves]

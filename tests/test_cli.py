@@ -13,6 +13,7 @@ import sys
 import tempfile
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -589,7 +590,7 @@ def test_v3_model_file_is_refused(trained_dir, files, tmp_path, capsys):
 
 
 def test_eval_non_finite_data_exits_2(trained_dir, files, tmp_path, capsys):
-    lines = open(files["test"]).read().splitlines()
+    lines = Path(files["test"]).read_text().splitlines()
     lines[2] = re.sub(r" 2:\S+", " 2:nan", lines[2], count=1)
     data = tmp_path / "nan.txt"
     data.write_text("\n".join(lines) + "\n")
@@ -655,7 +656,7 @@ def test_directory_as_input_file_exits_2(trained_dir, files, tmp_path, capsys, f
 @pytest.mark.parametrize("line", [1, 700])
 def test_data_that_is_not_utf8_exits_2(trained_dir, files, tmp_path, capsys, line):
     # Line 700 lies past the first block of lines the loader parses.
-    lines = open(files["test"], "rb").read().splitlines(keepends=True) * 2
+    lines = Path(files["test"]).read_bytes().splitlines(keepends=True) * 2
     assert len(lines) > 700
     lines[line - 1] = b"\xff\xfe" + lines[line - 1]
     data = tmp_path / "latin.txt"

@@ -320,7 +320,8 @@ def test_export_csv_rows_exact(tmp_path):
     model = IlmartModel.from_trees(1, [two_leaf(1, 0.5, -0.1, 0.2)])
     shapes, surfaces = distill_shapes(model)
     export_shapes(shapes, surfaces, tmp_path, fmt="csv")
-    rows = list(csv.reader(open(tmp_path / "main_1.csv")))
+    with open(tmp_path / "main_1.csv") as f:
+        rows = list(csv.reader(f))
     assert rows[0] == ["upper_bound", "value"]
     assert rows[1] == ["0.5", "-0.1"]
     assert rows[2] == ["inf", "0.2"]
@@ -332,7 +333,8 @@ def test_export_empty_model_writes_only_index(tmp_path):
     written = export_shapes(shapes, surfaces, tmp_path, fmt="csv")
     assert len(written) == 1
     assert written[0].endswith("index.csv")
-    rows = list(csv.reader(open(written[0])))
+    with open(written[0]) as f:
+        rows = list(csv.reader(f))
     assert len(rows) == 1  # header only
 
 
@@ -375,7 +377,8 @@ def test_importance_present_in_index(tmp_path, trained):
     ref = planted_interaction(20, 10, seed=78, num_features=trained.num_features)
     imp = effect_importance(trained, ref)
     export_shapes(shapes, surfaces, tmp_path, fmt="csv", importance=imp)
-    rows = list(csv.reader(open(tmp_path / "index.csv")))
+    with open(tmp_path / "index.csv") as f:
+        rows = list(csv.reader(f))
     header, body = rows[0], rows[1:]
     assert header == ["effect", "kind", "features", "file", "importance", "rank"]
     ranks = sorted(int(r[5]) for r in body)

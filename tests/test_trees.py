@@ -1,3 +1,4 @@
+import itertools
 import warnings
 from dataclasses import replace
 
@@ -6,7 +7,7 @@ import pytest
 
 from ilmart import Dataset, TrainConfig, build_bins
 from ilmart.trees import (ConstraintRegime, DecisionTree, _best_split, _GrowLeaf,
-                          _root_histograms, fit_tree)
+                          _root_histograms, _row_totals, fit_tree)
 
 from synthdata import planted_interaction, random_queries
 from treespec import make_tree
@@ -537,17 +538,52 @@ def test_fit_tree_matches_per_leaf_oracle_at_bench_size():
     assert deep_single >= 20 and deep_pair >= 20
 
 
-@pytest.mark.parametrize("cands", [[3], [4, 5]], ids=["single", "pair"])
+def exact(values):
+    """``values`` rounded to multiples of 2^-10. A sum of a few thousand of
+    them is exact in float64, whatever the order of the additions."""
+    return np.round(values * 1024.0) / 1024.0
+
+
+def test_fit_tree_matches_per_leaf_oracle_on_exact_inputs():
+    # On such inputs a leaf's sums have one value however they are taken, so
+    # the trees must match the oracle bit for bit in every regime, whether
+    # the grower sums a leaf over its rows or over its bins.
+    cases = itertools.chain(
+        (oracle_case(seed) for seed in range(1500)),
+        (bench_sized_case(seed, kind) for seed in range(24)
+         for kind in ("single", "pair", "discovery")))
+    splits = {"single": 0, "pair": 0, "discovery": 0}
+    for case, (bins, grad, hess, regime, cfg) in enumerate(cases):
+        grad, hess = exact(grad), exact(hess)
+        want = oracle_fit_tree(bins, grad, hess, regime, cfg)
+        assert fit_tree(bins, grad, hess, regime, cfg) == want, f"case {case}"
+        splits[regime.kind] += len(want.split_feature)
+    assert min(splits.values()) > 1000, splits
+
+
+@pytest.mark.parametrize("cands, span", [([3], None), ([4, 5], None), ([3], (4, 20))],
+                         ids=["single", "pair", "single_slice"])
 @pytest.mark.parametrize("l2", [0.0, 1.0])
-def test_split_scan_leaves_the_leaf_histograms_alone(cands, l2):
+def test_split_scan_leaves_the_leaf_histograms_alone(cands, span, l2):
     bins = build_bins(planted_interaction(20, 20, seed=5), 32)
     rng = np.random.default_rng(6)
     n = bins.num_rows
     grad, hess = rng.normal(size=n), rng.random(n)
-    leaf = _GrowLeaf(np.arange(n), 0, None, grad, hess)
-    leaf.cands, leaf.hist = cands, _root_histograms(bins, grad, hess, cands,
-                                                      max(map(bins.num_bins, cands)))
-    hist, totals = leaf.hist.copy(), leaf.totals.copy()
-    best = _best_split(leaf, np.array([1e-3, 5.0])[:, None, None], 0.0, l2)
+    leaf = _GrowLeaf(0, None, _row_totals(grad, hess), rows=np.arange(n))
+    root = _root_histograms(bins, grad, hess, cands, max(map(bins.num_bins, cands)))
+    leaf.cands, leaf.hist = cands, root
+    if span is not None:
+        # a leaf below the root of a single tree: its histogram is a view of a
+        # slice of the root's, which a write would corrupt for every later leaf
+        lo, hi = span
+        leaf.hist = root[:, :, lo:hi + 1]
+        leaf.totals = np.add.reduce(leaf.hist[:, 0], axis=1)
+        assert np.shares_memory(leaf.hist, root)
+    whole, hist, totals = root.copy(), leaf.hist.copy(), leaf.totals.copy()
+    # The slice's totals are its bin sums, so at l2 = 0 its last cut divides
+    # by an exactly empty hessian sum, which fit_tree silences as here.
+    with np.errstate(**({} if span is None else {"divide": "ignore", "invalid": "ignore"})):
+        best = _best_split(leaf, np.array([1e-3, 5.0])[:, None, None], 0.0, l2)
     assert best is not None and best[1] in cands
     assert np.array_equal(leaf.hist, hist) and np.array_equal(leaf.totals, totals)
+    assert np.array_equal(root, whole)
