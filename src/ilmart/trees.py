@@ -24,23 +24,25 @@ its histograms, one per candidate feature, each indexed by the feature's own
 bins. When it splits on feature f at bin t, every bin of f goes wholly to
 one child, so each child's histogram on f is the parent's on its side of t.
 
-Below the root, a single-feature tree reads no rows: each leaf is a range of
-the root feature's bins, scored on that slice of the root's histogram, and
-the slice's bin sums are its totals. One pass at the end finds every leaf's
-rows through a leaf-of-bin table. Pair and discovery trees partition each
-leaf's rows: a child copies its parent's histogram on f, empty on the other
-side of t, bincounts the other candidates over its own rows (a pair tree
-only the partner feature) and sums its totals over those rows.
+The root sums its totals over every row, in row order. Below the root, a
+single-feature tree reads no rows: each leaf is a range of the root
+feature's bins, scored on that slice of the root's histogram, and the
+slice's bin sums are its totals, for its split search and its value alike.
+Only ``leaf_of_row`` reads the rows, through a leaf-of-bin table. Pair and
+discovery trees partition each leaf's rows: a child copies its parent's
+histogram on f, empty on the other side of t, bincounts the other
+candidates over its own rows (a pair tree only the partner feature) and
+sums its totals over those rows, in row order.
 A leaf with fewer than ``2 * min_data_in_leaf`` rows cannot split and is
 never scored. Every histogram cell sums the same rows in the same order as a
 bincount of that leaf alone (the sibling is never the parent minus the other
 child, which would round differently), so every cut's left sums are the ones
 that scoring each leaf one feature at a time gives. A single tree's leaf
 totals below the root, bin sums rather than row sums, can differ from those
-in the last bits, which can move a split only at a near-tie of that size; on
-inputs whose sums are exact in any order the trees are the same. Ties
-resolve to the lowest gain-maximising feature id, then the lowest bin, then
-the oldest leaf. A leaf's value comes from its row sums, in row order.
+in the last bits. Its leaf values then differ by that much, and its splits
+only at a near-tie of that size; on inputs whose sums are exact in any
+order the trees are the same. Ties resolve to the lowest gain-maximising
+feature id, then the lowest bin, then the oldest leaf.
 
 A fitted tree is a set of flat split and leaf arrays, as in LightGBM. Splits
 store raw thresholds (the boundary value between the two bins), so inference
@@ -158,10 +160,12 @@ class _GrowLeaf:
     count of the leaf's rows in bin ``b`` of feature ``cands[j]``, the
     candidates side by side and padded with empty bins to the widest.
 
-    A leaf below the root of a single-feature tree knows its bins, not its
-    rows: ``span`` is its inclusive bin range ``(lo, hi)`` of the tree's
-    feature, its ``hist`` covers those bins alone (``hist[:, 0, b]`` is bin
-    ``lo + b``) and its ``rows`` are found in the tree's last pass."""
+    The root and a leaf of a pair or discovery tree hold their ``rows`` and
+    sum their ``totals`` over them. A leaf below the root of a
+    single-feature tree knows its bins, not its rows: ``span`` is its
+    inclusive bin range ``(lo, hi)`` of the tree's feature, its ``hist``
+    covers those bins alone (``hist[:, 0, b]`` is bin ``lo + b``) and its
+    ``totals`` are their bin sums."""
 
     __slots__ = ("rows", "span", "index", "slot", "totals", "cands", "hist")
 
@@ -260,24 +264,6 @@ def _best_split(leaf, floors, min_gain, l2):
     return float(gain), leaf.cands[j], p
 
 
-def _bin_leaf_rows(bins, fid, leaves):
-    """Set the ``rows``, ascending, of each of ``leaves`` (by leaf number),
-    the bin ranges of a single-feature tree on ``fid``.
-
-    One gather through a leaf-of-bin table reads the feature's binned
-    column. A stable sort of the rows' leaf numbers, kept in the fewest
-    bytes so that numpy sorts them by radix, lists each leaf's rows in row
-    order."""
-    leaf_of_bin = np.empty(bins.num_bins(fid), dtype=np.min_scalar_type(len(leaves) - 1))
-    for leaf in leaves:
-        lo, hi = leaf.span
-        leaf_of_bin[lo:hi + 1] = leaf.index
-    leaf_ids = leaf_of_bin[bins.binned[:, fid - 1]]
-    ends = np.bincount(leaf_ids, minlength=len(leaves)).cumsum()
-    for leaf, rows in zip(leaves, np.split(np.argsort(leaf_ids, kind="stable"), ends[:-1])):
-        leaf.rows = rows
-
-
 def _leaf_value(totals, l2, learning_rate, max_output) -> float:
     denom = totals[1] + l2
     if denom <= 0:
@@ -309,13 +295,14 @@ def fit_tree(
     inherits its parent's histogram on the split feature on its side of the
     cut and bincounts the other candidates over its own rows. A
     single-feature tree does not: a leaf below its root is scored on its
-    slice of the root's histogram on the root feature, and one last pass
-    over that feature's binned column gives every leaf its rows. One
-    ``cumsum`` over the leaf's (3 x candidates x bins) array, padded to the
-    widest candidate, scores every cut.
+    slice of the root's histogram on the root feature. One ``cumsum`` over
+    the leaf's (3 x candidates x bins) array, padded to the widest
+    candidate, scores every cut.
     Open leaves wait on a heap keyed (-gain, feature, bin, creation order),
     so the lowest feature, then the lowest bin, then the oldest leaf wins a
-    tie. A leaf's value comes from its row sums, taken in row order.
+    tie. A leaf's value is the clamped Newton step of its totals: row sums,
+    in row order, in a stump and in pair and discovery trees; the bin sums
+    of its slice of the root's histogram in a single tree that splits.
 
     Returns a single-leaf "stump" when no split clears ``min_gain`` and
     ``min_data_in_leaf`` at the root; the caller decides whether to stop
@@ -405,14 +392,16 @@ def fit_tree(
                                                               cands, widest, fid, t, left))
             leaf.hist = None
 
-    if single and tree.split_feature:   # the one pass over the rows below the root
-        _bin_leaf_rows(bins, tree.split_feature[0], leaves)
-        for leaf in leaves:
-            leaf.totals = _row_totals(gradients[leaf.rows], hessians[leaf.rows])
     with np.errstate(over="ignore"):    # an infinite leaf is the caller's to refuse
         tree.leaf_value = [_leaf_value(leaf.totals, cfg.lambda_l2, cfg.learning_rate,
                                        cfg.max_leaf_output) for leaf in leaves]
-    if leaf_of_row is not None:
+    if leaf_of_row is not None and single and tree.split_feature:
+        fid = tree.split_feature[0]     # every leaf is a bin range of fid
+        leaf_of_bin = np.empty(bins.num_bins(fid), dtype=np.intp)
+        for leaf in leaves:
+            leaf_of_bin[leaf.span[0]:leaf.span[1] + 1] = leaf.index
+        leaf_of_row[:] = leaf_of_bin[bins.binned[:, fid - 1]]
+    elif leaf_of_row is not None:
         for leaf in leaves:
             leaf_of_row[leaf.rows] = leaf.index
 

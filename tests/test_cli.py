@@ -392,6 +392,13 @@ def test_readme_commands_parse():
                                               "compare", "sweep-interactions"}
 
 
+def test_readme_names_only_scripts_that_exist():
+    root = Path(__file__).resolve().parent.parent
+    named = set(re.findall(r"`(scripts/[\w.]+)", (root / "README.md").read_text(encoding="utf-8")))
+    assert named
+    assert [name for name in sorted(named) if not (root / name).is_file()] == []
+
+
 def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
               encoding="utf-8") as fh:
@@ -406,6 +413,33 @@ def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
     assert names["shapes"] == model.shapes and names["surfaces"] == model.surfaces
     assert model.p >= 1 and 0.0 < names["report"].mean[10] <= 1.0
     assert capsys.readouterr().out.startswith(repr(names["report"].mean[10]))
+
+
+def test_unexpected_fault_exits_1_with_its_message_last(trained_dir, files, monkeypatch,
+                                                        capsys, caplog):
+    def broken_evaluator(*args, **kwargs):
+        raise RuntimeError("the evaluator lost its cutoffs")
+
+    monkeypatch.setattr(ilmart.cli, "mean_ndcg", broken_evaluator)
+    code = main(["eval", "--model", str(trained_dir / "model.json"), "--data", files["test"]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "error: the evaluator lost its cutoffs"
+    [record] = [r for r in caplog.records if r.getMessage() == "command failed"]
+    assert record.exc_info[0] is RuntimeError      # the traceback goes to the log
+
+
+def test_closed_output_pipe_exits_1(trained_dir, files, monkeypatch, capsys):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["predict", "--model", str(trained_dir / "model.json"),
+                 "--data", files["test"]])
+    assert code == 1
+    assert capsys.readouterr().err == ""
 
 
 def test_output_lock_blocks_concurrent_use(files, tmp_path, capsys):

@@ -62,6 +62,20 @@ def test_from_rows_rejects_non_finite():
         Dataset.from_rows([0, 0], ["q", "q"], [[0.0, 1.0], [2.0, -np.inf]])
 
 
+@pytest.mark.parametrize("labels, qids, features, message", [
+    ([0, 0], ["q", "q"], np.zeros(2), "features must be a 2-d matrix"),
+    ([0, 0], ["q", "q"], np.zeros((2, 1, 1)), "features must be a 2-d matrix"),
+    ([0], ["q", "q"], np.zeros((2, 1)), "labels, qids and features must have equal length"),
+    ([[0], [0]], ["q", "q"], np.zeros((2, 1)),
+     "labels, qids and features must have equal length"),
+    ([0, 0], ["q"], np.zeros((2, 1)), "labels, qids and features must have equal length"),
+    ([], [], np.zeros((0, 3)), "dataset has no rows"),
+], ids=["vector", "three_d", "short_labels", "label_column", "short_qids", "no_rows"])
+def test_from_rows_refuses_what_is_not_a_table_of_rows(labels, qids, features, message):
+    with pytest.raises(DatasetError, match=f"^{message}$"):
+        Dataset.from_rows(labels, qids, features)
+
+
 @pytest.mark.parametrize("labels", [
     [1.5, 0.7], [0, 2**32 + 1], np.array([0, 2**32 + 1], dtype=np.int64), [0, -1], [0, 32],
     [0.0, np.nan], [0.0, np.inf],

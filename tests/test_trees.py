@@ -356,11 +356,17 @@ def oracle_best_split(bins, rows, gradients, hessians, cands, min_data, min_gain
     return best
 
 
-def oracle_fit_tree(bins, gradients, hessians, regime, cfg, scored_sizes=None):
+def oracle_fit_tree(bins, gradients, hessians, regime, cfg, scored_sizes=None,
+                    bin_sums=False):
     """Leaf-wise growth that re-scores every open leaf, whatever its size,
     each time the features used so far change. ``scored_sizes`` collects
     the row count of every leaf scored. The left child of split ``s`` keeps
-    its parent's leaf number and the right child takes number ``s + 1``."""
+    its parent's leaf number and the right child takes number ``s + 1``.
+
+    A leaf's value comes from its row sums; with ``bin_sums``, a single
+    tree's leaf below the root tracks its inclusive bin range ``[lo, hi]``
+    of the root feature, and its value comes from the sums of that slice of
+    the feature's bincount over all rows."""
     budget = 3 if regime.kind == "discovery" else cfg.num_leaves
     tree = DecisionTree([], [], [], [], [], regime.kind, ())
     root = {"rows": np.arange(bins.num_rows), "order": 0, "version": -1, "index": 0,
@@ -401,6 +407,9 @@ def oracle_fit_tree(bins, gradients, hessians, regime, cfg, scored_sizes=None):
         right = {"rows": leaf["rows"][~go_left], "order": next_order + 1, "version": -1,
                  "index": split + 1, "slot": (tree.right_child, split)}
         next_order += 2
+        if bin_sums and regime.kind == "single":
+            lo, hi = leaf.get("span", (0, bins.num_bins(fid) - 1))
+            left["span"], right["span"] = (lo, t), (t + 1, hi)
         open_leaves.extend((left, right))
         if root_feature is None:
             root_feature = fid
@@ -409,18 +418,25 @@ def oracle_fit_tree(bins, gradients, hessians, regime, cfg, scored_sizes=None):
             used.append(fid)
             version += 1
 
-    def value(rows):
-        denom = hessians[rows].sum() + cfg.lambda_l2
+    def value(leaf):
+        if "span" in leaf:
+            lo, hi = leaf["span"]
+            col, nb = bins.binned[:, root_feature - 1], bins.num_bins(root_feature)
+            g_sum, h_sum = (np.add.reduce(np.bincount(col, weights=w, minlength=nb)[lo:hi + 1])
+                            for w in (gradients, hessians))
+        else:
+            g_sum, h_sum = gradients[leaf["rows"]].sum(), hessians[leaf["rows"]].sum()
+        denom = h_sum + cfg.lambda_l2
         if denom <= 0:
             return 0.0
-        step = -(gradients[rows].sum()) / denom
+        step = -g_sum / denom
         if cfg.max_leaf_output > 0:
             step = min(max(step, -cfg.max_leaf_output), cfg.max_leaf_output)
         return float(step * cfg.learning_rate)
 
     tree.leaf_value = [0.0] * len(open_leaves)
     for leaf in open_leaves:
-        tree.leaf_value[leaf["index"]] = value(leaf["rows"])
+        tree.leaf_value[leaf["index"]] = value(leaf)
     if regime.kind == "single":
         tree.constraint_features = () if root_feature is None else (root_feature,)
     elif regime.kind == "pair":
@@ -471,7 +487,8 @@ def test_fit_tree_matches_per_leaf_oracle_node_for_node():
     for seed in range(1500):
         bins, grad, hess, regime, cfg = oracle_case(seed)
         sizes = []
-        want = oracle_fit_tree(bins, grad, hess, regime, cfg, scored_sizes=sizes)
+        want = oracle_fit_tree(bins, grad, hess, regime, cfg, scored_sizes=sizes,
+                               bin_sums=True)
         got = fit_tree(bins, grad, hess, regime, cfg)
         assert got == want, f"seed {seed}"
         offsets += [s - 2 * cfg.min_data_in_leaf for s in sizes[1:]]
@@ -528,7 +545,7 @@ def test_fit_tree_matches_per_leaf_oracle_at_bench_size():
     for seed in range(24):
         for kind in ("single", "pair", "discovery"):
             bins, grad, hess, regime, cfg = bench_sized_case(seed, kind)
-            want = oracle_fit_tree(bins, grad, hess, regime, cfg)
+            want = oracle_fit_tree(bins, grad, hess, regime, cfg, bin_sums=True)
             got = fit_tree(bins, grad, hess, regime, cfg)
             assert got == want, f"seed {seed}, {kind}"
             uses = [want.split_feature.count(f) for f in want.used_features]
