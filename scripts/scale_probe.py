@@ -5,22 +5,27 @@ Run from the repository root::
     python3 scripts/scale_probe.py --queries 1000
 
 It generates ``bench/datagen.web30k_shaped(queries, SEED)`` (1,000 queries
-are 117,240 rows of 136 features) and runs each layer in a fresh process:
-``save_svmlight``, ``load_svmlight``, ``Dataset.digest``, ``build_bins``, one
-``LambdaPlan``, one ``_Booster.round`` of stage 1 (``round``: a single-feature
-tree over 136 candidates) and one of stage 3 (``pair_round``: a pair tree on
-``PAIR``). A layer's process first reads its inputs from ``.npy`` files
-(arrays of exactly their own size), then runs the layer once. Each layer
-runs in ``REPEATS`` fresh processes, and the probe reports the medians of
-the layer's wall time and of the growth of the process's peak resident set
-(``ru_maxrss``) over the layer, in bytes per row, next to the feature
-matrix's 8 x 136 bytes per row: one run's seconds swing with the host by
-30% or more, while its bytes repeat exactly. The last line
+are 117,240 rows of 136 features), and the same at a quarter of the queries,
+and runs each layer on both in a fresh process: ``save_svmlight``,
+``load_svmlight``, ``Dataset.digest``, ``build_bins``, one ``LambdaPlan``,
+one ``_Booster.round`` of stage 1 (``round``: a single-feature tree over 136
+candidates) and one of stage 3 (``pair_round``: a pair tree on ``PAIR``). A
+layer's process first reads its inputs from ``.npy`` files (arrays of
+exactly their own size), then runs the layer once. Each layer runs in
+``REPEATS`` fresh processes per size, and the probe takes the medians of the
+layer's wall time and of the growth of the process's peak resident set
+(``ru_maxrss``) over the layer: one run's seconds swing with the host by
+30% or more, while its bytes, in steps of 128 KiB, vary by a step or two. A
+line through the two sizes' growths splits each layer's cost into a per-row
+slope, next to the feature matrix's 8 x 136 bytes per row, and a fixed
+intercept, such as a root histogram whose size depends on the bins and not
+on the rows. The last line
 projects the peak of a whole training run onto MSLR-WEB30K Fold1's training
-split (``FOLD1_TRAIN_ROWS``), as the largest of: the loader's peak, the
-matrix plus the digest, and the matrix plus the bins, the plan and the
-larger round. Each layer's fixed cost per block of rows (a few MB) dominates
-below about 100,000 rows, so project from 1,000 queries or more.
+split (``FOLD1_TRAIN_ROWS``), each layer as slope x rows + intercept, as the
+largest of: the loader's peak, the matrix plus the digest, and the matrix
+plus the bins, the plan and the larger round. The loader's cost per block of
+rows (a few MB) is fixed only once a file holds several blocks, so keep the
+quarter above about 25,000 rows: 1,000 queries or more.
 The library is imported from ``src/`` of the checkout the script sits in;
 the temporary files (about 1.75 KB per row of text) go to the system's
 temporary directory and are removed at the end.
@@ -122,6 +127,23 @@ def run_layer(work: str, layer: str) -> dict:
     return {"s": time.perf_counter() - start, "peak_growth_bytes": _peak_bytes() - before}
 
 
+def fit_line(growth: dict[int, float]) -> tuple[float, float]:
+    """The slope (bytes per row) and intercept (bytes) of the line through
+    two (rows, peak growth) points."""
+    (n1, g1), (n2, g2) = growth.items()
+    slope = (g1 - g2) / (n1 - n2)
+    return slope, g1 - slope * n1
+
+
+def projected_peak(fits: dict[str, tuple[float, float]], matrix: int, rows: int) -> float:
+    """The peak bytes of a training run on ``rows`` rows, from each layer's
+    (slope, intercept) and the matrix's bytes per row."""
+    at = {layer: slope * rows + intercept for layer, (slope, intercept) in fits.items()}
+    data = matrix * rows
+    training = data + at["build_bins"] + at["lambda_plan"] + max(at["round"], at["pair_round"])
+    return max(at["load_svmlight"], data + at["digest"], training)
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--queries", type=int, default=1000)
@@ -135,9 +157,12 @@ def main(argv=None) -> int:
         print(json.dumps(result))
         return 0
 
-    def child(layer: str) -> dict:
+    if args.queries < 4:
+        p.error("--queries must be at least 4, so that a quarter of them is a query")
+
+    def child(layer: str, where: str, queries: int = 0) -> dict:
         out = subprocess.run([sys.executable, os.path.abspath(__file__), "--layer", layer,
-                              "--work", work, "--queries", str(args.queries)],
+                              "--work", where, "--queries", str(queries)],
                              check=True, capture_output=True, text=True)
         return json.loads(out.stdout.strip().splitlines()[-1])
 
@@ -145,26 +170,33 @@ def main(argv=None) -> int:
     # from a large one begins with that one's peak (Linux keeps ru_maxrss
     # across exec).
     with tempfile.TemporaryDirectory(prefix="ilmart-probe-") as work:
-        shape = child("generate")
-        rows, width = shape["rows"], shape["width"]
+        sizes = []                      # (work directory, rows), the full size first
+        for queries in (args.queries, args.queries // 4):
+            where = os.path.join(work, str(queries))
+            os.mkdir(where)
+            shape = child("generate", where, queries)
+            sizes.append((where, shape["rows"]))
+        (full, rows), (_, quarter_rows) = sizes
+        width = shape["width"]
         matrix = 8 * width
         print(f"{args.queries} queries: {rows} rows x {width} features, "
-              f"matrix {matrix * rows / 1e6:.1f} MB ({matrix} B/row)")
-        per_row = {}
+              f"matrix {matrix * rows / 1e6:.1f} MB ({matrix} B/row); "
+              f"a quarter of the queries: {quarter_rows} rows")
+        fits = {}
         for layer in LAYERS:
-            runs = [child(layer) for _ in range(REPEATS)]
-            seconds = statistics.median(run["s"] for run in runs)
-            growth = statistics.median(run["peak_growth_bytes"] for run in runs)
-            per_row[layer] = growth / rows
-            print(f"{layer:14s} {seconds:8.3f} s  +{growth / 1e6:8.1f} MB"
-                  f"  {per_row[layer]:8.1f} B/row  ({per_row[layer] / matrix:.2f}x matrix)")
+            runs = {n: [child(layer, where) for _ in range(REPEATS)] for where, n in sizes}
+            growth = {n: statistics.median(run["peak_growth_bytes"] for run in runs[n])
+                      for n in runs}
+            seconds = statistics.median(run["s"] for run in runs[rows])
+            fits[layer] = slope, intercept = fit_line(growth)
+            print(f"{layer:14s} {seconds:8.3f} s  +{growth[rows] / 1e6:8.1f} MB"
+                  f"  {slope:8.1f} B/row ({slope / matrix:.2f}x matrix)"
+                  f" + {intercept / 1e6:6.1f} MB fixed")
             if layer == "save_svmlight":
-                print(f"{'':14s} file {os.path.getsize(os.path.join(work, 'train.txt')) / 1e6:.1f} MB")
-        training = (matrix + per_row["build_bins"] + per_row["lambda_plan"]
-                    + max(per_row["round"], per_row["pair_round"]))
-        peak = max(per_row["load_svmlight"], matrix + per_row["digest"], training)
-        print(f"projected peak at {FOLD1_TRAIN_ROWS} rows: {peak * FOLD1_TRAIN_ROWS / 1e9:.2f} GB "
-              f"({peak:.0f} B/row)")
+                print(f"{'':14s} file {os.path.getsize(os.path.join(full, 'train.txt')) / 1e6:.1f} MB")
+        peak = projected_peak(fits, matrix, FOLD1_TRAIN_ROWS)
+        print(f"projected peak at {FOLD1_TRAIN_ROWS} rows: {peak / 1e9:.2f} GB "
+              f"({peak / FOLD1_TRAIN_ROWS:.0f} B/row)")
     return 0
 
 

@@ -24,24 +24,25 @@ its histograms, one per candidate feature, each indexed by the feature's own
 bins. When it splits on feature f at bin t, every bin of f goes wholly to
 one child, so each child's histogram on f is the parent's on its side of t.
 
-The root sums its totals over every row, in row order. Below the root, a
-single-feature tree reads no rows: each leaf is a range of the root
-feature's bins, scored on that slice of the root's histogram, and the
-slice's bin sums are its totals, for its split search and its value alike.
-Only ``leaf_of_row`` reads the rows, through a leaf-of-bin table. Pair and
-discovery trees partition each leaf's rows: a child copies its parent's
-histogram on f, empty on the other side of t, bincounts the other
-candidates over its own rows (a pair tree only the partner feature) and
-sums its totals over those rows, in row order.
+A tree sums its rows once, at the root, in row order. Below the root, every
+child's totals, for its split search and its value alike, are the bin sums
+of its parent's histogram on f over the child's side of t, within the
+parent's bin range on f. In a single-feature tree that range is the leaf's
+own range of the root feature's bins: each leaf is scored on that slice of
+the root's histogram and reads no rows, and only ``leaf_of_row`` reads
+them, through a leaf-of-bin table. In pair and discovery trees it is all of
+f's bins; they partition each leaf's rows, and a scored child copies its
+parent's histogram on f, empty on the other side of t, and bincounts the
+other candidates over its own rows (a pair tree only the partner feature).
 A leaf with fewer than ``2 * min_data_in_leaf`` rows cannot split and is
 never scored. Every histogram cell sums the same rows in the same order as a
 bincount of that leaf alone (the sibling is never the parent minus the other
 child, which would round differently), so every cut's left sums are the ones
-that scoring each leaf one feature at a time gives. A single tree's leaf
-totals below the root, bin sums rather than row sums, can differ from those
-in the last bits. Its leaf values then differ by that much, and its splits
-only at a near-tie of that size; on inputs whose sums are exact in any
-order the trees are the same. Ties resolve to the lowest gain-maximising
+that scoring each leaf one feature at a time gives. A leaf's totals below
+the root, bin sums rather than row sums, can differ from those in the last
+bits. Its value then differs by that much, and its splits only at a
+near-tie of that size; on inputs whose sums are exact in any order the
+trees are the same. Ties resolve to the lowest gain-maximising
 feature id, then the lowest bin, then the oldest leaf.
 
 A fitted tree is a set of flat split and leaf arrays, as in LightGBM. Splits
@@ -160,12 +161,12 @@ class _GrowLeaf:
     count of the leaf's rows in bin ``b`` of feature ``cands[j]``, the
     candidates side by side and padded with empty bins to the widest.
 
-    The root and a leaf of a pair or discovery tree hold their ``rows`` and
-    sum their ``totals`` over them. A leaf below the root of a
+    The root's ``totals`` are summed over its rows; every other leaf's are
+    bin sums of its parent's histogram. The root and a leaf of a pair or
+    discovery tree hold their ``rows``. A leaf below the root of a
     single-feature tree knows its bins, not its rows: ``span`` is its
-    inclusive bin range ``(lo, hi)`` of the tree's feature, its ``hist``
-    covers those bins alone (``hist[:, 0, b]`` is bin ``lo + b``) and its
-    ``totals`` are their bin sums."""
+    inclusive bin range ``(lo, hi)`` of the tree's feature, and its ``hist``
+    covers those bins alone (``hist[:, 0, b]`` is bin ``lo + b``)."""
 
     __slots__ = ("rows", "span", "index", "slot", "totals", "cands", "hist")
 
@@ -195,16 +196,17 @@ def _root_histograms(bins, gradients, hessians, cands, widest):
     return hist
 
 
-def _child_histograms(bins, parent, rows, grad, hess, cands, widest, fid, t, left):
+def _child_histograms(bins, parent, rows, gradients, hessians, cands, widest, fid, t, left):
     """The histograms over ``cands`` of the ``left`` or right child of
-    ``parent``, split on ``fid`` at bin ``t``; the child holds ``rows``,
-    whose values are ``grad`` and ``hess``.
+    ``parent``, split on ``fid`` at bin ``t``; the child holds ``rows``.
 
     Every bin of ``fid`` goes wholly to one side, so the child's histogram
     on ``fid`` is the parent's on its side of ``t``: the same rows summed in
-    the same order. Each other candidate is bincounted over the child's rows.
+    the same order. Each other candidate is bincounted over the child's rows,
+    whose gradients and hessians are gathered here, for a scored child only.
     """
     hist = np.zeros((3, len(cands), widest))
+    grad, hess = gradients[rows], hessians[rows]
     for j, f in enumerate(cands):
         if f == fid:
             side = slice(None, t + 1) if left else slice(t + 1, bins.num_bins(f))
@@ -289,20 +291,19 @@ def fit_tree(
     ``min_child_hessian`` and ``min_gain`` per split, and leaf values clamped
     to ``max_leaf_output`` with ``lambda_l2`` before ``learning_rate`` scaling.
 
-    Growth is best first. Each leaf is scored on its own histograms: the
-    root's are bincounted over every row (the row counts are cached in
-    ``bins``). Pair and discovery trees read rows below the root: a child
-    inherits its parent's histogram on the split feature on its side of the
-    cut and bincounts the other candidates over its own rows. A
-    single-feature tree does not: a leaf below its root is scored on its
-    slice of the root's histogram on the root feature. One ``cumsum`` over
-    the leaf's (3 x candidates x bins) array, padded to the widest
-    candidate, scores every cut.
+    Growth is best first. The root's histograms are bincounted over every
+    row (the row counts are cached in ``bins``) and its totals summed over
+    them in row order. Below the root, a leaf's totals are the bin sums of
+    its parent's histogram on the split feature over its side of the cut,
+    within the parent's bin range. A scored child of a pair or discovery
+    tree inherits that histogram on its side of the cut and bincounts the
+    other candidates over its own rows; a leaf below a single tree's root is
+    scored on its slice of the root's histogram on the root feature. One
+    ``cumsum`` over the leaf's (3 x candidates x bins) array, padded to the
+    widest candidate, scores every cut.
     Open leaves wait on a heap keyed (-gain, feature, bin, creation order),
     so the lowest feature, then the lowest bin, then the oldest leaf wins a
-    tie. A leaf's value is the clamped Newton step of its totals: row sums,
-    in row order, in a stump and in pair and discovery trees; the bin sums
-    of its slice of the root's histogram in a single tree that splits.
+    tie. A leaf's value is the clamped Newton step of its totals.
 
     Returns a single-leaf "stump" when no split clears ``min_gain`` and
     ``min_data_in_leaf`` at the root; the caller decides whether to stop
@@ -358,38 +359,33 @@ def fit_tree(
             else:
                 cands = [f for f in regime.candidates(fid) if bins.num_bins(f) >= 2]
                 widest = max(map(bins.num_bins, cands), default=0)
-                if single:      # every leaf below is a bin range of the root's histogram on fid
-                    j = leaf.cands.index(fid)
-                    column, leaf.span = leaf.hist[:, j:j + 1], (0, bins.num_bins(fid) - 1)
             tree.split_feature.append(fid)
             tree.threshold.append(float(bins.boundaries[fid - 1][t]))
             tree.left_child.append(~leaf.index)
             tree.right_child.append(~(split + 1))
             if not single:
                 go_left = bins.binned[:, fid - 1][leaf.rows] <= t
+            # The leaf's bin range on fid, whose first bin is its histogram's bin 0.
+            j = leaf.cands.index(fid)
+            off, top = leaf.span or (0, bins.num_bins(fid) - 1)
             # The split that fills the budget leaves its children unscored.
             more = len(leaves) + 1 < budget
             for left, index, slot in ((True, leaf.index, (tree.left_child, split)),
                                       (False, split + 1, (tree.right_child, split))):
-                if single:
-                    lo, hi = (leaf.span[0], t) if left else (t + 1, leaf.span[1])
-                    hist = column[:, :, lo:hi + 1]
-                    child = _GrowLeaf(index, slot, np.add.reduce(hist[:, 0], axis=1),
-                                      span=(lo, hi))
-                else:
-                    rows = leaf.rows[go_left if left else ~go_left]
-                    grad, hess = gradients[rows], hessians[rows]
-                    child = _GrowLeaf(index, slot, _row_totals(grad, hess), rows=rows)
+                lo, hi = (off, t) if left else (t + 1, top)
+                hist = leaf.hist[:, j:j + 1, lo - off:hi + 1 - off]
+                rows = None if single else leaf.rows[go_left if left else ~go_left]
+                child = _GrowLeaf(index, slot, np.add.reduce(hist[:, 0], axis=1), rows,
+                                  (lo, hi) if single else None)
                 if left:
                     leaves[index] = child
                 else:
                     leaves.append(child)
                 if more and cands and child.totals[2] >= 2 * min_data:
-                    if single:
-                        score(child, cands, hist, lo)
-                    else:
-                        score(child, cands, _child_histograms(bins, leaf, rows, grad, hess,
-                                                              cands, widest, fid, t, left))
+                    if not single:
+                        hist, lo = _child_histograms(bins, leaf, rows, gradients, hessians,
+                                                     cands, widest, fid, t, left), 0
+                    score(child, cands, hist, lo)
             leaf.hist = None
 
     with np.errstate(over="ignore"):    # an infinite leaf is the caller's to refuse

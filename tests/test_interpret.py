@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -314,6 +315,28 @@ def test_importance_orders_by_mean_absolute_contribution():
     assert scores[(1,)] == (1.0, 1)
     assert scores[(2,)][0] == pytest.approx(0.1)
     assert scores[(2,)][1] == 2
+
+
+def test_importance_refuses_an_empty_reference():
+    # from_rows refuses zero rows, but a Dataset built directly can hold none
+    model = IlmartModel.from_trees(1, [two_leaf(1, 0.5, -0.1, 0.2)])
+    empty = Dataset(np.zeros((0, 1)), np.zeros(0, np.int32), [], [])
+    with pytest.raises(ValueError, match="reference dataset is empty"):
+        effect_importance(model, empty)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(fmt="xml"), "format must be csv or json, got 'xml'"),
+    (dict(top=0), "top must be >= 1, got 0"),
+    (dict(top=-1), "top must be >= 1, got -1"),
+])
+def test_export_refuses_bad_arguments_before_writing(tmp_path, kwargs, message):
+    model = IlmartModel.from_trees(1, [two_leaf(1, 0.5, -0.1, 0.2)])
+    imp = effect_importance(model, reference_rows(50, 1))
+    out = tmp_path / "shapes"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        export_shapes(model.shapes, model.surfaces, out, importance=imp, **kwargs)
+    assert not out.exists()
 
 
 def test_export_csv_rows_exact(tmp_path):

@@ -338,6 +338,14 @@ def test_stage3_requires_pairs(planted_run):
         train_interaction_effects(planted_run["stage1"], [], booster_after_stage1(planted_run))
 
 
+def test_stage3_rejects_duplicate_pairs(planted_run):
+    i, j = planted_run["stage1"].main_features[:2]
+    # the same pair twice, once in each order
+    with pytest.raises(ModelError, match="duplicate pairs"):
+        train_interaction_effects(planted_run["stage1"], [(i, j), (j, i)],
+                                  booster_after_stage1(planted_run))
+
+
 def test_stage3_rejects_non_hereditary_pairs(planted_run):
     bad = (97, 98)
     with pytest.raises(ModelError, match="heredity"):

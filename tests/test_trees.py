@@ -316,6 +316,8 @@ def test_input_validation():
         fit_tree(bins, zeros, zeros, regime, TrainConfig(num_leaves=4, min_data_in_leaf=0))
     with pytest.raises(ValueError):
         ConstraintRegime("pair", (2, 2))
+    with pytest.raises(ValueError, match="unknown constraint kind 'triple'"):
+        ConstraintRegime("triple", (1, 2, 3))
 
 
 # -- Whole-tree oracle: the plain per-leaf, per-feature split search ---------
@@ -363,10 +365,13 @@ def oracle_fit_tree(bins, gradients, hessians, regime, cfg, scored_sizes=None,
     the row count of every leaf scored. The left child of split ``s`` keeps
     its parent's leaf number and the right child takes number ``s + 1``.
 
-    A leaf's value comes from its row sums; with ``bin_sums``, a single
-    tree's leaf below the root tracks its inclusive bin range ``[lo, hi]``
-    of the root feature, and its value comes from the sums of that slice of
-    the feature's bincount over all rows."""
+    A leaf's value comes from its row sums; with ``bin_sums``, a leaf below
+    the root records its parent's rows, the split feature f and its
+    inclusive bin range ``[lo, hi]`` on f, and its value comes from the sums
+    of that slice of f's bincount over the parent's rows. The range is the
+    leaf's side of the cut within the parent's range on f: a single tree
+    tracks it from the root feature's whole range down, while in the other
+    regimes the parent's range is all of f's bins."""
     budget = 3 if regime.kind == "discovery" else cfg.num_leaves
     tree = DecisionTree([], [], [], [], [], regime.kind, ())
     root = {"rows": np.arange(bins.num_rows), "order": 0, "version": -1, "index": 0,
@@ -407,9 +412,12 @@ def oracle_fit_tree(bins, gradients, hessians, regime, cfg, scored_sizes=None,
         right = {"rows": leaf["rows"][~go_left], "order": next_order + 1, "version": -1,
                  "index": split + 1, "slot": (tree.right_child, split)}
         next_order += 2
-        if bin_sums and regime.kind == "single":
+        if bin_sums:
             lo, hi = leaf.get("span", (0, bins.num_bins(fid) - 1))
-            left["span"], right["span"] = (lo, t), (t + 1, hi)
+            for child, span in ((left, (lo, t)), (right, (t + 1, hi))):
+                child["sums"] = (leaf["rows"], fid, span)
+                if regime.kind == "single":
+                    child["span"] = span
         open_leaves.extend((left, right))
         if root_feature is None:
             root_feature = fid
@@ -419,11 +427,11 @@ def oracle_fit_tree(bins, gradients, hessians, regime, cfg, scored_sizes=None,
             version += 1
 
     def value(leaf):
-        if "span" in leaf:
-            lo, hi = leaf["span"]
-            col, nb = bins.binned[:, root_feature - 1], bins.num_bins(root_feature)
-            g_sum, h_sum = (np.add.reduce(np.bincount(col, weights=w, minlength=nb)[lo:hi + 1])
-                            for w in (gradients, hessians))
+        if "sums" in leaf:
+            rows, f, (lo, hi) = leaf["sums"]
+            col, nb = bins.binned[rows, f - 1], bins.num_bins(f)
+            g_sum, h_sum = (np.add.reduce(np.bincount(col, weights=w[rows], minlength=nb)
+                                          [lo:hi + 1]) for w in (gradients, hessians))
         else:
             g_sum, h_sum = gradients[leaf["rows"]].sum(), hessians[leaf["rows"]].sum()
         denom = h_sum + cfg.lambda_l2
